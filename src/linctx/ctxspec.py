@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Optional, Sequence
+from functools import cache, partial
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .ctx import (
     Ctx,
@@ -325,6 +326,9 @@ def _validate_spec(name: str, clauses: Sequence[Clause]) -> ContextSpec:
 # ---------------------------------------------------------------------------
 
 
+Classifier = Callable[[str], PatTerm]  # a bare identifier as a variable or constant
+
+
 def _classify_ident(text: str, nabla_vars: Sequence[str]) -> PatTerm:
     if text in nabla_vars:
         return NablaVar(text)
@@ -333,47 +337,47 @@ def _classify_ident(text: str, nabla_vars: Sequence[str]) -> PatTerm:
     return PatApp(text, ())
 
 
-def _parse_pattern_atom(ts: TokenStream, nabla_vars: Sequence[str]) -> PatTerm:
+def _parse_pattern_atom(ts: TokenStream, classify: Classifier) -> PatTerm:
     if ts.at_sym("("):
         ts.next()
-        inner = _parse_pattern(ts, nabla_vars)
+        inner = _parse_pattern(ts, classify)
         ts.eat_sym(")")
         return inner
     tok = ts.eat_ident()
-    return _classify_ident(tok.text, nabla_vars)
+    return classify(tok.text)
 
 
-def _parse_pattern(ts: TokenStream, nabla_vars: Sequence[str]) -> PatTerm:
+def _parse_pattern(ts: TokenStream, classify: Classifier) -> PatTerm:
     head = ts.eat_ident()
     if head.text in _CTOR_SIGS:
         arity = len(_CTOR_SIGS[head.text])
-        args = tuple(_parse_pattern_atom(ts, nabla_vars) for _ in range(arity))
+        args = tuple(_parse_pattern_atom(ts, classify) for _ in range(arity))
         return PatApp(head.text, args)
     if ts.at_ident() or ts.at_sym("("):
         raise SyntaxError_(f"unknown constructor {head.text!r}", head.pos)
-    return _classify_ident(head.text, nabla_vars)
+    return classify(head.text)
 
 
-def _parse_formula(ts: TokenStream, nabla_vars: Sequence[str]) -> SideFormula:
-    left = _parse_formula_conj(ts, nabla_vars)
+def _parse_formula(ts: TokenStream, classify: Classifier) -> SideFormula:
+    left = _parse_formula_conj(ts, classify)
     while ts.at_sym("\\/"):
         ts.next()
-        left = FOr(left, _parse_formula_conj(ts, nabla_vars))
+        left = FOr(left, _parse_formula_conj(ts, classify))
     return left
 
 
-def _parse_formula_conj(ts: TokenStream, nabla_vars: Sequence[str]) -> SideFormula:
-    left = _parse_formula_atom(ts, nabla_vars)
+def _parse_formula_conj(ts: TokenStream, classify: Classifier) -> SideFormula:
+    left = _parse_formula_atom(ts, classify)
     while ts.at_sym("/\\"):
         ts.next()
-        left = FAnd(left, _parse_formula_atom(ts, nabla_vars))
+        left = FAnd(left, _parse_formula_atom(ts, classify))
     return left
 
 
-def _parse_formula_atom(ts: TokenStream, nabla_vars: Sequence[str]) -> SideFormula:
+def _parse_formula_atom(ts: TokenStream, classify: Classifier) -> SideFormula:
     if ts.at_sym("("):
         ts.next()
-        inner = _parse_formula(ts, nabla_vars)
+        inner = _parse_formula(ts, classify)
         ts.eat_sym(")")
         return inner
     if ts.at_ident("true"):
@@ -381,10 +385,10 @@ def _parse_formula_atom(ts: TokenStream, nabla_vars: Sequence[str]) -> SideFormu
         return FTrue()
     if ts.at_ident("name"):
         ts.next()
-        return FIsName(_parse_pattern_atom(ts, nabla_vars))
-    lhs = _parse_pattern(ts, nabla_vars)
+        return FIsName(_parse_pattern_atom(ts, classify))
+    lhs = _parse_pattern(ts, classify)
     ts.eat_sym("=")
-    rhs = _parse_pattern(ts, nabla_vars)
+    rhs = _parse_pattern(ts, classify)
     return FEq(lhs, rhs)
 
 
@@ -396,15 +400,16 @@ def _parse_clause(ts: TokenStream) -> Clause:
             nabla_vars.append(ts.eat_ident().text)
         if not nabla_vars:
             raise SyntaxError_("nabla requires at least one variable", ts.peek().pos)
+    classify = partial(_classify_ident, nabla_vars=nabla_vars)
     ts.eat_sym("(")
-    patterns = [_parse_pattern(ts, nabla_vars)]
+    patterns = [_parse_pattern(ts, classify)]
     while ts.at_sym("_|_"):
         ts.next()
-        patterns.append(_parse_pattern(ts, nabla_vars))
+        patterns.append(_parse_pattern(ts, classify))
     formula: SideFormula = FTrue()
     if ts.at_sym("-|"):
         ts.next()
-        formula = _parse_formula(ts, nabla_vars)
+        formula = _parse_formula(ts, classify)
     ts.eat_sym(")")
     return Clause(tuple(nabla_vars), tuple(patterns), formula)
 
@@ -615,25 +620,6 @@ def _classify_lemma_ident(text: str, declared: Sequence[str]) -> PatTerm:
     return PatApp(text, ())
 
 
-def _parse_lemma_pattern_atom(ts: TokenStream, declared: Sequence[str]) -> PatTerm:
-    if ts.at_sym("("):
-        ts.next()
-        inner = _parse_lemma_pattern(ts, declared)
-        ts.eat_sym(")")
-        return inner
-    tok = ts.eat_ident()
-    return _classify_lemma_ident(tok.text, declared)
-
-
-def _parse_lemma_pattern(ts: TokenStream, declared: Sequence[str]) -> PatTerm:
-    head = ts.eat_ident()
-    if head.text in _CTOR_SIGS:
-        arity = len(_CTOR_SIGS[head.text])
-        args = tuple(_parse_lemma_pattern_atom(ts, declared) for _ in range(arity))
-        return PatApp(head.text, args)
-    return _classify_lemma_ident(head.text, declared)
-
-
 def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
     ts.eat_ident("Lemma")
     name = ts.eat_ident().text
@@ -650,6 +636,7 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
     if not ctx_vars:
         raise SyntaxError_("predicate application needs context variables", ts.peek().pos)
     declared = list(forall_vars) + [v for v in ctx_vars if v not in forall_vars]
+    classify = partial(_classify_lemma_ident, declared=declared)
 
     def ctx_index(tok) -> int:
         if tok.text not in ctx_vars:
@@ -661,7 +648,7 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
     while True:
         if ts.at_ident("member"):
             ts.next()
-            pat = _parse_lemma_pattern_atom(ts, declared)
+            pat = _parse_pattern_atom(ts, classify)
             idx = ctx_index(ts.eat_ident())
             hyp_members.append((pat, idx))
             ts.eat_sym("->")
@@ -682,18 +669,18 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
     while True:
         if ts.at_ident("member"):
             ts.next()
-            pat = _parse_lemma_pattern_atom(ts, declared)
+            pat = _parse_pattern_atom(ts, classify)
             idx = ctx_index(ts.eat_ident())
             concl_members.append((pat, idx))
         elif ts.at_ident("name"):
             ts.next()
-            concl_formulas.append(FIsName(_parse_lemma_pattern_atom(ts, declared)))
+            concl_formulas.append(FIsName(_parse_pattern_atom(ts, classify)))
         elif ts.at_ident("true"):
             ts.next()
         else:
-            lhs = _parse_lemma_pattern(ts, declared)
+            lhs = _parse_pattern(ts, classify)
             ts.eat_sym("=")
-            rhs = _parse_lemma_pattern(ts, declared)
+            rhs = _parse_pattern(ts, classify)
             concl_eqs.append((lhs, rhs))
         if ts.at_sym("/\\"):
             ts.next()
@@ -773,30 +760,35 @@ def _index_elem_sort(spec: ContextSpec, idx: int) -> Optional[str]:
     return None
 
 
+def _record_sorts(pat: PatTerm, sort: Optional[str], sorts: dict) -> None:
+    """Record the sort of each variable from its position in the pattern.
+
+    `sort` is the sort of the whole pattern, None when unknown.  The first
+    sort recorded for a variable name wins.
+    """
+    if isinstance(pat, (MetaVar, NablaVar)):
+        if sort is not None:
+            sorts.setdefault(pat.name, sort)
+        return
+    sig = _CTOR_SIGS.get(pat.ctor)
+    if sig is not None:
+        for a, s in zip(pat.args, sig):
+            _record_sorts(a, s, sorts)
+
+
 def _lemma_var_sorts(spec: ContextSpec, stmt: LemmaStmt) -> dict:
     sorts: dict = {}
-
-    def walk(pat: PatTerm, sort: Optional[str]) -> None:
-        if isinstance(pat, (MetaVar, NablaVar)):
-            if sort is not None:
-                sorts.setdefault(pat.name, sort)
-            return
-        sig = _CTOR_SIGS.get(pat.ctor)
-        if sig is not None:
-            for a, s in zip(pat.args, sig):
-                walk(a, s)
-
     for _ in range(2):  # second pass lets equalities propagate sorts
         for pat, idx in stmt.hyp_members + stmt.concl_members:
-            walk(pat, _index_elem_sort(spec, idx))
+            _record_sorts(pat, _index_elem_sort(spec, idx), sorts)
         for f in stmt.concl_formulas:
             if isinstance(f, FIsName):
-                walk(f.term, "name")
+                _record_sorts(f.term, "name", sorts)
         for lhs, rhs in stmt.concl_eqs:
             lhs_sort = _pattern_sort(lhs, sorts)
             rhs_sort = _pattern_sort(rhs, sorts)
-            walk(lhs, rhs_sort)
-            walk(rhs, lhs_sort)
+            _record_sorts(lhs, rhs_sort, sorts)
+            _record_sorts(rhs, lhs_sort, sorts)
     return sorts
 
 
@@ -840,17 +832,32 @@ def _collect_by_sort(contexts: Sequence[Ctx]) -> dict:
     return {sort: list(bucket) for sort, bucket in found.items()}
 
 
-def _sort_candidates(sort: Optional[str], pools: dict, bounds: GenBounds) -> list:
-    candidates = list(pools.get(sort, ())) if sort is not None else []
-    if sort == "ty":
-        for ty in type_universe(bounds.base_types, bounds.type_depth):
-            if ty not in candidates:
-                candidates.append(ty)
-    if sort == "name" and not candidates:
-        candidates = name_pool(1)
-    if sort is None:
-        for values in pools.values():
-            candidates.extend(values)
+def _lemma_candidates(
+    sorts: dict, contexts: Sequence[Ctx], bounds: GenBounds
+) -> Callable:
+    """Candidate values of each lemma variable on one context tuple.
+
+    A variable of known sort ranges over the values of that sort in the
+    contexts, plus the type universe for types and one name when the
+    contexts hold none; a variable of unknown sort over every value.
+    """
+    pools = _collect_by_sort(contexts)
+
+    @cache  # the witness search asks again for every binding
+    def candidates(var: str) -> list:
+        sort = sorts.get(var)
+        found = list(pools.get(sort, ())) if sort is not None else []
+        if sort == "ty":
+            for ty in type_universe(bounds.base_types, bounds.type_depth):
+                if ty not in found:
+                    found.append(ty)
+        if sort == "name" and not found:
+            found = name_pool(1)
+        if sort is None:
+            for values in pools.values():
+                found.extend(values)
+        return found
+
     return candidates
 
 
@@ -872,76 +879,62 @@ def _render_binding(binding: dict) -> str:
     return ", ".join(f"{k} = {v}" for k, v in items)
 
 
-def _lemma_instance_failure(
-    spec: ContextSpec, stmt: LemmaStmt, contexts: Sequence[Ctx], bounds: GenBounds
-) -> Optional[str]:
-    """None if the statement holds on this tuple, else a counterexample."""
-    sorts = _lemma_var_sorts(spec, stmt)
-    pools = _collect_by_sort(contexts)
+def _universal_bindings(
+    stmt: LemmaStmt, contexts: Sequence[Ctx], candidates: Callable
+) -> list:
+    """Every binding of the universal variables on one context tuple.
 
-    bindings = [dict()]
+    The member hypotheses are matched in order against the distinct
+    elements of their contexts; universal variables that no hypothesis
+    binds then range over their candidates.  Empty when the hypotheses
+    are unsatisfiable on this tuple.
+    """
+    bindings = [{}]
     for pat, idx in stmt.hyp_members:
-        extended = []
-        for b in bindings:
-            for value in dict.fromkeys(elems(contexts[idx])):
-                b2 = match_pattern(pat, b_value := value, b)
-                if b2 is not None:
-                    extended.append(b2)
-        bindings = extended
+        values = tuple(dict.fromkeys(elems(contexts[idx])))
+        bindings = [
+            extended
+            for b in bindings
+            for value in values
+            if (extended := match_pattern(pat, value, b)) is not None
+        ]
         if not bindings:
-            return None  # hypotheses unsatisfiable on this tuple
-
+            return []
     unbound = [
-        v
+        MetaVar(v)
         for v in stmt.forall_vars
         if MetaVar(v) not in bindings[0] and v not in stmt.exist_vars
     ]
-    if unbound:
-        expanded = []
-        for b in bindings:
-            options = [
-                _sort_candidates(sorts.get(v), pools, bounds) for v in unbound
-            ]
-            for combo in itertools.product(*options):
-                b2 = dict(b)
-                for v, val in zip(unbound, combo):
-                    b2[MetaVar(v)] = val
-                expanded.append(b2)
-        bindings = expanded
-
-    exist_options = [
-        _sort_candidates(sorts.get(v), pools, bounds) for v in stmt.exist_vars
+    if not unbound:
+        return bindings
+    options = [candidates(v.name) for v in unbound]
+    return [
+        {**b, **dict(zip(unbound, combo))}
+        for b in bindings
+        for combo in itertools.product(*options)
     ]
 
-    for binding in bindings:
-        found = False
-        for combo in itertools.product(*exist_options):
-            candidate = dict(binding)
-            for v, val in zip(stmt.exist_vars, combo):
-                candidate[MetaVar(v)] = val
-            ok = True
-            for pat, idx in stmt.concl_members:
-                if not member(instantiate(pat, candidate), contexts[idx]):
-                    ok = False
-                    break
-            if ok:
-                for f in stmt.concl_formulas:
-                    if not eval_formula(f, candidate):
-                        ok = False
-                        break
-            if ok:
-                for lhs, rhs in stmt.concl_eqs:
-                    if instantiate(lhs, candidate) != instantiate(rhs, candidate):
-                        ok = False
-                        break
-            if ok:
-                found = True
-                break
-        if not found:
-            return (
-                f"{_render_contexts(stmt.ctx_vars, contexts)}"
-                + (f" with {_render_binding(binding)}" if binding else "")
+
+def _lemma_witness(
+    stmt: LemmaStmt, contexts: Sequence[Ctx], binding: dict, candidates: Callable
+) -> Optional[dict]:
+    """The binding extended by the first existential witness under which
+    the conclusion holds on this tuple, or None when there is none."""
+    exist_keys = [MetaVar(v) for v in stmt.exist_vars]
+    for combo in itertools.product(*(candidates(v) for v in stmt.exist_vars)):
+        candidate = {**binding, **dict(zip(exist_keys, combo))}
+        if (
+            all(
+                member(instantiate(pat, candidate), contexts[idx])
+                for pat, idx in stmt.concl_members
             )
+            and all(eval_formula(f, candidate) for f in stmt.concl_formulas)
+            and all(
+                instantiate(lhs, candidate) == instantiate(rhs, candidate)
+                for lhs, rhs in stmt.concl_eqs
+            )
+        ):
+            return candidate
     return None
 
 
@@ -957,26 +950,6 @@ def _clause_metavars(clause: Clause) -> list:
             if v not in clause.nabla_vars and v not in out:
                 out.append(v)
     return out
-
-
-def _clause_metavar_sorts(clause: Clause) -> dict:
-    sorts: dict = {}
-
-    def walk(pat: PatTerm, sort: Optional[str]) -> None:
-        if isinstance(pat, MetaVar):
-            if sort is not None:
-                sorts.setdefault(pat.name, sort)
-            return
-        if isinstance(pat, NablaVar):
-            return
-        sig = _CTOR_SIGS.get(pat.ctor)
-        if sig is not None:
-            for a, s in zip(pat.args, sig):
-                walk(a, s)
-
-    for p in clause.patterns:
-        walk(p, None)
-    return sorts
 
 
 def generate_list_instances(
@@ -1011,7 +984,9 @@ def generate_list_instances(
                     used_names |= value_names(entry)
             for clause in spec.clauses:
                 mvars = _clause_metavars(clause)
-                msorts = _clause_metavar_sorts(clause)
+                msorts: dict = {}
+                for p in clause.patterns:
+                    _record_sorts(p, None, msorts)
                 option_lists = [meta_options(msorts.get(v)) for v in mvars]
                 fresh_base = 0
                 nabla_pool = []
@@ -1118,12 +1093,17 @@ def verify_lemma_cases(
         raise ShapeError(
             f"lemma is about {stmt.pred_name!r}, expected {spec.name!r} or {spec.list_name!r}"
         )
+    sorts = _lemma_var_sorts(spec, stmt)
     cases = 0
     for contexts in instances:
         cases += 1
-        failure = _lemma_instance_failure(spec, stmt, contexts, bounds)
-        if failure is not None:
-            return cases, failure
+        candidates = _lemma_candidates(sorts, contexts, bounds)
+        for binding in _universal_bindings(stmt, contexts, candidates):
+            if _lemma_witness(stmt, contexts, binding, candidates) is None:
+                return cases, (
+                    f"{_render_contexts(stmt.ctx_vars, contexts)}"
+                    + (f" with {_render_binding(binding)}" if binding else "")
+                )
     return cases, None
 
 
@@ -1290,6 +1270,11 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
     multiset predicate to obtain coordinated lists, transport the member
     hypotheses into the lists, evaluate the list-level statement there,
     and transport member conclusions back through the same permutations.
+
+    The checker is the oracle for the transport argument: the tests run
+    it on generated multiset instances.  Reports on the lifted statement
+    (`verify_lemma`, `derive_lift`, the CLI) check it by enumerating
+    multiset instances directly, independently of the transport.
     """
     if stmt.pred_name != spec.list_name:
         raise ShapeError(
@@ -1304,23 +1289,17 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
         ctx_vars=tuple(f"G{j}" for j in range(1, spec.arity + 1)),
     )
 
+    sorts = _lemma_var_sorts(spec, stmt)
+
     def checker(contexts: Sequence[Ctx], bounds: GenBounds = GenBounds()) -> tuple:
         """(cases, counterexample) for one multiset context tuple."""
         aligned = align_mset(spec, contexts)
         if aligned is None:
             return 0, None  # hypothesis fails; nothing to check
         lists = tuple(from_list(row) for row in aligned)
+        candidates = _lemma_candidates(sorts, contexts, bounds)
         cases = 0
-        bindings = [dict()]
-        for pat, idx in stmt.hyp_members:
-            extended = []
-            for b in bindings:
-                for value in dict.fromkeys(elems(contexts[idx])):
-                    b2 = match_pattern(pat, value, b)
-                    if b2 is not None:
-                        extended.append(b2)
-            bindings = extended
-        for binding in bindings:
+        for binding in _universal_bindings(stmt, contexts, candidates):
             cases += 1
             for pat, idx in stmt.hyp_members:
                 value = instantiate(pat, binding)
@@ -1329,12 +1308,11 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
                         f"hypothesis transport failed for {render_value(value)}"
                         f" in {_render_contexts(lifted.ctx_vars, contexts)}"
                     )
-            list_failure = _lemma_instance_failure_for_binding(
-                spec, stmt, lists, binding, bounds
-            )
-            if list_failure is not None:
-                return cases, list_failure
-            witness = _find_witness(spec, stmt, lists, binding, bounds)
+            witness = _lemma_witness(stmt, lists, binding, candidates)
+            if witness is None:
+                return cases, (
+                    f"list-level conclusion has no witness under {_render_binding(binding)}"
+                )
             for pat, idx in stmt.concl_members:
                 value = instantiate(pat, witness)
                 if not mem_transport(value, lists[idx], contexts[idx]):
@@ -1345,52 +1323,6 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
         return cases, None
 
     return lifted, checker
-
-
-def _find_witness(
-    spec: ContextSpec,
-    stmt: LemmaStmt,
-    contexts: Sequence[Ctx],
-    binding: dict,
-    bounds: GenBounds,
-) -> dict:
-    sorts = _lemma_var_sorts(spec, stmt)
-    pools = _collect_by_sort(contexts)
-    exist_options = [
-        _sort_candidates(sorts.get(v), pools, bounds) for v in stmt.exist_vars
-    ]
-    for combo in itertools.product(*exist_options):
-        candidate = dict(binding)
-        for v, val in zip(stmt.exist_vars, combo):
-            candidate[MetaVar(v)] = val
-        ok = all(
-            member(instantiate(pat, candidate), contexts[idx])
-            for pat, idx in stmt.concl_members
-        )
-        ok = ok and all(eval_formula(f, candidate) for f in stmt.concl_formulas)
-        ok = ok and all(
-            instantiate(l, candidate) == instantiate(r, candidate)
-            for l, r in stmt.concl_eqs
-        )
-        if ok:
-            return candidate
-    raise VerificationError(
-        f"list-level conclusion has no witness under {_render_binding(binding)}"
-    )
-
-
-def _lemma_instance_failure_for_binding(
-    spec: ContextSpec,
-    stmt: LemmaStmt,
-    contexts: Sequence[Ctx],
-    binding: dict,
-    bounds: GenBounds,
-) -> Optional[str]:
-    try:
-        _find_witness(spec, stmt, contexts, binding, bounds)
-        return None
-    except VerificationError as e:
-        return str(e)
 
 
 # ---------------------------------------------------------------------------

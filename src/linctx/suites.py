@@ -27,6 +27,7 @@ from .ctx import (
     perm,
     perm_rel,
     perm_to_part,
+    perm_to_part_mask,
     print_ctx,
     select,
     sel_transport,
@@ -48,7 +49,14 @@ from .terms import (
     term_size,
     type_universe,
 )
-from .translate import VarAssoc, ltrans_rel, trans_rel_list, trans_rel_mset, translate
+from .translate import (
+    VarAssoc,
+    ltrans_rel,
+    trans_rel_align,
+    trans_rel_list,
+    trans_rel_mset,
+    translate,
+)
 from .typecheck import (
     TyAssoc,
     linear_type,
@@ -768,15 +776,11 @@ def check_trans_rel_list_distr(bounds: GenBounds) -> tuple:
 
 def check_trans_rel_distr(bounds: GenBounds) -> tuple:
     """Splits of the first context induce coordinated splits of the others."""
-    from .ctx import perm_to_part_mask
-
     cases = 0
     for triple in gen_trans_triples_mset(bounds):
         g1, g2, g3 = triple
         if not trans_rel_mset(g1, g2, g3):
             continue
-        from .translate import trans_rel_align
-
         aligned = trans_rel_align(g1, g2, g3)
         for first, second in splits(g1):
             cases += 1

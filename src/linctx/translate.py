@@ -23,6 +23,7 @@ from .ctx import (
     from_list,
     is_list,
     no_elems,
+    parse_ctx_tokens,
     select,
     splits,
 )
@@ -45,6 +46,7 @@ from .terms import (
     free_names,
     locally_closed,
     open_term,
+    parse_term_tokens,
 )
 from .typecheck import TyAssoc
 
@@ -315,9 +317,6 @@ def parse_var_assoc(ts: TokenStream) -> VarAssoc:
 
 
 def parse_trans_judgment(line: str) -> TransJudgment:
-    from .ctx import parse_ctx_tokens
-    from .terms import parse_term_tokens
-
     ts = TokenStream.of(line)
     g = parse_ctx_tokens(ts, parse_var_assoc)
     ts.eat_sym("|-")

@@ -25,7 +25,7 @@ from .ctx import (
     from_list,
     is_list,
     no_elems,
-    print_ctx,
+    parse_ctx_tokens,
     select,
     splits,
 )
@@ -47,6 +47,8 @@ from .terms import (
     free_names,
     locally_closed,
     open_term,
+    parse_term_tokens,
+    parse_type_tokens,
 )
 
 
@@ -377,9 +379,6 @@ def parse_ty_assoc(ts: TokenStream) -> TyAssoc:
 
 
 def parse_judgment(line: str) -> Judgment:
-    from .ctx import parse_ctx_tokens
-    from .terms import parse_term_tokens, parse_type_tokens
-
     ts = TokenStream.of(line)
     g = parse_ctx_tokens(ts, parse_ty_assoc)
     ts.eat_sym("|-")
@@ -410,7 +409,3 @@ def check_judgment(j: Judgment, system: str, algo: bool = False) -> bool:
             return ml_type(j.ctx, j.term) == j.ty
         return mltype_rel(j.ctx, j.term, j.ty)
     raise PreconditionError(f"unknown system {system!r}")
-
-
-def print_ty_ctx(g: Ctx) -> str:
-    return print_ctx(g, str)

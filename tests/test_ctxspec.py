@@ -1,6 +1,7 @@
 """The schematic context-specification engine."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -25,11 +26,13 @@ from linctx.ctxspec import (
     render_lemma,
     verify_lemma,
 )
-from linctx.errors import PreconditionError, ShapeError, VerificationError
+from linctx.errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
 from linctx.report import GenBounds
 from linctx.terms import Arrow, Base, Name
 from linctx.translate import VarAssoc, trans_rel_list, trans_rel_mset
 from linctx.typecheck import TyAssoc, ty_ctx_list, ty_ctx_mset
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 I = Base("i")
 O = Base("o")
@@ -55,6 +58,8 @@ TRANS_MEM_LEMMA = (
     "member E L2 -> exists X Y T, E = trans_to X Y /\\ name X /\\ name Y /\\ "
     "member (ty_of X T) L1 /\\ member (ty_of Y T) L3."
 )
+# T is universal but bound by no member hypothesis.
+UNBOUND_FORALL_LEMMA = "Lemma t : forall L T, ty_ctx'_list L -> T = T."
 
 BOUNDS = GenBounds(ctx_elems=2)
 
@@ -313,7 +318,11 @@ class TestLifting:
             assert verify_lemma(spec, lifted, BOUNDS).passed
 
     def test_checker_never_fails_after_list_level_passes(self, ty_spec, tr_spec):
-        for spec, text in ((ty_spec, MEM_LEMMA), (tr_spec, TRANS_MEM_LEMMA)):
+        for spec, text in (
+            (ty_spec, MEM_LEMMA),
+            (tr_spec, TRANS_MEM_LEMMA),
+            (ty_spec, UNBOUND_FORALL_LEMMA),
+        ):
             stmt = parse_lemma(text)
             assert verify_lemma(spec, stmt, BOUNDS).passed
             _, checker = lift_lemma(spec, stmt)
@@ -334,8 +343,13 @@ class TestLifting:
             lift_lemma(ty_spec, ctx_var_in_term)
 
     def test_render_round_trip(self, ty_spec):
-        stmt = parse_lemma(MEM_LEMMA)
-        assert parse_lemma(render_lemma(stmt)) == stmt
+        for name in ("lemmas.lem", "broken_uniq.lem"):
+            for stmt in parse_lemma_file((FIXTURES / name).read_text()):
+                assert parse_lemma(render_lemma(stmt)) == stmt
+
+    def test_unknown_constructor(self):
+        with pytest.raises(SyntaxError_, match="unknown constructor 'foo'"):
+            parse_lemma("Lemma u : forall L X, ty_ctx'_list L -> member X L -> foo X = X.")
 
     def test_lemma_file(self):
         stmts = parse_lemma_file(MEM_LEMMA + "\n" + UNIQ_LEMMA)
