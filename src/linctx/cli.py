@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import suites
 from .ctx import EMPTY
@@ -29,9 +30,21 @@ from .translate import ltrans_rel, translate
 from .typecheck import check_judgment, linear_type, ml_type, parse_judgment
 
 
+class _Unreadable(Exception):
+    """An input file that could not be read; the message names it."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else str(e)
+        raise _Unreadable(f"{path}: cannot read: {reason}") from e
+
+
 def _content_lines(path: str) -> list:
     lines = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             lines.append((lineno, stripped))
@@ -119,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     specs = []
     if args.specfile:
         try:
-            specs = parse_spec_file(Path(args.specfile).read_text())
+            specs = parse_spec_file(_read_text(args.specfile))
         except SyntaxError_ as e:
             print(f"{args.specfile}: parse error: {e}")
             return 2
@@ -143,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("--lemmas requires a specification file")
             return 2
         try:
-            stmts = parse_lemma_file(Path(args.lemmas).read_text())
+            stmts = parse_lemma_file(_read_text(args.lemmas))
         except SyntaxError_ as e:
             print(f"{args.lemmas}: parse error: {e}")
             return 2
@@ -173,6 +186,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(render_text(reports, timings=args.timings))
     return 0 if all_passed(reports) else 1
+
+
+def _bound(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def bound(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help=f"built-in suite to run ({', '.join(sorted(_SUITES))}); repeatable",
     )
-    p_v.add_argument("--bound-term-size", type=int, default=4, metavar="N")
-    p_v.add_argument("--bound-ctx", type=int, default=3, metavar="N")
-    p_v.add_argument("--bound-depth", type=int, default=2, metavar="N")
+    p_v.add_argument("--bound-term-size", type=_bound(1), default=4, metavar="N")
+    p_v.add_argument("--bound-ctx", type=_bound(0), default=3, metavar="N")
+    p_v.add_argument("--bound-depth", type=_bound(1), default=2, metavar="N")
     p_v.add_argument("--jobs", type=int, default=1, metavar="N")
     p_v.add_argument("--format", choices=("text", "structured"), default="text")
     p_v.add_argument(
@@ -230,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unreadable as e:
+        print(e)
+        return 2
 
 
 if __name__ == "__main__":

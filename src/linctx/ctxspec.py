@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Container, Iterable, Optional, Sequence
 
 from .ctx import (
     Ctx,
@@ -450,7 +450,7 @@ def parse_spec_file(text: str) -> list:
 
 
 def _clause_instance_ok(
-    clause: Clause, binding: dict, later_names: frozenset, enforce_freshness: bool
+    clause: Clause, binding: dict, later_names: Container, enforce_freshness: bool
 ) -> bool:
     """Nabla side conditions plus the clause formula under a head match.
 
@@ -471,12 +471,29 @@ def _clause_instance_ok(
     return eval_formula(clause.formula, binding)
 
 
+def _heads_ok(spec: ContextSpec, heads: Sequence, tail_names: Container, enforce: bool) -> bool:
+    """Whether some clause accepts the entries at one list position,
+    given the names occurring in every later entry."""
+    for clause in spec.clauses:
+        binding: Optional[dict] = {}
+        for pat, entry in zip(clause.patterns, heads):
+            binding = match_pattern(pat, entry, binding)
+            if binding is None:
+                break
+        if binding is not None and _clause_instance_ok(clause, binding, tail_names, enforce):
+            return True
+    return False
+
+
 def check_list_pred(spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool = True) -> bool:
     """The list-form predicate, read directly off the generated clauses.
 
     All contexts empty, or some clause matches all heads under one
     substitution whose nabla variables are distinct fresh names, the side
     formula holds, and the tails satisfy the predicate recursively.
+    Whether the tails hold does not depend on which clause accepted the
+    heads, so each position is checked on its own, from the last to the
+    first, against the names of every later entry.
     """
     if len(contexts) != spec.arity:
         raise PreconditionError(f"expected {spec.arity} contexts, got {len(contexts)}")
@@ -486,29 +503,13 @@ def check_list_pred(spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshnes
     seqs = [elems(l) for l in contexts]
     if len({len(s) for s in seqs}) != 1:
         return False
-    return _list_rec(spec, seqs, 0, enforce_freshness)
-
-
-def _list_rec(spec: ContextSpec, seqs: list, pos: int, enforce: bool) -> bool:
-    if pos == len(seqs[0]):
-        return True
-    for clause in spec.clauses:
-        binding: Optional[dict] = {}
-        for pat, seq in zip(clause.patterns, seqs):
-            binding = match_pattern(pat, seq[pos], binding)
-            if binding is None:
-                break
-        if binding is None:
-            continue
-        tail_names = frozenset()
-        for seq in seqs:
-            for entry in seq[pos + 1 :]:
-                tail_names |= value_names(entry)
-        if not _clause_instance_ok(clause, binding, tail_names, enforce):
-            continue
-        if _list_rec(spec, seqs, pos + 1, enforce):
-            return True
-    return False
+    tail_names: set = set()
+    for heads in reversed(list(zip(*seqs))):
+        if not _heads_ok(spec, heads, tail_names, enforce_freshness):
+            return False
+        for entry in heads:
+            tail_names |= value_names(entry)
+    return True
 
 
 def align_mset(
@@ -554,14 +555,10 @@ def _align_rec(spec: ContextSpec, gs: tuple, enforce: bool) -> Optional[tuple]:
                     yield from choose_elems(idx + 1, extended, new_chosen)
 
         for binding, chosen in choose_elems(0, {}, {}):
-            def residual_choices(i: int, acc: tuple):
-                if i == n:
-                    yield acc
-                    return
-                for _, r in dict.fromkeys(select(chosen[i], gs[i])):
-                    yield from residual_choices(i + 1, acc + (r,))
-
-            for residuals in residual_choices(0, ()):
+            residual_options = [
+                dict.fromkeys(r for _, r in select(chosen[i], gs[i])) for i in range(n)
+            ]
+            for residuals in itertools.product(*residual_options):
                 tail_names = frozenset()
                 for r in residuals:
                     for entry in elems(r):
@@ -643,35 +640,36 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
             raise SyntaxError_(f"{tok.text!r} is not a context variable", tok.pos)
         return ctx_vars.index(tok.text)
 
+    def member_atom() -> tuple:
+        ts.eat_ident("member")
+        pat = _parse_pattern_atom(ts, classify)
+        return pat, ctx_index(ts.eat_ident())
+
     hyp_members = []
+    concl_members = []
     ts.eat_sym("->")
-    while True:
-        if ts.at_ident("member"):
-            ts.next()
-            pat = _parse_pattern_atom(ts, classify)
-            idx = ctx_index(ts.eat_ident())
-            hyp_members.append((pat, idx))
-            ts.eat_sym("->")
-            continue
-        break
+    while ts.at_ident("member"):
+        atom = member_atom()
+        if not ts.at_sym("->"):
+            concl_members.append(atom)  # the first atom of the conclusion
+            break
+        ts.next()
+        hyp_members.append(atom)
 
     exist_vars = []
-    if ts.at_ident("exists"):
+    if not concl_members and ts.at_ident("exists"):
         ts.next()
         while not ts.at_sym(","):
             exist_vars.append(ts.eat_ident().text)
         ts.eat_sym(",")
         declared += exist_vars
 
-    concl_members = []
     concl_formulas = []
     concl_eqs = []
-    while True:
+
+    def conclusion_atom() -> None:
         if ts.at_ident("member"):
-            ts.next()
-            pat = _parse_pattern_atom(ts, classify)
-            idx = ctx_index(ts.eat_ident())
-            concl_members.append((pat, idx))
+            concl_members.append(member_atom())
         elif ts.at_ident("name"):
             ts.next()
             concl_formulas.append(FIsName(_parse_pattern_atom(ts, classify)))
@@ -682,10 +680,12 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
             ts.eat_sym("=")
             rhs = _parse_pattern(ts, classify)
             concl_eqs.append((lhs, rhs))
-        if ts.at_sym("/\\"):
-            ts.next()
-            continue
-        break
+
+    if not concl_members:
+        conclusion_atom()
+    while ts.at_sym("/\\"):
+        ts.next()
+        conclusion_atom()
     ts.eat_sym(".")
     return LemmaStmt(
         name=name,
@@ -965,13 +965,18 @@ def generate_list_instances(
     """
     type_univ = type_universe(bounds.base_types, bounds.type_depth)
     meta_names = name_pool(max(1, bounds.name_pool - 1), "m")
-
-    def meta_options(sort: Optional[str]) -> list:
-        if sort == "ty":
-            return list(type_univ)
-        if sort == "name":
-            return list(meta_names)
-        return list(type_univ)
+    clause_bindings = []  # each clause with every metavariable substitution
+    for clause in spec.clauses:
+        mvars = _clause_metavars(clause)
+        msorts: dict = {}
+        for p in clause.patterns:
+            _record_sorts(p, None, msorts)
+        options = [meta_names if msorts.get(v) == "name" else type_univ for v in mvars]
+        keys = [MetaVar(v) for v in mvars]
+        clause_bindings.append(
+            (clause, [dict(zip(keys, combo)) for combo in itertools.product(*options)])
+        )
+    max_nabla = max(len(clause.nabla_vars) for clause in spec.clauses)
 
     results = [tuple(() for _ in range(spec.arity))]
     frontier = list(results)
@@ -982,51 +987,35 @@ def generate_list_instances(
             for row in rows:
                 for entry in row:
                     used_names |= value_names(entry)
-            for clause in spec.clauses:
-                mvars = _clause_metavars(clause)
-                msorts: dict = {}
-                for p in clause.patterns:
-                    _record_sorts(p, None, msorts)
-                option_lists = [meta_options(msorts.get(v)) for v in mvars]
-                fresh_base = 0
-                nabla_pool = []
-                taken = set(used_names) | set(meta_names)
-                for _v in clause.nabla_vars:
-                    while Name("n", fresh_base) in taken:
-                        fresh_base += 1
-                    nabla_pool.append(Name("n", fresh_base))
-                    taken.add(Name("n", fresh_base))
-                collision_candidates = sorted(used_names, key=str)[:1]
-                for meta_combo in itertools.product(*option_lists):
-                    binding = {
-                        MetaVar(v): val for v, val in zip(mvars, meta_combo)
-                    }
-                    nabla_choices = [tuple(nabla_pool)]
-                    for coll in collision_candidates:
-                        for i in range(len(clause.nabla_vars)):
-                            alt = list(nabla_pool)
-                            alt[i] = coll
-                            nabla_choices.append(tuple(alt))
-                    if len(clause.nabla_vars) >= 2:
-                        alt = list(nabla_pool)
-                        alt[1] = alt[0]
-                        nabla_choices.append(tuple(alt))
+            fresh = [  # the canonical fresh names: the first unused ones
+                Name("n", i)
+                for i in range(len(used_names) + max_nabla)
+                if Name("n", i) not in used_names
+            ][:max_nabla]
+            collision_candidates = sorted(used_names, key=str)[:1]
+            for clause, meta_bindings in clause_bindings:
+                k = len(clause.nabla_vars)
+                nabla_pool = tuple(fresh[:k])
+                nabla_choices = [nabla_pool]
+                for coll in collision_candidates:
+                    for i in range(k):
+                        nabla_choices.append(nabla_pool[:i] + (coll,) + nabla_pool[i + 1 :])
+                if k >= 2:
+                    nabla_choices.append(nabla_pool[:1] + nabla_pool[:1] + nabla_pool[2:])
+                nabla_keys = [NablaVar(v) for v in clause.nabla_vars]
+                for binding in meta_bindings:
                     for nabla_combo in dict.fromkeys(nabla_choices):
-                        full = dict(binding)
-                        for v, val in zip(clause.nabla_vars, nabla_combo):
-                            full[NablaVar(v)] = val
+                        full = {**binding, **dict(zip(nabla_keys, nabla_combo))}
                         try:
-                            entries = tuple(
-                                instantiate(p, full) for p in clause.patterns
-                            )
+                            entries = tuple(instantiate(p, full) for p in clause.patterns)
                         except ShapeError:
                             continue
-                        candidate = tuple(
-                            (entries[i],) + rows[i] for i in range(spec.arity)
-                        )
-                        lists = tuple(from_list(row) for row in candidate)
-                        if check_list_pred(spec, lists, enforce_freshness):
-                            new_frontier.append(candidate)
+                        # the rows already satisfy the predicate; only the
+                        # new heads need checking against their names
+                        if _heads_ok(spec, entries, used_names, enforce_freshness):
+                            new_frontier.append(
+                                tuple((entries[i],) + rows[i] for i in range(spec.arity))
+                            )
         frontier = new_frontier
         results.extend(frontier)
     return [tuple(from_list(row) for row in rows) for rows in results]

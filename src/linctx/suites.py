@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Callable
 
 from .ctx import (
     Ctx,
@@ -384,42 +385,16 @@ def _ty_msets(bounds: GenBounds) -> list:
     return gen_ctxs(_assoc_pool(bounds), bounds.ctx_elems, bounds.union_depth)
 
 
-def check_ty_ctx_mem(bounds: GenBounds) -> tuple:
-    """Members of a typing context are type associations keyed by names."""
+def check_ty_ctx_mem(bounds: GenBounds, universe: Callable, holds: Callable) -> tuple:
+    """Members of a typing context are type associations keyed by names.
+
+    `universe` builds the candidate contexts and `holds` is the typing
+    context predicate: `_ty_lists` with `ty_ctx_list` for the list form,
+    `_ty_msets` with `ty_ctx_mset` for the multiset form.
+    """
     cases = 0
-    for l in _ty_lists(bounds):
-        if not ty_ctx_list(l):
-            continue
-        for entry in elems(l):
-            cases += 1
-            if not (isinstance(entry, TyAssoc) and isinstance(entry.name, Name)):
-                return cases, f"bad member {entry!r} in {print_ctx(l, render_value)}"
-    return cases, None
-
-
-def check_ty_ctx_uniq(bounds: GenBounds) -> tuple:
-    """At most one association per name in a typing context (list form)."""
-    cases = 0
-    for l in _ty_lists(bounds):
-        if not ty_ctx_list(l):
-            continue
-        entries = elems(l)
-        for a in entries:
-            for b in entries:
-                if a.name == b.name:
-                    cases += 1
-                    if a.ty != b.ty:
-                        return cases, (
-                            f"two types for {a.name} in {print_ctx(l, render_value)}"
-                        )
-    return cases, None
-
-
-def check_ty_ctx_mem_mset(bounds: GenBounds) -> tuple:
-    """Member shape lemma, multiset form."""
-    cases = 0
-    for g in _ty_msets(bounds):
-        if not ty_ctx_mset(g):
+    for g in universe(bounds):
+        if not holds(g):
             continue
         for entry in elems(g):
             cases += 1
@@ -428,11 +403,12 @@ def check_ty_ctx_mem_mset(bounds: GenBounds) -> tuple:
     return cases, None
 
 
-def check_ty_ctx_uniq_mset(bounds: GenBounds) -> tuple:
-    """Uniqueness of associations, multiset form."""
+def check_ty_ctx_uniq(bounds: GenBounds, universe: Callable, holds: Callable) -> tuple:
+    """At most one association per name in a typing context; the form is
+    chosen as for `check_ty_ctx_mem`."""
     cases = 0
-    for g in _ty_msets(bounds):
-        if not ty_ctx_mset(g):
+    for g in universe(bounds):
+        if not holds(g):
             continue
         entries = elems(g)
         for a in entries:
@@ -538,11 +514,11 @@ def check_ty_ctx_distr(bounds: GenBounds) -> tuple:
 
 def typing_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
     checks = [
-        ("typing.ty_ctx_mem", check_ty_ctx_mem, (bounds,)),
-        ("typing.ty_ctx_uniq", check_ty_ctx_uniq, (bounds,)),
+        ("typing.ty_ctx_mem", check_ty_ctx_mem, (bounds, _ty_lists, ty_ctx_list)),
+        ("typing.ty_ctx_uniq", check_ty_ctx_uniq, (bounds, _ty_lists, ty_ctx_list)),
         ("typing.ty_uniq", check_ty_uniq, (bounds,)),
-        ("typing.ty_ctx_mem_mset", check_ty_ctx_mem_mset, (bounds,)),
-        ("typing.ty_ctx_uniq_mset", check_ty_ctx_uniq_mset, (bounds,)),
+        ("typing.ty_ctx_mem_mset", check_ty_ctx_mem, (bounds, _ty_msets, ty_ctx_mset)),
+        ("typing.ty_ctx_uniq_mset", check_ty_ctx_uniq, (bounds, _ty_msets, ty_ctx_mset)),
         ("typing.ty_ctx_distr_part", check_ty_ctx_distr_part, (bounds,)),
         ("typing.ty_ctx_distr", check_ty_ctx_distr, (bounds,)),
     ]

@@ -78,14 +78,7 @@ def ty_ctx_list(l: Ctx) -> bool:
     This is the freshness condition read off the list structure: each
     head's name does not occur anywhere in its tail.
     """
-    if not is_list(l):
-        return False
-    seen = set()
-    for a in elems(l):
-        if not isinstance(a, TyAssoc) or a.name in seen:
-            return False
-        seen.add(a.name)
-    return True
+    return is_list(l) and ty_ctx_mset(l)
 
 
 def ty_ctx_mset(g: Ctx) -> bool:

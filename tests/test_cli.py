@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from linctx.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -95,6 +97,13 @@ class TestVerify:
         assert code == 1
         assert out == (GOLDEN / "verify_broken_freshness_uniq.jsonl").read_text()
 
+    def test_typing_suite_golden(self, capsys):
+        code, out = run(
+            capsys, "verify", "--suite", "typing", "--format", "structured", "--bound-ctx", "2"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "verify_suite_typing.jsonl").read_text()
+
     def test_unknown_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
@@ -139,3 +148,29 @@ class TestVerify:
         ]
         _, out = run(capsys, *argv)
         assert json.loads(out.strip().splitlines()[0])["elapsed_ms"] is not None
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["check", "missing.judg"], "missing.judg"),
+            (["translate", "missing.tm"], "missing.tm"),
+            (["verify", "missing.ctx"], "missing.ctx"),
+            (["verify", FIXTURES / "specs.ctx", "--lemmas", "missing.lem"], "missing.lem"),
+        ],
+    )
+    def test_missing_file(self, capsys, tmp_path, monkeypatch, argv, missing):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out == f"{missing}: cannot read: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "option, value", [("--bound-ctx", "-1"), ("--bound-depth", "0"), ("--bound-term-size", "0")]
+    )
+    def test_bound_below_minimum(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--suite", "typing", option, value])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: must be at least" in capsys.readouterr().err

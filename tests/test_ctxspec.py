@@ -60,6 +60,17 @@ TRANS_MEM_LEMMA = (
 )
 # T is universal but bound by no member hypothesis.
 UNBOUND_FORALL_LEMMA = "Lemma t : forall L T, ty_ctx'_list L -> T = T."
+# Conclusions that start with a member atom.
+MEMBER_CONCL_LEMMAS = (
+    "Lemma a : forall L1 L2 L3 E, trans_rel_list L1 L2 L3 -> member E L1 -> member E L3.",
+    "Lemma b : forall L E, ty_ctx'_list L -> member E L -> true /\\ member E L.",
+)
+# Two clauses: entries the first clause rejects for freshness can be
+# accepted by the second.
+TWO_CMD = (
+    "Context two with elems as nabla x y (ty_of x T _|_ ty_of y T) \\/ "
+    "(ty_of X T _|_ ty_of X U -| T = U)."
+)
 
 BOUNDS = GenBounds(ctx_elems=2)
 
@@ -161,6 +172,12 @@ class TestElaborationFidelity:
                     l1, l2, mutated
                 )
 
+    def test_deep_list_form(self, ty_spec):
+        entries = [TyAssoc(Name("n", k), I) for k in range(3000)]
+        assert check_list_pred(ty_spec, [from_list(entries)])
+        clash = entries + [TyAssoc(Name("n", 0), O)]
+        assert not check_list_pred(ty_spec, [from_list(clash)])
+
     def test_base_clause_all_empty(self, tr_spec):
         assert check_list_pred(tr_spec, [EMPTY, EMPTY, EMPTY])
         assert check_mset_pred(tr_spec, [Union(EMPTY, EMPTY), EMPTY, EMPTY])
@@ -211,8 +228,25 @@ class TestMsetSemantics:
 
 class TestGeneration:
     def test_generated_lists_satisfy_pred(self, tr_spec):
-        for contexts in generate_list_instances(tr_spec, BOUNDS):
-            assert check_list_pred(tr_spec, contexts)
+        for spec in (tr_spec, parse_spec(TWO_CMD)):
+            for enforce in (True, False):
+                for contexts in generate_list_instances(spec, BOUNDS, enforce):
+                    assert check_list_pred(spec, contexts, enforce)
+
+    @pytest.mark.parametrize(
+        "cmd, ctx_elems, enforce, count",
+        [
+            (TWO_CMD, 1, True, 25),
+            (TWO_CMD, 2, True, 601),
+            (TWO_CMD, 2, False, 889),
+            (TY_CTX_CMD, 3, False, 943),
+            (TRANS_REL_CMD, 2, False, 301),
+        ],
+    )
+    def test_list_instance_counts(self, cmd, ctx_elems, enforce, count):
+        spec = parse_spec(cmd)
+        bounds = GenBounds(ctx_elems=ctx_elems)
+        assert len(generate_list_instances(spec, bounds, enforce)) == count
 
     def test_generated_msets_satisfy_pred(self, ty_spec):
         for contexts in generate_mset_instances(ty_spec, BOUNDS):
@@ -346,6 +380,10 @@ class TestLifting:
         for name in ("lemmas.lem", "broken_uniq.lem"):
             for stmt in parse_lemma_file((FIXTURES / name).read_text()):
                 assert parse_lemma(render_lemma(stmt)) == stmt
+        for text in MEMBER_CONCL_LEMMAS:
+            stmt = parse_lemma(text)
+            assert len(stmt.hyp_members) == len(stmt.concl_members) == 1
+            assert parse_lemma(render_lemma(stmt)) == stmt
 
     def test_unknown_constructor(self):
         with pytest.raises(SyntaxError_, match="unknown constructor 'foo'"):
