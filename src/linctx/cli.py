@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--bound-term-size", type=_bound(1), default=4, metavar="N")
     p_v.add_argument("--bound-ctx", type=_bound(0), default=3, metavar="N")
     p_v.add_argument("--bound-depth", type=_bound(1), default=2, metavar="N")
-    p_v.add_argument("--jobs", type=int, default=1, metavar="N")
+    p_v.add_argument("--jobs", type=_bound(1), default=1, metavar="N")
     p_v.add_argument("--format", choices=("text", "structured"), default="text")
     p_v.add_argument(
         "--timings",

@@ -513,7 +513,11 @@ def check_list_pred(spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshnes
 
 
 def align_mset(
-    spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool = True
+    spec: ContextSpec,
+    contexts: Sequence[Ctx],
+    enforce_freshness: bool = True,
+    *,
+    _memo: Optional[dict] = None,
 ) -> Optional[tuple]:
     """Witness for the multiset-form predicate.
 
@@ -523,13 +527,25 @@ def align_mset(
     selection residuals.  Returns one entry tuple per context; each is a
     permutation of its context's elements and together they satisfy the
     list-form predicate.
+
+    Sub-alignments are memoised, keyed on the residual context tuple:
+    contexts are compared structurally, so equal keys have the same
+    elements in the same order and get the same entry tuples.  The memo
+    lives for one call, or for one check when the check hands the same
+    `_memo` dict to each of its calls; the spec and the freshness
+    setting must be the same across those calls.  Nothing is kept
+    between checks.
     """
     if len(contexts) != spec.arity:
         raise PreconditionError(f"expected {spec.arity} contexts, got {len(contexts)}")
-    return _align_rec(spec, tuple(contexts), enforce_freshness)
+    return _align_rec(spec, tuple(contexts), enforce_freshness, {} if _memo is None else _memo)
 
 
-def _align_rec(spec: ContextSpec, gs: tuple, enforce: bool) -> Optional[tuple]:
+def _align_rec(spec: ContextSpec, gs: tuple, enforce: bool, memo: dict) -> Optional[tuple]:
+    # The lookup stays in this frame: a wrapper would add a Python frame
+    # per clause application and lower the depth this search reaches.
+    if gs in memo:
+        return memo[gs]
     if all(no_elems(g) for g in gs):
         return tuple(() for _ in gs)
     item_seqs = [elems(g) for g in gs]
@@ -559,15 +575,14 @@ def _align_rec(spec: ContextSpec, gs: tuple, enforce: bool) -> Optional[tuple]:
                 dict.fromkeys(r for _, r in select(chosen[i], gs[i])) for i in range(n)
             ]
             for residuals in itertools.product(*residual_options):
-                tail_names = frozenset()
-                for r in residuals:
-                    for entry in elems(r):
-                        tail_names |= value_names(entry)
+                tail_names = set().union(*(value_names(e) for r in residuals for e in elems(r)))
                 if not _clause_instance_ok(clause, binding, tail_names, enforce):
                     continue
-                sub = _align_rec(spec, residuals, enforce)
+                sub = _align_rec(spec, residuals, enforce, memo)
                 if sub is not None:
-                    return tuple((chosen[i],) + sub[i] for i in range(n))
+                    found = memo[gs] = tuple((chosen[i],) + sub[i] for i in range(n))
+                    return found
+    memo[gs] = None
     return None
 
 
@@ -1169,23 +1184,25 @@ def gen_distr_lemma(spec: ContextSpec, index: int) -> DistrLemma:
 def _distr_witnesses(
     spec: ContextSpec,
     contexts: Sequence[Ctx],
+    aligned: tuple,
     index0: int,
     first: Ctx,
     second: Ctx,
-    enforce_freshness: bool = True,
+    enforce_freshness: bool,
+    memo: dict,
 ) -> Optional[tuple]:
     """Coordinated split witnesses for one predicate instance.
 
-    Aligns the contexts into coordinated lists, flattens the given split
-    of the chosen context into an ordered partition of its list, applies
-    the same position mask to every other list, and returns the halves.
-    Returns None when any step or the final predicate checks fail.
+    `aligned` is `align_mset(spec, contexts)`, computed once per instance
+    by the caller rather than once per split.  Flattens the given split
+    of the chosen context into an ordered partition of its aligned list,
+    applies the same position mask to every other list, and returns the
+    halves.  The two multiset checks on the halves align through `memo`,
+    the memo of sub-alignments that lives only for the caller's one
+    check.  Returns None when any step or the final predicate checks
+    fail.
     """
-    aligned = align_mset(spec, contexts, enforce_freshness)
-    if aligned is None:
-        return None
-    lists = [from_list(row) for row in aligned]
-    mask = perm_to_part_mask(lists[index0], first, second)
+    mask = perm_to_part_mask(from_list(aligned[index0]), first, second)
     firsts = []
     seconds = []
     for row in aligned:
@@ -1197,9 +1214,9 @@ def _distr_witnesses(
         return None
     primes = tuple(first if j == index0 else firsts[j] for j in range(spec.arity))
     doubles = tuple(second if j == index0 else seconds[j] for j in range(spec.arity))
-    if not check_mset_pred(spec, primes, enforce_freshness):
+    if align_mset(spec, primes, enforce_freshness, _memo=memo) is None:
         return None
-    if not check_mset_pred(spec, doubles, enforce_freshness):
+    if align_mset(spec, doubles, enforce_freshness, _memo=memo) is None:
         return None
     for j in range(spec.arity):
         if j != index0 and not perm(contexts[j], Union(firsts[j], seconds[j])):
@@ -1213,15 +1230,22 @@ def check_distr_cases(
     bounds: GenBounds = GenBounds(),
     enforce_freshness: bool = True,
 ) -> tuple:
-    """Case-level body of check_distr: (cases run, counterexample or None)."""
+    """Case-level body of check_distr: (cases run, counterexample or None).
+
+    Each instance is aligned once, before its splits are enumerated, and
+    every alignment of the check shares one memo of sub-alignments; the
+    memo is dropped when the check returns.
+    """
     instances = generate_mset_instances(spec, bounds, enforce_freshness)
     index0 = index - 1
+    memo: dict = {}
     cases = 0
     for contexts in instances:
+        aligned = align_mset(spec, contexts, enforce_freshness, _memo=memo)
         for first, second in splits(contexts[index0]):
             cases += 1
-            if _distr_witnesses(
-                spec, contexts, index0, first, second, enforce_freshness
+            if aligned is None or _distr_witnesses(
+                spec, contexts, aligned, index0, first, second, enforce_freshness, memo
             ) is None:
                 gvars = [f"G{j}" for j in range(1, spec.arity + 1)]
                 split_desc = (
@@ -1373,7 +1397,11 @@ def derive_distr(
     if index0 is None:
         raise ShapeError("split context does not occur in the predicate fact")
     first, second = perm_fact.right.left, perm_fact.right.right
-    result = _distr_witnesses(spec, pred_fact.contexts, index0, first, second)
+    memo: dict = {}
+    aligned = align_mset(spec, pred_fact.contexts, _memo=memo)
+    result = None if aligned is None else _distr_witnesses(
+        spec, pred_fact.contexts, aligned, index0, first, second, True, memo
+    )
     if result is None:
         raise VerificationError("no coordinated split witnesses exist")
     primes, doubles, firsts, seconds = result

@@ -167,7 +167,14 @@ class TestBadInput:
         assert out == f"{missing}: cannot read: No such file or directory\n"
 
     @pytest.mark.parametrize(
-        "option, value", [("--bound-ctx", "-1"), ("--bound-depth", "0"), ("--bound-term-size", "0")]
+        "option, value",
+        [
+            ("--bound-ctx", "-1"),
+            ("--bound-depth", "0"),
+            ("--bound-term-size", "0"),
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+        ],
     )
     def test_bound_below_minimum(self, capsys, option, value):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,19 +1,24 @@
 """The schematic context-specification engine."""
 
 import itertools
+import json
 from pathlib import Path
 
 import pytest
 
+from linctx import ctxspec
 from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, perm
 from linctx.ctxspec import (
     DerivationStore,
     MemberFact,
     PermFact,
+    PredFact,
     align_mset,
     check_distr,
+    check_distr_cases,
     check_list_pred,
     check_mset_pred,
+    derive_distr,
     derive_subst,
     gen_distr_lemma,
     generate_list_instances,
@@ -178,6 +183,14 @@ class TestElaborationFidelity:
         clash = entries + [TyAssoc(Name("n", 0), O)]
         assert not check_list_pred(ty_spec, [from_list(clash)])
 
+    def test_deep_mset_form(self, ty_spec):
+        # The alignment recurses once per entry: its memo lookup must add
+        # no frame, or this depth raises RecursionError.
+        entries = tuple(TyAssoc(Name("n", k), I) for k in range(800))
+        g = from_list(entries)
+        assert check_mset_pred(ty_spec, [g])
+        assert align_mset(ty_spec, [g]) == (entries,)
+
     def test_base_clause_all_empty(self, tr_spec):
         assert check_list_pred(tr_spec, [EMPTY, EMPTY, EMPTY])
         assert check_mset_pred(tr_spec, [Union(EMPTY, EMPTY), EMPTY, EMPTY])
@@ -283,6 +296,48 @@ class TestDistributivity:
         assert check_distr(ty_spec, 1, BOUNDS).passed
         for i in (1, 2, 3):
             assert check_distr(tr_spec, i, BOUNDS).passed
+
+    def test_cases_golden(self):
+        # (cases, counterexample) of every spec and index in the fixtures,
+        # recorded before the alignment was hoisted out of the split loop.
+        lines = []
+        for name in ("specs.ctx", "broken_freshness.ctx"):
+            for spec in parse_spec_file((FIXTURES / name).read_text()):
+                for index in range(1, spec.arity + 1):
+                    for ctx_elems in (1, 2):
+                        for enforce in (True, False):
+                            cases, counterexample = check_distr_cases(
+                                spec, index, GenBounds(ctx_elems=ctx_elems), enforce
+                            )
+                            record = {
+                                "spec": spec.name,
+                                "index": index,
+                                "ctx_elems": ctx_elems,
+                                "enforce_freshness": enforce,
+                                "cases": cases,
+                                "counterexample": counterexample,
+                            }
+                            lines.append(json.dumps(record) + "\n")
+        assert "".join(lines) == (FIXTURES / "golden" / "distr_cases.jsonl").read_text()
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_reversed_mask_counterexample(self, tr_spec, monkeypatch, index):
+        # A split mask applied in reverse pairs each half of the split
+        # context with the wrong entries of the others.
+        real = ctxspec.perm_to_part_mask
+        monkeypatch.setattr(
+            ctxspec, "perm_to_part_mask", lambda l, first, second: real(l, first, second)[::-1]
+        )
+        halves = (
+            "[ty_of n2 i] ++ [ty_of n i]",
+            "[trans_to n2 n3] ++ [trans_to n n1]",
+            "[ty_of n3 i] ++ [ty_of n1 i]",
+        )
+        assert check_distr_cases(tr_spec, index, BOUNDS) == (
+            63,
+            "G1 = [ty_of n2 i, ty_of n i]; G2 = [trans_to n2 n3, trans_to n n1]; "
+            f"G3 = [ty_of n3 i, ty_of n1 i]; G{index} ~ {halves[index - 1]}",
+        )
 
 
 class TestVerifyLemma:
@@ -416,10 +471,28 @@ class TestDerivation:
         split = Union(from_list([TyAssoc(N2, O)]), from_list([TyAssoc(N1, I)]))
         perm_fact = store.assert_perm(g1, split)
         new_facts = store.distr(pred_fact, perm_fact)
-        kinds = [type(f).__name__ for f in new_facts]
-        assert kinds == [
-            "PredFact", "PredFact", "PermFact", "PermFact", "PermFact", "PermFact",
+        half1 = (
+            from_list([TyAssoc(N2, O)]),
+            from_list([VarAssoc(N2, M2)]),
+            from_list([TyAssoc(M2, O)]),
+        )
+        half2 = (
+            from_list([TyAssoc(N1, I)]),
+            from_list([VarAssoc(N1, M1)]),
+            from_list([TyAssoc(M1, I)]),
+        )
+        assert new_facts == [
+            PredFact("trans_rel", half1),
+            PredFact("trans_rel", half2),
+            PermFact(g2, Union(half1[1], half2[1])),
+            PermFact(g3, Union(half1[2], half2[2])),
+            PermFact(half1[0], half1[0]),
+            PermFact(half2[0], half2[0]),
         ]
+        assert store.facts[-6:] == new_facts
+        unaligned = PredFact("trans_rel", (g1, g2, EMPTY))
+        with pytest.raises(VerificationError, match="no coordinated split witnesses"):
+            derive_distr(tr_spec, unaligned, perm_fact)
 
     def test_store_validates_base_facts(self, ty_spec):
         store = DerivationStore([ty_spec], BOUNDS)
