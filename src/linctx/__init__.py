@@ -15,10 +15,7 @@ from .ctx import (
     Ctx,
     EMPTY,
     Empty,
-    OccPath,
-    Step,
     Union,
-    at_path,
     depth,
     elems,
     from_list,

@@ -121,13 +121,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         union_depth=args.bound_depth,
         term_size=args.bound_term_size,
     )
-    reports = []
 
-    for suite_name in args.suite or ():
+    # Every input is read and checked before the first check runs, so a
+    # bad one is reported at once rather than after minutes of checking.
+    suite_names = args.suite or ()
+    for suite_name in suite_names:
         if suite_name not in _SUITES:
             print(f"unknown suite {suite_name!r}; choose from {sorted(_SUITES)}")
             return 2
-        reports.extend(_SUITES[suite_name](bounds, args.jobs))
 
     specs = []
     if args.specfile:
@@ -139,17 +140,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for spec in specs:
             for warning in spec.warnings:
                 print(f"warning: {warning}")
-        entries = []
-        for spec in specs:
-            for index in range(1, spec.arity + 1):
-                entries.append(
-                    (
-                        f"{spec.name}_distr{index}",
-                        check_distr_cases,
-                        (spec, index, bounds),
-                    )
-                )
-        reports.extend(run_checks(entries, jobs=args.jobs))
+    entries = [
+        (f"{spec.name}_distr{index}", check_distr_cases, (spec, index, bounds))
+        for spec in specs
+        for index in range(1, spec.arity + 1)
+    ]
 
     if args.lemmas:
         if not specs:
@@ -164,7 +159,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for spec in specs:
             by_pred[spec.name] = spec
             by_pred[spec.list_name] = spec
-        entries = []
         for stmt in stmts:
             spec = by_pred.get(stmt.pred_name)
             if spec is None:
@@ -178,8 +172,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     print(f"lemma {stmt.name!r}: {type(e).__name__}: {e}")
                     return 2
                 entries.append((lifted.name, verify_lemma_cases, (spec, lifted, bounds)))
-        reports.extend(run_checks(entries, jobs=args.jobs))
 
+    reports = []
+    for suite_name in suite_names:
+        reports.extend(_SUITES[suite_name](bounds, args.jobs))
+    reports.extend(run_checks(entries, jobs=args.jobs))
     reports.sort(key=lambda r: r.name)
     if args.format == "structured":
         print(render_structured(reports, timings=args.timings))

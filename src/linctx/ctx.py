@@ -13,7 +13,6 @@ facts across a permutation.
 from __future__ import annotations
 
 from collections import Counter
-from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import PreconditionError
@@ -130,71 +129,57 @@ def elems(g: Ctx) -> tuple:
 def member(x: Any, g: Ctx) -> bool:
     """Whether x occurs in g.
 
-    Clause by clause: a cons matches its head or recurses into the tail;
-    a union holds if either side does; the empty context holds nothing.
+    Clause by clause: a cons matches its head or looks in the tail; a
+    union holds if either side does; the empty context holds nothing.
+    Heads are compared left to right, in the order of `elems`.
     """
-    if isinstance(g, Cons):
-        return x == g.head or member(x, g.tail)
-    if isinstance(g, Union):
-        return member(x, g.left) or member(x, g.right)
-    return False
-
-
-class Step(Enum):
-    """One step of a path to an element occurrence."""
-
-    AT_HEAD = "at_head"
-    IN_TAIL = "in_tail"
-    IN_LEFT = "in_left"
-    IN_RIGHT = "in_right"
-
-
-OccPath = tuple  # tuple[Step, ...]
+    stack = []  # right branches still to search
+    while True:
+        while isinstance(g, Cons):
+            if x == g.head:
+                return True
+            g = g.tail
+        if isinstance(g, Union):
+            stack.append(g.right)
+            g = g.left
+        elif stack:
+            g = stack.pop()
+        else:
+            return False
 
 
 def select(x: Any, g: Ctx) -> tuple:
     """All ways of removing one occurrence of x from g.
 
-    Returns one (path, residual) pair per occurrence.  The residual is g
-    with exactly that occurrence's cons node spliced out: removing a head
-    leaves its tail, removing inside a tail or a union branch rebuilds
-    the surrounding node.  Absent elements yield the empty sequence.
+    Returns one residual per occurrence, in the order of `elems`.  The
+    residual is g with exactly that occurrence's cons node spliced out:
+    removing a head leaves its tail, removing inside a tail or a union
+    branch rebuilds the surrounding node.  Absent elements yield the
+    empty sequence.
     """
     out = []
-    if isinstance(g, Cons):
-        if x == g.head:
-            out.append(((Step.AT_HEAD,), g.tail))
-        for path, rest in select(x, g.tail):
-            out.append(((Step.IN_TAIL,) + path, Cons(g.head, rest)))
-    elif isinstance(g, Union):
-        for path, rest in select(x, g.left):
-            out.append(((Step.IN_LEFT,) + path, Union(rest, g.right)))
-        for path, rest in select(x, g.right):
-            out.append(((Step.IN_RIGHT,) + path, Union(g.left, rest)))
+    # Each node travels with the chain of its ancestors, innermost first:
+    # (parent, whether the node is the parent's right branch, rest of chain).
+    stack = [(g, None)]
+    while stack:
+        node, up = stack.pop()
+        if isinstance(node, Cons):
+            if x == node.head:
+                rest, chain = node.tail, up
+                while chain is not None:
+                    parent, is_right, chain = chain
+                    if isinstance(parent, Cons):
+                        rest = Cons(parent.head, rest)
+                    elif is_right:
+                        rest = Union(parent.left, rest)
+                    else:
+                        rest = Union(rest, parent.right)
+                out.append(rest)
+            stack.append((node.tail, (node, False, up)))
+        elif isinstance(node, Union):
+            stack.append((node.right, (node, True, up)))
+            stack.append((node.left, (node, False, up)))
     return tuple(out)
-
-
-def at_path(g: Ctx, path: OccPath) -> Any:
-    """Resolve an occurrence path to the cons head it points at."""
-    node = g
-    for step in path:
-        if step is Step.AT_HEAD:
-            if not isinstance(node, Cons):
-                raise PreconditionError("path does not reach a cons head")
-            return node.head
-        if step is Step.IN_TAIL:
-            if not isinstance(node, Cons):
-                raise PreconditionError("path step into tail of a non-cons")
-            node = node.tail
-        elif step is Step.IN_LEFT:
-            if not isinstance(node, Union):
-                raise PreconditionError("path step into left of a non-union")
-            node = node.left
-        elif step is Step.IN_RIGHT:
-            if not isinstance(node, Union):
-                raise PreconditionError("path step into right of a non-union")
-            node = node.right
-    raise PreconditionError("path ended before reaching a cons head")
 
 
 def no_elems(g: Ctx) -> bool:
@@ -251,10 +236,10 @@ def perm_rel(g1: Ctx, g2: Ctx, _memo: dict | None = None) -> bool:
             if x in tried:
                 continue
             tried.add(x)
-            residuals2 = {r for _, r in select(x, g2)}
+            residuals2 = set(select(x, g2))
             if not residuals2:
                 continue
-            residuals1 = {r for _, r in select(x, g1)}
+            residuals1 = set(select(x, g1))
             if any(
                 perm_rel(r1, r2, _memo) for r1 in residuals1 for r2 in residuals2
             ):
@@ -320,9 +305,9 @@ def sel_transport(x: Any, g1: Ctx, g1r: Ctx, g2: Ctx) -> Ctx:
     """
     if not perm(g1, g2):
         raise PreconditionError("sel_transport: contexts are not a permutation")
-    if not any(r == g1r for _, r in select(x, g1)):
+    if g1r not in select(x, g1):
         raise PreconditionError("sel_transport: given residual is not a residual of the source")
-    for _, r2 in select(x, g2):
+    for r2 in select(x, g2):
         if perm(g1r, r2):
             return r2
     raise AssertionError("selection transport found no matching residual")

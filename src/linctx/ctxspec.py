@@ -38,7 +38,7 @@ from .ctx import (
 from .errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
 from .lex import TokenStream
 from .report import CheckReport, GenBounds, run_check
-from .terms import Arrow, Base, Name, name_pool, print_type, type_universe
+from .terms import TYPE_UNIVERSE, Arrow, Base, Name, name_pool, print_type
 from .typecheck import TyAssoc
 from .translate import VarAssoc
 
@@ -572,7 +572,7 @@ def _align_rec(spec: ContextSpec, gs: tuple, enforce: bool, memo: dict) -> Optio
 
         for binding, chosen in choose_elems(0, {}, {}):
             residual_options = [
-                dict.fromkeys(r for _, r in select(chosen[i], gs[i])) for i in range(n)
+                dict.fromkeys(select(chosen[i], gs[i])) for i in range(n)
             ]
             for residuals in itertools.product(*residual_options):
                 tail_names = set().union(*(value_names(e) for r in residuals for e in elems(r)))
@@ -847,9 +847,7 @@ def _collect_by_sort(contexts: Sequence[Ctx]) -> dict:
     return {sort: list(bucket) for sort, bucket in found.items()}
 
 
-def _lemma_candidates(
-    sorts: dict, contexts: Sequence[Ctx], bounds: GenBounds
-) -> Callable:
+def _lemma_candidates(sorts: dict, contexts: Sequence[Ctx]) -> Callable:
     """Candidate values of each lemma variable on one context tuple.
 
     A variable of known sort ranges over the values of that sort in the
@@ -863,7 +861,7 @@ def _lemma_candidates(
         sort = sorts.get(var)
         found = list(pools.get(sort, ())) if sort is not None else []
         if sort == "ty":
-            for ty in type_universe(bounds.base_types, bounds.type_depth):
+            for ty in TYPE_UNIVERSE:
                 if ty not in found:
                     found.append(ty)
         if sort == "name" and not found:
@@ -978,15 +976,14 @@ def generate_list_instances(
     deliberate collision candidates that the freshness condition rejects
     while it is enforced.
     """
-    type_univ = type_universe(bounds.base_types, bounds.type_depth)
-    meta_names = name_pool(max(1, bounds.name_pool - 1), "m")
+    meta_names = name_pool(2, "m")
     clause_bindings = []  # each clause with every metavariable substitution
     for clause in spec.clauses:
         mvars = _clause_metavars(clause)
         msorts: dict = {}
         for p in clause.patterns:
             _record_sorts(p, None, msorts)
-        options = [meta_names if msorts.get(v) == "name" else type_univ for v in mvars]
+        options = [meta_names if msorts.get(v) == "name" else TYPE_UNIVERSE for v in mvars]
         keys = [MetaVar(v) for v in mvars]
         clause_bindings.append(
             (clause, [dict(zip(keys, combo)) for combo in itertools.product(*options)])
@@ -1101,7 +1098,7 @@ def verify_lemma_cases(
     cases = 0
     for contexts in instances:
         cases += 1
-        candidates = _lemma_candidates(sorts, contexts, bounds)
+        candidates = _lemma_candidates(sorts, contexts)
         for binding in _universal_bindings(stmt, contexts, candidates):
             if _lemma_witness(stmt, contexts, binding, candidates) is None:
                 return cases, (
@@ -1304,13 +1301,13 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
 
     sorts = _lemma_var_sorts(spec, stmt)
 
-    def checker(contexts: Sequence[Ctx], bounds: GenBounds = GenBounds()) -> tuple:
+    def checker(contexts: Sequence[Ctx]) -> tuple:
         """(cases, counterexample) for one multiset context tuple."""
         aligned = align_mset(spec, contexts)
         if aligned is None:
             return 0, None  # hypothesis fails; nothing to check
         lists = tuple(from_list(row) for row in aligned)
-        candidates = _lemma_candidates(sorts, contexts, bounds)
+        candidates = _lemma_candidates(sorts, contexts)
         cases = 0
         for binding in _universal_bindings(stmt, contexts, candidates):
             cases += 1

@@ -23,9 +23,6 @@ class GenBounds:
     ctx_elems: int = 3        # max context elements / clause applications
     union_depth: int = 2      # max union-nesting depth of generated contexts
     term_size: int = 4        # max term constructors
-    name_pool: int = 3        # distinct names available to generators
-    base_types: tuple = ("i", "o")
-    type_depth: int = 2       # arrow nesting in the type universe
 
 
 @dataclass(frozen=True)

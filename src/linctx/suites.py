@@ -46,9 +46,9 @@ from .terms import (
     Let,
     Name,
     Tm,
+    TYPE_UNIVERSE,
     name_pool,
     term_size,
-    type_universe,
 )
 from .translate import (
     VarAssoc,
@@ -137,7 +137,7 @@ def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
         witness = None
         for g in bucket:
             classes = tuple(
-                frozenset(_mkey(r) for _, r in select(x, g)) for x in _POOL
+                frozenset(_mkey(r) for r in select(x, g)) for x in _POOL
             )
             cases += 1
             if profile is None:
@@ -152,7 +152,7 @@ def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
         for g1 in bucket:
             for g2 in bucket:
                 for x in _POOL:
-                    for _, residual in select(x, g1):
+                    for residual in select(x, g1):
                         cases += 1
                         transported = sel_transport(x, g1, residual, g2)
                         if not perm(residual, transported):
@@ -180,7 +180,7 @@ def _perm_rel_fast_table(universe: list) -> dict:
         per_elem = {}
         for x in distinct_elems[index[g]]:
             per_elem[x] = tuple(
-                dict.fromkeys(index[r] for _, r in select(x, g))
+                dict.fromkeys(index[r] for r in select(x, g))
             )
         sel_ids.append(per_elem)
 
@@ -365,24 +365,16 @@ def core_lemma_suite(max_elems: int = 4, max_depth: int = 3, jobs: int = 1) -> l
 # ---------------------------------------------------------------------------
 
 
-def _ty_universe(bounds: GenBounds) -> list:
-    return type_universe(bounds.base_types, bounds.type_depth)
-
-
-def _assoc_pool(bounds: GenBounds, with_junk: bool = True) -> list:
-    names = name_pool(bounds.name_pool)
-    pool: list = [TyAssoc(n, t) for n in names for t in _ty_universe(bounds)]
-    if with_junk:
-        pool.append("junk")
-    return pool
+# Type associations over three names, plus one entry that is not an association.
+_ASSOC_POOL = tuple(TyAssoc(n, t) for n in name_pool(3) for t in TYPE_UNIVERSE) + ("junk",)
 
 
 def _ty_lists(bounds: GenBounds) -> list:
-    return gen_ctxs(_assoc_pool(bounds), bounds.ctx_elems, 1)
+    return gen_ctxs(_ASSOC_POOL, bounds.ctx_elems, 1)
 
 
 def _ty_msets(bounds: GenBounds) -> list:
-    return gen_ctxs(_assoc_pool(bounds), bounds.ctx_elems, bounds.union_depth)
+    return gen_ctxs(_ASSOC_POOL, bounds.ctx_elems, bounds.union_depth)
 
 
 def check_ty_ctx_mem(bounds: GenBounds, universe: Callable, holds: Callable) -> tuple:
@@ -465,15 +457,14 @@ def gen_terms(
 
 def check_ty_uniq(bounds: GenBounds) -> tuple:
     """Typing contexts assign at most one type to any term."""
-    names = name_pool(bounds.name_pool)
-    types = _ty_universe(bounds)
+    names = name_pool(3)
     lists = [
         from_list([TyAssoc(n, t) for n, t in zip(combo_names, combo_types)])
         for k in range(bounds.ctx_elems + 1)
         for combo_names in itertools.permutations(names, k)
-        for combo_types in itertools.product(types, repeat=k)
+        for combo_types in itertools.product(TYPE_UNIVERSE, repeat=k)
     ]
-    terms = gen_terms(tuple(names), 3, (Base(bounds.base_types[0]), types[-1]), False)
+    terms = gen_terms(tuple(names), 3, (Base("i"), TYPE_UNIVERSE[-1]), False)
     cases = 0
     for l in lists:
         for e in terms:
@@ -486,28 +477,22 @@ def check_ty_uniq(bounds: GenBounds) -> tuple:
     return cases, None
 
 
-def check_ty_ctx_distr_part(bounds: GenBounds) -> tuple:
-    """Typing contexts distribute over ordered partitions (list form)."""
-    cases = 0
-    for l in _ty_lists(bounds):
-        if not ty_ctx_list(l):
-            continue
-        for l1, l2 in partition_list(l):
-            cases += 1
-            if not (ty_ctx_list(l1) and ty_ctx_list(l2)):
-                return cases, f"partition of {print_ctx(l, render_value)} failed"
-    return cases, None
+def check_ty_ctx_distr(
+    bounds: GenBounds, universe: Callable, holds: Callable, split: Callable
+) -> tuple:
+    """Typing contexts distribute over their splits.
 
-
-def check_ty_ctx_distr(bounds: GenBounds) -> tuple:
-    """Typing contexts distribute over splits (multiset form)."""
+    The form is chosen as for `check_ty_ctx_mem`; `split` enumerates the
+    two-way splits of a context: `partition_list` (ordered partitions)
+    for the list form, `splits` for the multiset form.
+    """
     cases = 0
-    for g in _ty_msets(bounds):
-        if not ty_ctx_mset(g):
+    for g in universe(bounds):
+        if not holds(g):
             continue
-        for g1, g2 in splits(g):
+        for g1, g2 in split(g):
             cases += 1
-            if not (ty_ctx_mset(g1) and ty_ctx_mset(g2)):
+            if not (holds(g1) and holds(g2)):
                 return cases, f"split of {print_ctx(g, render_value)} failed"
     return cases, None
 
@@ -519,8 +504,12 @@ def typing_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
         ("typing.ty_uniq", check_ty_uniq, (bounds,)),
         ("typing.ty_ctx_mem_mset", check_ty_ctx_mem, (bounds, _ty_msets, ty_ctx_mset)),
         ("typing.ty_ctx_uniq_mset", check_ty_ctx_uniq, (bounds, _ty_msets, ty_ctx_mset)),
-        ("typing.ty_ctx_distr_part", check_ty_ctx_distr_part, (bounds,)),
-        ("typing.ty_ctx_distr", check_ty_ctx_distr, (bounds,)),
+        (
+            "typing.ty_ctx_distr_part",
+            check_ty_ctx_distr,
+            (bounds, _ty_lists, ty_ctx_list, partition_list),
+        ),
+        ("typing.ty_ctx_distr", check_ty_ctx_distr, (bounds, _ty_msets, ty_ctx_mset, splits)),
     ]
     return run_checks(checks, jobs=jobs)
 
@@ -532,11 +521,10 @@ def typing_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
 
 def _equiv_contexts(bounds: GenBounds) -> list:
     names = name_pool(2)
-    types = _ty_universe(bounds)
     out = []
     for k in range(min(bounds.ctx_elems, 2) + 1):
         for combo_names in itertools.permutations(names, k):
-            for combo_types in itertools.product(types, repeat=k):
+            for combo_types in itertools.product(TYPE_UNIVERSE, repeat=k):
                 out.append(
                     from_list([TyAssoc(n, t) for n, t in zip(combo_names, combo_types)])
                 )
@@ -552,8 +540,7 @@ def check_linear_equivalence(bounds: GenBounds, with_let: bool) -> tuple:
     algorithmic checker with an empty leftover.
     """
     contexts = _equiv_contexts(bounds)
-    types = tuple(_ty_universe(bounds))
-    terms = gen_terms(tuple(name_pool(2)), bounds.term_size, types, with_let)
+    terms = gen_terms(tuple(name_pool(2)), bounds.term_size, TYPE_UNIVERSE, with_let)
     checker = ml_type if with_let else linear_type
     cases = 0
     cache: dict = {}
@@ -584,21 +571,18 @@ def equivalence_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _trans_types(bounds: GenBounds) -> list:
-    bases = [Base(label) for label in bounds.base_types]
-    return bases + [Arrow(bases[0], bases[0])]
+_TRANS_TYPES = (Base("i"), Base("o"), Arrow(Base("i"), Base("i")))
 
 
 def gen_trans_triples(bounds: GenBounds) -> list:
     """Coordinated list triples with up to ctx_elems associations."""
     xs = name_pool(3, "x")
     ys = name_pool(3, "y")
-    types = _trans_types(bounds)
     out = []
     for k in range(min(bounds.ctx_elems, 3) + 1):
         for srcs in itertools.permutations(xs, k):
             for dsts in itertools.permutations(ys, k):
-                for tys in itertools.product(types, repeat=k):
+                for tys in itertools.product(_TRANS_TYPES, repeat=k):
                     l1 = from_list([TyAssoc(x, t) for x, t in zip(srcs, tys)])
                     l2 = from_list([VarAssoc(x, y) for x, y in zip(srcs, dsts)])
                     l3 = from_list([TyAssoc(y, t) for y, t in zip(dsts, tys)])
@@ -691,14 +675,14 @@ def check_trans_rel_sel(bounds: GenBounds) -> tuple:
         if not trans_rel_mset(g1, g2, g3):
             continue
         for entry in dict.fromkeys(elems(g2)):
-            for _, g2r in dict.fromkeys(select(entry, g2)):
+            for g2r in select(entry, g2):
                 cases += 1
                 x, y = entry.src, entry.dst
                 found = False
                 for a1 in dict.fromkeys(elems(g1)):
                     if not (isinstance(a1, TyAssoc) and a1.name == x):
                         continue
-                    for _, g1r in dict.fromkeys(select(a1, g1)):
+                    for g1r in select(a1, g1):
                         for a3 in dict.fromkeys(elems(g3)):
                             if not (
                                 isinstance(a3, TyAssoc)
@@ -706,7 +690,7 @@ def check_trans_rel_sel(bounds: GenBounds) -> tuple:
                                 and a3.ty == a1.ty
                             ):
                                 continue
-                            for _, g3r in dict.fromkeys(select(a3, g3)):
+                            for g3r in select(a3, g3):
                                 if trans_rel_mset(g1r, g2r, g3r):
                                     found = True
                                     break
@@ -807,7 +791,7 @@ def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
     """
     term_bound = max(bounds.term_size, 5)
     xs = name_pool(3, "x")
-    terms = gen_terms(tuple(xs), term_bound, tuple(_trans_types(bounds)), True)
+    terms = gen_terms(tuple(xs), term_bound, _TRANS_TYPES, True)
     by_frees: dict = {}
     for e in terms:
         counts = Counter()

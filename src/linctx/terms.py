@@ -181,6 +181,11 @@ def type_universe(base_labels: Iterable[str] = ("i", "o"), depth: int = 2) -> li
     return current
 
 
+# The types the typing suites and the schematic engine's generators draw
+# from: the bases i and o and the arrows between them.
+TYPE_UNIVERSE = tuple(type_universe())
+
+
 def name_pool(count: int, stem: str = "c") -> list:
     """Distinct names for generators, deterministic in their arguments."""
     return [Name(stem, k) for k in range(1, count + 1)]

@@ -91,7 +91,7 @@ def ltrans_rel(g: Ctx, e: Tm, e2: Tm) -> bool:
     if isinstance(e, Free) and isinstance(e2, Free):
         for a in dict.fromkeys(elems(g)):
             if isinstance(a, VarAssoc) and a.src == e.name and a.dst == e2.name:
-                if any(no_elems(r) for _, r in select(a, g)):
+                if any(no_elems(r) for r in select(a, g)):
                     return True
         return False
     if isinstance(e, App) and isinstance(e2, App):
@@ -249,15 +249,15 @@ def trans_rel_align(g1: Ctx, g2: Ctx, g3: Ctx) -> Optional[tuple]:
     x, y = b.src, b.dst
     if x == y:
         return None
-    for _, r2 in dict.fromkeys(select(b, g2)):
+    for r2 in dict.fromkeys(select(b, g2)):
         for a1 in dict.fromkeys(items1):
             if not (isinstance(a1, TyAssoc) and a1.name == x):
                 continue
-            for _, r1 in dict.fromkeys(select(a1, g1)):
+            for r1 in dict.fromkeys(select(a1, g1)):
                 for a3 in dict.fromkeys(items3):
                     if not (isinstance(a3, TyAssoc) and a3.name == y and a3.ty == a1.ty):
                         continue
-                    for _, r3 in dict.fromkeys(select(a3, g3)):
+                    for r3 in dict.fromkeys(select(a3, g3)):
                         residual_names = set()
                         for r in (r1, r2, r3):
                             for entry in elems(r):

@@ -170,7 +170,7 @@ def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict) -> frozenset:
         found = []
         for a in dict.fromkeys(elems(g)):
             if isinstance(a, TyAssoc) and a.name == e.name:
-                if any(no_elems(r) for _, r in select(a, g)):
+                if any(no_elems(r) for r in select(a, g)):
                     found.append(a.ty)
         result = frozenset(found)
     elif isinstance(e, Bound):

@@ -167,6 +167,41 @@ class TestBadInput:
         assert out == f"{missing}: cannot read: No such file or directory\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "missing.lem"],
+                "missing.lem: cannot read: No such file or directory",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "unknown.lem"],
+                "lemma 'u': no specification defines 'nope_list'",
+            ),
+            (
+                ["verify", "--suite", "core", "--suite", "nope"],
+                "unknown suite 'nope'; choose from "
+                "['core', 'equivalence', 'translation', 'typing']",
+            ),
+        ],
+        ids=["missing-lemmas", "unknown-predicate", "unknown-suite"],
+    )
+    def test_inputs_checked_before_any_check_runs(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran before every input was checked")
+
+        monkeypatch.setattr("linctx.cli.run_checks", no_checks)
+        monkeypatch.setattr("linctx.suites.run_checks", no_checks)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "unknown.lem").write_text(
+            "Lemma u : forall L X, nope_list L -> member X L -> true.\n"
+        )
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out == message + "\n"
+
+    @pytest.mark.parametrize(
         "option, value",
         [
             ("--bound-ctx", "-1"),

@@ -3,13 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linctx.ctx import (
     Cons,
     EMPTY,
-    Step,
     Union,
-    at_path,
     depth,
     elems,
     from_list,
@@ -34,6 +34,22 @@ from linctx.errors import PreconditionError
 
 def lst(*items):
     return from_list(items)
+
+
+@st.composite
+def shaped(draw, items, max_depth):
+    """A context whose flattening is `items`: a cons prefix over a list or,
+    while the depth allows, over a union of two shaped parts."""
+    j = draw(st.integers(0, len(items)))
+    rest = items[j:]
+    if max_depth > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, len(rest)))
+        g = Union(draw(shaped(rest[:k], max_depth - 1)), draw(shaped(rest[k:], max_depth - 1)))
+    else:
+        g = from_list(rest)
+    for x in reversed(items[:j]):
+        g = Cons(x, g)
+    return g
 
 
 class TestElems:
@@ -67,35 +83,32 @@ class TestMember:
     def test_empty(self):
         assert not member("a", EMPTY)
 
+    def test_deep_chain(self):
+        g = from_list(range(5000))
+        assert member(4999, g) and not member(5000, g)
+        (residual,) = select(4999, g)
+        assert elems(residual) == tuple(range(4999))
+
 
 class TestSelect:
     def test_single(self):
-        assert select("a", Cons("a", EMPTY)) == (((Step.AT_HEAD,), EMPTY),)
+        assert select("a", Cons("a", EMPTY)) == (EMPTY,)
 
     def test_union_both_occurrences(self):
         g = Union(Cons("a", EMPTY), Cons("a", EMPTY))
-        residuals = [r for _, r in select("a", g)]
-        assert residuals == [
+        assert select("a", g) == (
             Union(EMPTY, Cons("a", EMPTY)),
             Union(Cons("a", EMPTY), EMPTY),
-        ]
+        )
 
     def test_absent(self):
         assert select("a", Cons("b", EMPTY)) == ()
 
-    def test_paths_resolve_and_are_distinct(self):
-        for g in gen_ctxs(["a", "b"], 3, 2):
-            for x in ("a", "b"):
-                entries = select(x, g)
-                paths = [p for p, _ in entries]
-                assert len(set(paths)) == len(paths)
-                for p, _ in entries:
-                    assert at_path(g, p) == x
-
     def test_residual_loses_exactly_one_occurrence(self):
         for g in gen_ctxs(["a", "b"], 3, 2):
             for x in ("a", "b"):
-                for _, r in select(x, g):
+                assert len(select(x, g)) == elems(g).count(x)
+                for r in select(x, g):
                     before = list(elems(g))
                     before.remove(x)
                     assert sorted(before) == sorted(elems(r))
@@ -134,6 +147,19 @@ class TestPerm:
         for g1 in universe:
             for g2 in universe:
                 assert perm(g1, g2) == perm_rel(g1, g2, memo)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agrees_with_perm_rel_beyond_universe(self, data):
+        # up to 7 elements in arbitrary cons/union shapes, past gen_ctxs' bounds
+        items1 = data.draw(st.lists(st.sampled_from("abc"), max_size=7))
+        items2 = data.draw(
+            st.one_of(st.permutations(items1), st.lists(st.sampled_from("abc"), max_size=7))
+        )
+        g1 = data.draw(shaped(items1, 3))
+        g2 = data.draw(shaped(items2, 3))
+        assert elems(g1) == tuple(items1) and elems(g2) == tuple(items2)
+        assert perm(g1, g2) == perm_rel(g1, g2, {})
 
     def test_structural_equality_implies_perm(self):
         for g in gen_ctxs(["a", "b"], 3, 2):
@@ -249,7 +275,7 @@ class TestTransport:
             for g1 in bucket:
                 for g2 in bucket:
                     for x in ("a", "b"):
-                        for _, r in select(x, g1):
+                        for r in select(x, g1):
                             assert perm(r, sel_transport(x, g1, r, g2))
 
 

@@ -416,7 +416,7 @@ class TestLifting:
             assert verify_lemma(spec, stmt, BOUNDS).passed
             _, checker = lift_lemma(spec, stmt)
             for contexts in generate_mset_instances(spec, BOUNDS):
-                _cases, counterexample = checker(contexts, BOUNDS)
+                _cases, counterexample = checker(contexts)
                 assert counterexample is None
 
     def test_shape_violations(self, ty_spec):

@@ -1,6 +1,7 @@
 """Report rendering and the check runner."""
 
 import json
+from dataclasses import fields
 
 from linctx.report import (
     CheckReport,
@@ -72,5 +73,5 @@ class TestRendering:
 class TestBounds:
     def test_defaults(self):
         b = GenBounds()
-        assert b.ctx_elems == 3 and b.union_depth == 2 and b.type_depth == 2
-        assert b.base_types == ("i", "o")
+        assert [f.name for f in fields(b)] == ["ctx_elems", "union_depth", "term_size"]
+        assert (b.ctx_elems, b.union_depth, b.term_size) == (3, 2, 4)
