@@ -99,7 +99,6 @@ from .terms import (
     term_size,
 )
 from .translate import (
-    VarAssoc,
     ltrans_rel,
     trans_rel_list,
     trans_rel_mset,
@@ -108,6 +107,7 @@ from .translate import (
 from .typecheck import (
     Leftover,
     TyAssoc,
+    VarAssoc,
     linear_type,
     ltype_check,
     ltype_rel,

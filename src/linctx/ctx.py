@@ -20,12 +20,37 @@ from .lex import TokenStream
 
 
 class Ctx:
-    """Base class of the three context constructors."""
+    """Base class of the three context constructors.
+
+    Equality is structural.  It walks both trees without recursion, skips
+    shared subtrees by identity, rejects most unequal ones by their
+    cached hashes, and compares heads left to right.
+    """
 
     __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        a, b = self, other
+        pending = []  # pairs of right branches still to compare
+        while True:
+            while a is not b:
+                if type(a) is not type(b) or a._hash != b._hash:
+                    return False
+                if isinstance(a, Cons):
+                    if not a.head == b.head:  # `!=` would add a call per head
+                        return False
+                    a, b = a.tail, b.tail
+                elif isinstance(a, Union):
+                    pending.append((a.right, b.right))
+                    a, b = a.left, b.left
+                else:
+                    break
+            if not pending:
+                return True
+            a, b = pending.pop()
 
 
 class Empty(Ctx):
@@ -36,11 +61,6 @@ class Empty(Ctx):
 
     def __init__(self):
         self._hash = hash((0, "linctx.Empty"))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Empty)
-
-    __hash__ = Ctx.__hash__
 
     def __repr__(self) -> str:
         return "Empty()"
@@ -57,18 +77,6 @@ class Cons(Ctx):
         self.tail = tail
         self._hash = hash((1, head, tail._hash))
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Cons)
-            and self._hash == other._hash
-            and self.head == other.head
-            and self.tail == other.tail
-        )
-
-    __hash__ = Ctx.__hash__
-
     def __repr__(self) -> str:
         return f"Cons({self.head!r}, {self.tail!r})"
 
@@ -83,18 +91,6 @@ class Union(Ctx):
         self.left = left
         self.right = right
         self._hash = hash((2, left._hash, right._hash))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Union)
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = Ctx.__hash__
 
     def __repr__(self) -> str:
         return f"Union({self.left!r}, {self.right!r})"
@@ -184,9 +180,18 @@ def select(x: Any, g: Ctx) -> tuple:
 
 def no_elems(g: Ctx) -> bool:
     """Whether g has no elements: empty, or a union of element-free contexts."""
-    if isinstance(g, Union):
-        return no_elems(g.left) and no_elems(g.right)
-    return isinstance(g, Empty)
+    if not isinstance(g, Union):  # the common case, without a stack
+        return isinstance(g, Empty)
+    pending = []  # right branches still to look at
+    while True:
+        while isinstance(g, Union):
+            pending.append(g.right)
+            g = g.left
+        if not isinstance(g, Empty):
+            return False
+        if not pending:
+            return True
+        g = pending.pop()
 
 
 def is_list(g: Ctx) -> bool:
@@ -198,11 +203,17 @@ def is_list(g: Ctx) -> bool:
 
 def depth(g: Ctx) -> int:
     """Union-nesting depth.  Every list has depth 1; a union adds one level."""
-    if isinstance(g, Cons):
-        return depth(g.tail)
-    if isinstance(g, Union):
-        return 1 + max(depth(g.left), depth(g.right))
-    return 1
+    deepest = 1
+    pending = [(g, 1)]  # subtrees still to walk, with their own depth
+    while pending:
+        g, level = pending.pop()
+        while isinstance(g, Cons):
+            g = g.tail
+        if isinstance(g, Union):
+            pending += ((g.left, level + 1), (g.right, level + 1))
+        else:
+            deepest = max(deepest, level)
+    return deepest
 
 
 def perm(g1: Ctx, g2: Ctx) -> bool:
@@ -313,47 +324,26 @@ def sel_transport(x: Any, g1: Ctx, g1r: Ctx, g2: Ctx) -> Ctx:
     raise AssertionError("selection transport found no matching residual")
 
 
-def _remove_first(x: Any, g: Ctx) -> Ctx | None:
-    """Residual of removing the leftmost occurrence of x, or None if absent.
-
-    Agrees with the first entry of select(x, g) when x occurs.
-    """
-    if isinstance(g, Cons):
-        if x == g.head:
-            return g.tail
-        rest = _remove_first(x, g.tail)
-        return None if rest is None else Cons(g.head, rest)
-    if isinstance(g, Union):
-        rest = _remove_first(x, g.left)
-        if rest is not None:
-            return Union(rest, g.right)
-        rest = _remove_first(x, g.right)
-        if rest is not None:
-            return Union(g.left, rest)
-    return None
-
-
 def perm_to_part_mask(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     """Assignment of the elements of list l to the two sides of a split.
 
     Requires is_list(l) and perm(l, g1 ++ g2).  Walks l front to back,
     pulling each element from whichever of g1/g2 still contains it
     (preferring g1 on ties) and recording True for g1, False for g2.
+    Only the copies left in g1 decide, so they are the only ones counted.
     """
     if not is_list(l):
         raise PreconditionError("perm_to_part: first argument must be a list")
-    if not perm(l, Union(g1, g2)):
+    items = elems(l)
+    left = Counter(elems(g1))
+    if Counter(items) != left + Counter(elems(g2)):
         raise PreconditionError("perm_to_part: list is not a permutation of the combined split")
     mask = []
-    c1, c2 = g1, g2
-    for e in elems(l):
-        rest = _remove_first(e, c1)
-        if rest is not None:
-            c1 = rest
-            mask.append(True)
-        else:
-            c2 = _remove_first(e, c2)
-            mask.append(False)
+    for e in items:
+        into_first = left[e] > 0
+        if into_first:
+            left[e] -= 1
+        mask.append(into_first)
     return tuple(mask)
 
 

@@ -39,8 +39,7 @@ from .errors import PreconditionError, ShapeError, SyntaxError_, VerificationErr
 from .lex import TokenStream
 from .report import CheckReport, GenBounds, run_check
 from .terms import TYPE_UNIVERSE, Arrow, Base, Name, name_pool, print_type
-from .typecheck import TyAssoc
-from .translate import VarAssoc
+from .typecheck import TyAssoc, VarAssoc
 
 
 # ---------------------------------------------------------------------------
@@ -1194,10 +1193,14 @@ def _distr_witnesses(
     by the caller rather than once per split.  Flattens the given split
     of the chosen context into an ordered partition of its aligned list,
     applies the same position mask to every other list, and returns the
-    halves.  The two multiset checks on the halves align through `memo`,
-    the memo of sub-alignments that lives only for the caller's one
-    check.  Returns None when any step or the final predicate checks
+    halves.  Returns None when any step or the final predicate checks
     fail.
+
+    `memo` lives only for the caller's one check.  The two multiset
+    checks on the halves align through it, and it keeps the list-form
+    verdict on both halves under the pair of half tuples.  That key never
+    equals a tuple of contexts, and it hashes through the hashes cached
+    in its contexts, where the aligned rows would rehash every entry.
     """
     mask = perm_to_part_mask(from_list(aligned[index0]), first, second)
     firsts = []
@@ -1205,9 +1208,13 @@ def _distr_witnesses(
     for row in aligned:
         firsts.append(from_list([e for e, m in zip(row, mask) if m]))
         seconds.append(from_list([e for e, m in zip(row, mask) if not m]))
-    if not check_list_pred(spec, firsts, enforce_freshness):
-        return None
-    if not check_list_pred(spec, seconds, enforce_freshness):
+    key = (tuple(firsts), tuple(seconds))
+    halves_ok = memo.get(key)
+    if halves_ok is None:
+        halves_ok = memo[key] = check_list_pred(
+            spec, firsts, enforce_freshness
+        ) and check_list_pred(spec, seconds, enforce_freshness)
+    if not halves_ok:
         return None
     primes = tuple(first if j == index0 else firsts[j] for j in range(spec.arity))
     doubles = tuple(second if j == index0 else seconds[j] for j in range(spec.arity))
@@ -1230,8 +1237,8 @@ def check_distr_cases(
     """Case-level body of check_distr: (cases run, counterexample or None).
 
     Each instance is aligned once, before its splits are enumerated, and
-    every alignment of the check shares one memo of sub-alignments; the
-    memo is dropped when the check returns.
+    every alignment and half check of the check shares one memo (see
+    `_distr_witnesses`); the memo is dropped when the check returns.
     """
     instances = generate_mset_instances(spec, bounds, enforce_freshness)
     index0 = index - 1

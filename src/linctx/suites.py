@@ -28,13 +28,12 @@ from .ctx import (
     perm,
     perm_rel,
     perm_to_part,
-    perm_to_part_mask,
     print_ctx,
     select,
     sel_transport,
     splits,
 )
-from .ctxspec import render_value
+from .ctxspec import _distr_witnesses, align_mset, render_value
 from .report import GenBounds, run_checks
 from .terms import (
     Abs,
@@ -51,15 +50,15 @@ from .terms import (
     term_size,
 )
 from .translate import (
-    VarAssoc,
+    TRANS_REL,
     ltrans_rel,
-    trans_rel_align,
     trans_rel_list,
     trans_rel_mset,
     translate,
 )
 from .typecheck import (
     TyAssoc,
+    VarAssoc,
     linear_type,
     ml_type,
     ty_ctx_list,
@@ -626,8 +625,9 @@ def _render_triple(triple: tuple) -> str:
 def check_trans_rel_uniq(bounds: GenBounds) -> tuple:
     """Translation associations are unique per source name."""
     cases = 0
+    memo: dict = {}
     for triple in gen_trans_triples_mset(bounds):
-        if not trans_rel_mset(*triple):
+        if not trans_rel_mset(*triple, _memo=memo):
             continue
         entries = elems(triple[1])
         for a in entries:
@@ -642,9 +642,10 @@ def check_trans_rel_uniq(bounds: GenBounds) -> tuple:
 def check_trans_rel_mem(bounds: GenBounds) -> tuple:
     """Members of the translation context coordinate with both typing contexts."""
     cases = 0
+    memo: dict = {}
     for triple in gen_trans_triples_mset(bounds):
         g1, g2, g3 = triple
-        if not trans_rel_mset(g1, g2, g3):
+        if not trans_rel_mset(g1, g2, g3, _memo=memo):
             continue
         for entry in elems(g2):
             cases += 1
@@ -670,36 +671,24 @@ def check_trans_rel_sel(bounds: GenBounds) -> tuple:
     """Selection from the translation context coordinates with selections
     from both typing contexts, leaving a residual triple in the relation."""
     cases = 0
+    memo: dict = {}
     for triple in gen_trans_triples_mset(bounds):
         g1, g2, g3 = triple
-        if not trans_rel_mset(g1, g2, g3):
+        if not trans_rel_mset(g1, g2, g3, _memo=memo):
             continue
         for entry in dict.fromkeys(elems(g2)):
             for g2r in select(entry, g2):
                 cases += 1
                 x, y = entry.src, entry.dst
-                found = False
-                for a1 in dict.fromkeys(elems(g1)):
-                    if not (isinstance(a1, TyAssoc) and a1.name == x):
-                        continue
-                    for g1r in select(a1, g1):
-                        for a3 in dict.fromkeys(elems(g3)):
-                            if not (
-                                isinstance(a3, TyAssoc)
-                                and a3.name == y
-                                and a3.ty == a1.ty
-                            ):
-                                continue
-                            for g3r in select(a3, g3):
-                                if trans_rel_mset(g1r, g2r, g3r):
-                                    found = True
-                                    break
-                            if found:
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
+                found = any(
+                    trans_rel_mset(g1r, g2r, g3r, _memo=memo)
+                    for a1 in dict.fromkeys(elems(g1))
+                    if isinstance(a1, TyAssoc) and a1.name == x
+                    for g1r in select(a1, g1)
+                    for a3 in dict.fromkeys(elems(g3))
+                    if isinstance(a3, TyAssoc) and a3.name == y and a3.ty == a1.ty
+                    for g3r in select(a3, g3)
+                )
                 if not found:
                     return cases, (
                         f"no coordinated selection for {entry}: {_render_triple(triple)}"
@@ -737,29 +726,14 @@ def check_trans_rel_list_distr(bounds: GenBounds) -> tuple:
 def check_trans_rel_distr(bounds: GenBounds) -> tuple:
     """Splits of the first context induce coordinated splits of the others."""
     cases = 0
+    memo: dict = {}
     for triple in gen_trans_triples_mset(bounds):
-        g1, g2, g3 = triple
-        if not trans_rel_mset(g1, g2, g3):
+        aligned = align_mset(TRANS_REL, triple, _memo=memo)
+        if aligned is None:
             continue
-        aligned = trans_rel_align(g1, g2, g3)
-        for first, second in splits(g1):
+        for first, second in splits(triple[0]):
             cases += 1
-            mask = perm_to_part_mask(from_list(aligned[0]), first, second)
-            halves = []
-            for row in aligned:
-                halves.append(
-                    (
-                        from_list([e for e, m in zip(row, mask) if m]),
-                        from_list([e for e, m in zip(row, mask) if not m]),
-                    )
-                )
-            ok = (
-                trans_rel_mset(first, halves[1][0], halves[2][0])
-                and trans_rel_mset(second, halves[1][1], halves[2][1])
-                and perm(g2, Union(halves[1][0], halves[1][1]))
-                and perm(g3, Union(halves[2][0], halves[2][1]))
-            )
-            if not ok:
+            if _distr_witnesses(TRANS_REL, triple, aligned, 0, first, second, True, memo) is None:
                 return cases, (
                     f"no coordinated split witnesses: {_render_triple(triple)} with "
                     f"G1 ~ {print_ctx(first, render_value)} ++ {print_ctx(second, render_value)}"

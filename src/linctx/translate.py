@@ -6,8 +6,10 @@ associations, consumed linearly.  The accompanying context relation ties
 a source typing context, the translation context, and a target typing
 context together entry by entry; it comes in a list form (coordinated
 recursion over the three lists) and a multiset form (the list form up to
-independent permutations of each context), decided by name-keyed
-alignment.
+independent permutations of each context).  The multiset form is the
+`Context` specification `TRANS_REL`, decided by the schematic engine's
+alignment search; the hand-coded list form and the exhaustive multiset
+reading stay as independent oracles for it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .ctx import (
     select,
     splits,
 )
+from .ctxspec import align_mset, parse_spec
 from .errors import (
     LinearityError,
     MalformedTermError,
@@ -48,18 +51,7 @@ from .terms import (
     open_term,
     parse_term_tokens,
 )
-from .typecheck import TyAssoc
-
-
-@dataclass(frozen=True)
-class VarAssoc:
-    """Association of a source variable with its translated counterpart."""
-
-    src: Name
-    dst: Name
-
-    def __str__(self) -> str:
-        return f"trans_to {self.src} {self.dst}"
+from .typecheck import TyAssoc, VarAssoc
 
 
 def _assoc_names(g: Ctx) -> set:
@@ -228,51 +220,19 @@ def trans_rel_list(l1: Ctx, l2: Ctx, l3: Ctx) -> bool:
     return True
 
 
-def trans_rel_align(g1: Ctx, g2: Ctx, g3: Ctx) -> Optional[tuple]:
-    """Name-keyed alignment witness for the multiset form of the relation.
+TRANS_REL = parse_spec(
+    "Context trans_rel with elems as "
+    "nabla x y (ty_of x T _|_ trans_to x y _|_ ty_of y T)."
+)
 
-    Pivots on the first element of the translation context, finds its
-    partners in the typing contexts by name (backtracking over partner
-    and residual choices), and recurses on the residuals.  Returns the
-    coordinated entry lists, or None if no alignment exists.
+
+def trans_rel_mset(g1: Ctx, g2: Ctx, g3: Ctx, *, _memo: Optional[dict] = None) -> bool:
+    """Multiset form: some triple of list permutations is in the list form.
+
+    Decided by `align_mset` on `TRANS_REL`; `_memo` is its memo of
+    sub-alignments, shared by the calls of one check.
     """
-    if no_elems(g2):
-        if no_elems(g1) and no_elems(g3):
-            return ((), (), ())
-        return None
-    items1, items2, items3 = elems(g1), elems(g2), elems(g3)
-    if not (len(items1) == len(items2) == len(items3)):
-        return None
-    b = items2[0]
-    if not isinstance(b, VarAssoc):
-        return None
-    x, y = b.src, b.dst
-    if x == y:
-        return None
-    for r2 in dict.fromkeys(select(b, g2)):
-        for a1 in dict.fromkeys(items1):
-            if not (isinstance(a1, TyAssoc) and a1.name == x):
-                continue
-            for r1 in dict.fromkeys(select(a1, g1)):
-                for a3 in dict.fromkeys(items3):
-                    if not (isinstance(a3, TyAssoc) and a3.name == y and a3.ty == a1.ty):
-                        continue
-                    for r3 in dict.fromkeys(select(a3, g3)):
-                        residual_names = set()
-                        for r in (r1, r2, r3):
-                            for entry in elems(r):
-                                residual_names |= _entry_names(entry)
-                        if x in residual_names or y in residual_names:
-                            continue
-                        sub = trans_rel_align(r1, r2, r3)
-                        if sub is not None:
-                            return ((a1,) + sub[0], (b,) + sub[1], (a3,) + sub[2])
-    return None
-
-
-def trans_rel_mset(g1: Ctx, g2: Ctx, g3: Ctx) -> bool:
-    """Multiset form: some triple of list permutations is in the list form."""
-    return trans_rel_align(g1, g2, g3) is not None
+    return align_mset(TRANS_REL, (g1, g2, g3), _memo=_memo) is not None
 
 
 def trans_rel_mset_exhaustive(g1: Ctx, g2: Ctx, g3: Ctx) -> bool:

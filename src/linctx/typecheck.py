@@ -63,6 +63,17 @@ class TyAssoc:
         return f"ty_of {self.name} {_print_type_atom(self.ty)}"
 
 
+@dataclass(frozen=True)
+class VarAssoc:
+    """Association of a source variable with its translated counterpart."""
+
+    src: Name
+    dst: Name
+
+    def __str__(self) -> str:
+        return f"trans_to {self.src} {self.dst}"
+
+
 def ctx_names(g: Ctx) -> frozenset:
     """Names keyed by the associations of a context."""
     out = set()

@@ -30,7 +30,7 @@ from linctx.suites import (
     typing_lemma_suite,
 )
 from linctx.terms import Arrow, Base, Name, parse_term
-from linctx.translate import trans_rel_list, trans_rel_mset
+from linctx.translate import trans_rel_list, trans_rel_mset, trans_rel_mset_exhaustive
 from linctx.typecheck import (
     TyAssoc,
     linear_type,
@@ -146,7 +146,9 @@ def test_criterion_6_schematic_engine():
         for triple in gen_trans_triples(bounds)
     )
     fidelity = fidelity and all(
-        check_mset_pred(tr_spec, triple) == trans_rel_mset(*triple)
+        check_mset_pred(tr_spec, triple)
+        == trans_rel_mset(*triple)
+        == trans_rel_mset_exhaustive(*triple)
         for triple in gen_trans_triples_mset(bounds)
     )
 

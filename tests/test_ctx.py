@@ -24,6 +24,7 @@ from linctx.ctx import (
     perm,
     perm_rel,
     perm_to_part,
+    perm_to_part_mask,
     print_ctx,
     sel_transport,
     select,
@@ -128,6 +129,35 @@ class TestNoElemsIsList:
     def test_no_elems_iff_empty_flattening(self):
         for g in gen_ctxs(["a"], 2, 3):
             assert no_elems(g) == (elems(g) == ())
+
+    def test_deep_union_chain(self):
+        g = EMPTY
+        for _ in range(5000):
+            g = Union(g, EMPTY)
+        assert no_elems(g) and depth(g) == 5001
+        assert not no_elems(Union(g, lst("a")))
+        assert depth(Cons("a", Union(EMPTY, g))) == 5002
+
+
+class TestEquality:
+    def test_agrees_with_repr(self):
+        universe = gen_ctxs(["a", "b"], 2, 2)
+        for g1, g2 in itertools.product(universe, repeat=2):
+            assert (g1 == g2) == (repr(g1) == repr(g2))
+
+    def test_distinct_equal_deep_lists(self):
+        g1, g2 = from_list(range(5000)), from_list(range(5000))
+        assert g1 is not g2 and g1 == g2
+        assert g1 != from_list(list(range(4999)) + [5000])
+        assert select(4999, g1) == (from_list(range(4999)),)
+
+    def test_distinct_equal_deep_union_chains(self):
+        g1 = g2 = g3 = EMPTY
+        for k in range(5000):
+            g1, g2 = Union(g1, lst(k)), Union(g2, lst(k))
+            g3 = Union(g3, lst(k if k else "x"))
+        assert g1 is not g2 and g1 == g2
+        assert g1 != g3
 
 
 class TestPerm:
@@ -298,6 +328,12 @@ class TestPermToPart:
             perm_to_part(Union(EMPTY, EMPTY), EMPTY, EMPTY)
         with pytest.raises(PreconditionError):
             perm_to_part(lst("a"), lst("b"), EMPTY)
+
+    def test_deep_list(self):
+        l = from_list(range(3000))
+        odds = from_list(range(2999, 0, -2))
+        evens = from_list(range(0, 3000, 2))
+        assert perm_to_part_mask(l, odds, evens) == tuple(k % 2 == 1 for k in range(3000))
 
     def test_round_trip(self):
         universe = gen_ctxs(["a", "b"], 2, 2)

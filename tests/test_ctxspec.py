@@ -34,8 +34,13 @@ from linctx.ctxspec import (
 from linctx.errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
 from linctx.report import GenBounds
 from linctx.terms import Arrow, Base, Name
-from linctx.translate import VarAssoc, trans_rel_list, trans_rel_mset
-from linctx.typecheck import TyAssoc, ty_ctx_list, ty_ctx_mset
+from linctx.translate import (
+    TRANS_REL,
+    trans_rel_list,
+    trans_rel_mset,
+    trans_rel_mset_exhaustive,
+)
+from linctx.typecheck import TyAssoc, VarAssoc, ty_ctx_list, ty_ctx_mset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -112,7 +117,7 @@ class TestParsing:
             from_list([TyAssoc(M1, O)]),
         )
         assert check_mset_pred(spec, crossed)
-        assert not trans_rel_mset(*crossed)
+        assert not trans_rel_mset_exhaustive(*crossed)
 
     def test_arity_mismatch(self):
         with pytest.raises(ShapeError):
@@ -158,10 +163,30 @@ class TestElaborationFidelity:
             assert check_mset_pred(ty_spec, [g]) == ty_ctx_mset(g)
 
     def test_ternary_against_hand_coded(self, tr_spec):
+        # trans_rel_mset is the engine on the same clause, so both are
+        # compared with the exhaustive oracle.  Every generated triple is
+        # in the relation; its crossed-type mutants are not.
         from linctx.suites import gen_trans_triples_mset
 
-        for triple in gen_trans_triples_mset(GenBounds(ctx_elems=2)):
-            assert check_mset_pred(tr_spec, triple) == trans_rel_mset(*triple)
+        verdicts = set()
+        for g1, g2, g3 in gen_trans_triples_mset(GenBounds(ctx_elems=2)):
+            triples = [(g1, g2, g3)]
+            if elems(g3):
+                a, *rest = elems(g3)
+                triples.append((g1, g2, from_list([TyAssoc(a.name, Arrow(O, O))] + rest)))
+            for triple in triples:
+                expected = trans_rel_mset_exhaustive(*triple)
+                assert check_mset_pred(tr_spec, triple) == expected
+                assert trans_rel_mset(*triple) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_builtin_spec_is_the_fixture_clause(self):
+        (fixture,) = [
+            s for s in parse_spec_file((FIXTURES / "specs.ctx").read_text())
+            if s.name == "trans_rel"
+        ]
+        assert TRANS_REL == fixture
 
     def test_ternary_list_against_hand_coded(self, tr_spec):
         from linctx.suites import gen_trans_triples

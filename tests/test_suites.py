@@ -1,5 +1,9 @@
 """Smoke coverage of the built-in suites at reduced bounds."""
 
+import json
+from pathlib import Path
+
+from linctx import suites
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
     check_linear_equivalence,
@@ -13,6 +17,8 @@ from linctx.suites import (
 )
 from linctx.terms import Arrow, Base, Let, Name, term_size
 from linctx.translate import trans_rel_list
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 I = Base("i")
 SMALL = GenBounds(ctx_elems=2, term_size=3)
@@ -61,6 +67,26 @@ class TestTripleGenerator:
     def test_mset_variants_deduplicated(self):
         triples = gen_trans_triples_mset(SMALL)
         assert len(set(triples)) == len(triples)
+
+
+class TestTransRelChecks:
+    def test_cases_golden(self):
+        # (cases, counterexample) of the multiset-form translation checks,
+        # recorded while the relation was decided by a hand-written search.
+        lines = []
+        for name in ("uniq", "mem", "sel", "distr"):
+            check = getattr(suites, f"check_trans_rel_{name}")
+            for ctx_elems in (1, 2):
+                cases, counterexample = check(GenBounds(ctx_elems=ctx_elems))
+                record = {
+                    "check": f"trans_rel_{name}",
+                    "ctx_elems": ctx_elems,
+                    "cases": cases,
+                    "counterexample": counterexample,
+                }
+                lines.append(json.dumps(record) + "\n")
+        golden = FIXTURES / "golden" / "trans_rel_checks.jsonl"
+        assert "".join(lines) == golden.read_text()
 
 
 class TestSuitesSmoke:
