@@ -28,11 +28,9 @@ from .ctx import (
     is_list,
     member,
     mem_transport,
-    no_elems,
     perm,
     perm_to_part_mask,
     print_ctx,
-    select,
     splits,
 )
 from .errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
@@ -521,37 +519,39 @@ def align_mset(
     """Witness for the multiset-form predicate.
 
     Finds coordinated entry sequences, one element from each context per
-    clause application, by backtracking over clauses, element choices
-    (pivoting on the context with the fewest distinct elements), and
-    selection residuals.  Returns one entry tuple per context; each is a
-    permutation of its context's elements and together they satisfy the
-    list-form predicate.
+    clause application, by backtracking over clauses and element choices
+    (pivoting on the context with the fewest distinct elements).  Returns
+    one entry tuple per context; each is a permutation of its context's
+    elements and together they satisfy the list-form predicate.
 
-    Sub-alignments are memoised, keyed on the residual context tuple:
-    contexts are compared structurally, so equal keys have the same
-    elements in the same order and get the same entry tuples.  The memo
-    lives for one call, or for one check when the check hands the same
-    `_memo` dict to each of its calls; the spec and the freshness
-    setting must be the same across those calls.  Nothing is kept
-    between checks.
+    The predicate depends only on each context's multiset of entries, so
+    each context is flattened once and the search runs on the entry rows.
+    Answers are memoised under the context tuple and under each row tuple
+    the search reaches.  The memo lives for one call, or for one check
+    when the check hands the same `_memo` dict to each of its calls; the
+    spec and the freshness setting must be the same across those calls.
     """
     if len(contexts) != spec.arity:
         raise PreconditionError(f"expected {spec.arity} contexts, got {len(contexts)}")
-    return _align_rec(spec, tuple(contexts), enforce_freshness, {} if _memo is None else _memo)
+    memo = {} if _memo is None else _memo
+    key = tuple(contexts)
+    if key not in memo:
+        rows = tuple(elems(g) for g in key)
+        same_length = len({len(row) for row in rows}) == 1
+        memo[key] = _align_rows(spec, rows, enforce_freshness, memo) if same_length else None
+    return memo[key]
 
 
-def _align_rec(spec: ContextSpec, gs: tuple, enforce: bool, memo: dict) -> Optional[tuple]:
-    # The lookup stays in this frame: a wrapper would add a Python frame
-    # per clause application and lower the depth this search reaches.
-    if gs in memo:
-        return memo[gs]
-    if all(no_elems(g) for g in gs):
-        return tuple(() for _ in gs)
-    item_seqs = [elems(g) for g in gs]
-    if len({len(s) for s in item_seqs}) != 1 or not item_seqs[0]:
-        return None
-    n = len(gs)
-    distinct = [tuple(dict.fromkeys(s)) for s in item_seqs]
+def _align_rows(spec: ContextSpec, rows: tuple, enforce: bool, memo: dict) -> Optional[tuple]:
+    # The rows have equal lengths.  A step removes the first copy of the
+    # chosen entry from each row.  The lookup stays in this frame: a
+    # wrapper would add a frame per step and lower the depth reached.
+    if rows in memo:
+        return memo[rows]
+    if not rows[0]:
+        return rows
+    n = len(rows)
+    distinct = [tuple(dict.fromkeys(row)) for row in rows]
     pivot = min(range(n), key=lambda i: len(distinct[i]))
     order = [pivot] + [i for i in range(n) if i != pivot]
 
@@ -570,18 +570,25 @@ def _align_rec(spec: ContextSpec, gs: tuple, enforce: bool, memo: dict) -> Optio
                     yield from choose_elems(idx + 1, extended, new_chosen)
 
         for binding, chosen in choose_elems(0, {}, {}):
-            residual_options = [
-                dict.fromkeys(select(chosen[i], gs[i])) for i in range(n)
-            ]
-            for residuals in itertools.product(*residual_options):
-                tail_names = set().union(*(value_names(e) for r in residuals for e in elems(r)))
-                if not _clause_instance_ok(clause, binding, tail_names, enforce):
-                    continue
-                sub = _align_rec(spec, residuals, enforce, memo)
-                if sub is not None:
-                    found = memo[gs] = tuple((chosen[i],) + sub[i] for i in range(n))
-                    return found
-    memo[gs] = None
+            rest = []
+            for i, row in enumerate(rows):
+                k = row.index(chosen[i])
+                rest.append(row[:k] + row[k + 1 :])
+            tail_names = set().union(*(value_names(e) for row in rest for e in row))
+            if not _clause_instance_ok(clause, binding, tail_names, enforce):
+                continue
+            sub = _align_rows(spec, tuple(rest), enforce, memo)
+            # With one context a step that holds decides the rows.  It
+            # would hold later too, with fewer names after it, so an
+            # alignment taking this entry later could move it to the
+            # front and leave one of the rest.  If the rest has none,
+            # neither do the rows: every entry is a step of every alignment.
+            if sub is None and n > 1:
+                continue
+            found = None if sub is None else tuple((chosen[i],) + sub[i] for i in range(n))
+            memo[rows] = found
+            return found
+    memo[rows] = None
     return None
 
 
@@ -1199,8 +1206,8 @@ def _distr_witnesses(
     `memo` lives only for the caller's one check.  The two multiset
     checks on the halves align through it, and it keeps the list-form
     verdict on both halves under the pair of half tuples.  That key never
-    equals a tuple of contexts, and it hashes through the hashes cached
-    in its contexts, where the aligned rows would rehash every entry.
+    equals a tuple of contexts or rows, and it hashes through the hashes
+    cached in its contexts, where the aligned rows would rehash every entry.
     """
     mask = perm_to_part_mask(from_list(aligned[index0]), first, second)
     firsts = []

@@ -12,7 +12,6 @@ docstring.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Callable
 
 from .ctx import (
@@ -44,8 +43,8 @@ from .terms import (
     Free,
     Let,
     Name,
-    Tm,
     TYPE_UNIVERSE,
+    free_counts,
     name_pool,
     term_size,
 )
@@ -454,15 +453,20 @@ def gen_terms(
     return result
 
 
-def check_ty_uniq(bounds: GenBounds) -> tuple:
-    """Typing contexts assign at most one type to any term."""
-    names = name_pool(3)
-    lists = [
+def _typed_lists(names: list, max_k: int) -> list:
+    """Type-association lists over distinct names, by size up to max_k."""
+    return [
         from_list([TyAssoc(n, t) for n, t in zip(combo_names, combo_types)])
-        for k in range(bounds.ctx_elems + 1)
+        for k in range(max_k + 1)
         for combo_names in itertools.permutations(names, k)
         for combo_types in itertools.product(TYPE_UNIVERSE, repeat=k)
     ]
+
+
+def check_ty_uniq(bounds: GenBounds) -> tuple:
+    """Typing contexts assign at most one type to any term."""
+    names = name_pool(3)
+    lists = _typed_lists(names, bounds.ctx_elems)
     terms = gen_terms(tuple(names), 3, (Base("i"), TYPE_UNIVERSE[-1]), False)
     cases = 0
     for l in lists:
@@ -518,18 +522,6 @@ def typing_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _equiv_contexts(bounds: GenBounds) -> list:
-    names = name_pool(2)
-    out = []
-    for k in range(min(bounds.ctx_elems, 2) + 1):
-        for combo_names in itertools.permutations(names, k):
-            for combo_types in itertools.product(TYPE_UNIVERSE, repeat=k):
-                out.append(
-                    from_list([TyAssoc(n, t) for n, t in zip(combo_names, combo_types)])
-                )
-    return out
-
-
 def check_linear_equivalence(bounds: GenBounds, with_let: bool) -> tuple:
     """Top-level agreement of the relational and leftover-threading readings.
 
@@ -538,7 +530,7 @@ def check_linear_equivalence(bounds: GenBounds, with_let: bool) -> tuple:
     derivable relationally equals the singleton (or empty) result of the
     algorithmic checker with an empty leftover.
     """
-    contexts = _equiv_contexts(bounds)
+    contexts = _typed_lists(name_pool(2), min(bounds.ctx_elems, 2))
     terms = gen_terms(tuple(name_pool(2)), bounds.term_size, TYPE_UNIVERSE, with_let)
     checker = ml_type if with_let else linear_type
     cases = 0
@@ -768,8 +760,7 @@ def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
     terms = gen_terms(tuple(xs), term_bound, _TRANS_TYPES, True)
     by_frees: dict = {}
     for e in terms:
-        counts = Counter()
-        _occurrence_counts(e, counts)
+        counts = free_counts(e)
         if all(v == 1 for v in counts.values()):
             by_frees.setdefault(frozenset(counts), []).append(e)
     cases = 0
@@ -790,19 +781,6 @@ def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
             if term_size(e) <= 3 and not ltrans_rel(l2, e, translated):
                 return cases, f"function output not in the relation for {e!r}"
     return cases, None
-
-
-def _occurrence_counts(t: Tm, counts: Counter) -> None:
-    if isinstance(t, Free):
-        counts[t.name] += 1
-    elif isinstance(t, App):
-        _occurrence_counts(t.fn, counts)
-        _occurrence_counts(t.arg, counts)
-    elif isinstance(t, Abs):
-        _occurrence_counts(t.body, counts)
-    elif isinstance(t, Let):
-        _occurrence_counts(t.val, counts)
-        _occurrence_counts(t.body, counts)
 
 
 def translation_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:

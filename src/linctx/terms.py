@@ -8,6 +8,7 @@ binders and is converted on parsing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union as TyUnion
 
@@ -153,6 +154,23 @@ def free_names(t: Tm) -> frozenset:
     if isinstance(t, Let):
         return free_names(t.val) | free_names(t.body)
     return frozenset()
+
+
+def free_counts(t: Tm) -> Counter:
+    """How many times each name occurs free in a term."""
+    counts: Counter = Counter()
+    pending = [t]
+    while pending:
+        t = pending.pop()
+        if isinstance(t, Free):
+            counts[t.name] += 1
+        elif isinstance(t, App):
+            pending += (t.arg, t.fn)
+        elif isinstance(t, Abs):
+            pending.append(t.body)
+        elif isinstance(t, Let):
+            pending += (t.body, t.val)
+    return counts
 
 
 def term_size(t: Tm) -> int:

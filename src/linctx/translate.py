@@ -46,6 +46,7 @@ from .terms import (
     Tm,
     close_term,
     fresh,
+    free_counts,
     free_names,
     locally_closed,
     open_term,
@@ -114,18 +115,6 @@ def ltrans_rel(g: Ctx, e: Tm, e2: Tm) -> bool:
     return False
 
 
-def _count_occurrences(t: Tm, n: Name) -> int:
-    if isinstance(t, Free):
-        return 1 if t.name == n else 0
-    if isinstance(t, App):
-        return _count_occurrences(t.fn, n) + _count_occurrences(t.arg, n)
-    if isinstance(t, Abs):
-        return _count_occurrences(t.body, n)
-    if isinstance(t, Let):
-        return _count_occurrences(t.val, n) + _count_occurrences(t.body, n)
-    return 0
-
-
 def translate(g: Ctx, e: Tm) -> Tm:
     """Functional reading of the translation.
 
@@ -147,8 +136,9 @@ def translate(g: Ctx, e: Tm) -> Tm:
     for n in free_names(e):
         if n not in srcs:
             raise UnmappedVariableError(f"free variable {n} has no association")
+    counts = free_counts(e)
     for n in srcs:
-        count = _count_occurrences(e, n)
+        count = counts[n]
         if count != 1:
             raise LinearityError(f"source name {n} is used {count} times, expected 1")
 
@@ -162,14 +152,14 @@ def translate(g: Ctx, e: Tm) -> Tm:
         if isinstance(t, Abs):
             x, y = _fresh_pair(avoid | set(mapping) | set(mapping.values()))
             body = open_term(t.body, x)
-            if _count_occurrences(body, x) != 1:
+            if free_counts(body)[x] != 1:
                 raise LinearityError(f"bound variable of {t!r} is not used exactly once")
             return Abs(t.ann, close_term(go(body, {**mapping, x: y}), y))
         if isinstance(t, Let):
             val = go(t.val, mapping)
             x, y = _fresh_pair(avoid | set(mapping) | set(mapping.values()))
             body = open_term(t.body, x)
-            if _count_occurrences(body, x) != 1:
+            if free_counts(body)[x] != 1:
                 raise LinearityError(f"bound variable of {t!r} is not used exactly once")
             return App(Abs(t.ann, close_term(go(body, {**mapping, x: y}), y)), val)
         raise MalformedTermError(f"cannot translate {t!r}")

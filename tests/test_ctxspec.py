@@ -1,10 +1,13 @@
 """The schematic context-specification engine."""
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linctx import ctxspec
 from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, perm
@@ -29,6 +32,7 @@ from linctx.ctxspec import (
     parse_spec,
     parse_spec_file,
     render_lemma,
+    render_value,
     verify_lemma,
 )
 from linctx.errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
@@ -41,6 +45,7 @@ from linctx.translate import (
     trans_rel_mset_exhaustive,
 )
 from linctx.typecheck import TyAssoc, VarAssoc, ty_ctx_list, ty_ctx_mset
+from strategies import shaped
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -216,6 +221,18 @@ class TestElaborationFidelity:
         assert check_mset_pred(ty_spec, [g])
         assert align_mset(ty_spec, [g]) == (entries,)
 
+    def test_unary_clash_stays_linear(self, ty_spec):
+        # One name repeated after distinct ones: no arrangement holds, and
+        # the search must not try the subsets of the other entries.  The
+        # small case fails fast if it does; the large one would not end.
+        for size in (12, 300):
+            entries = [TyAssoc(Name("n", k), I) for k in range(size)]
+            g = from_list(entries + [TyAssoc(Name("n", 0), I)])
+            memo: dict = {}
+            assert align_mset(ty_spec, [g], _memo=memo) is None
+            assert not ty_ctx_mset(g)
+            assert len(memo) <= size + 2
+
     def test_base_clause_all_empty(self, tr_spec):
         assert check_list_pred(tr_spec, [EMPTY, EMPTY, EMPTY])
         assert check_mset_pred(tr_spec, [Union(EMPTY, EMPTY), EMPTY, EMPTY])
@@ -252,6 +269,21 @@ class TestMsetSemantics:
         for v in variants1:
             assert check_mset_pred(tr_spec, (v, l2, l3))
 
+    def test_binary_step_after_a_dead_end(self):
+        # Pairing a with c holds but leaves b with d, which fails; only the
+        # next step, a with d, leads to an alignment.  With more than one
+        # context a dead-end step does not decide the rows.
+        spec = parse_spec(
+            "Context pairs with elems as (ty_of X T _|_ ty_of Y U -| T = i \\/ U = o)."
+        )
+        a, b, c, d = (Name(s) for s in "abcd")
+        g1 = from_list([TyAssoc(a, I), TyAssoc(b, O)])
+        g2 = from_list([TyAssoc(c, O), TyAssoc(d, I)])
+        assert align_mset(spec, [g1, g2]) == (
+            (TyAssoc(a, I), TyAssoc(b, O)),
+            (TyAssoc(d, I), TyAssoc(c, O)),
+        )
+
     def test_align_returns_coordinated_lists(self, tr_spec):
         g1 = Union(from_list([TyAssoc(N2, O)]), from_list([TyAssoc(N1, I)]))
         l2 = from_list([VarAssoc(N1, M1), VarAssoc(N2, M2)])
@@ -262,6 +294,105 @@ class TestMsetSemantics:
         assert check_list_pred(tr_spec, lists)
         for g, l in zip((g1, l2, l3), lists):
             assert perm(g, l)
+
+
+def _render_alignment(aligned):
+    if aligned is None:
+        return "None"
+    return " | ".join(", ".join(render_value(e) for e in row) for row in aligned)
+
+
+class TestAlignment:
+    def test_digests_golden(self):
+        # Every generated multiset instance, its first context without its
+        # first entry, and (arity > 1) its contexts reversed; one memo per
+        # record.  Recorded while the search ran on residual context trees.
+        lines = []
+        for name in ("specs.ctx", "broken_freshness.ctx"):
+            for spec in parse_spec_file((FIXTURES / name).read_text()):
+                for ctx_elems in (1, 2):
+                    for enforce in (True, False):
+                        memo: dict = {}
+                        results = []
+                        bounds = GenBounds(ctx_elems=ctx_elems)
+                        for contexts in generate_mset_instances(spec, bounds, enforce):
+                            calls = [contexts]
+                            first = elems(contexts[0])
+                            if first:
+                                calls.append((from_list(first[1:]),) + tuple(contexts[1:]))
+                            if spec.arity > 1:
+                                calls.append(tuple(reversed(contexts)))
+                            for call in calls:
+                                results.append(align_mset(spec, call, enforce, _memo=memo))
+                        text = "".join(_render_alignment(a) + "\n" for a in results)
+                        record = {
+                            "spec": spec.name,
+                            "ctx_elems": ctx_elems,
+                            "enforce_freshness": enforce,
+                            "calls": len(results),
+                            "found": sum(a is not None for a in results),
+                            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                        }
+                        lines.append(json.dumps(record) + "\n")
+        golden = FIXTURES / "golden" / "align_digests.jsonl"
+        assert "".join(lines) == golden.read_text()
+
+
+_NAMES = [Name("a", k) for k in range(1, 5)]
+_TYPES = [I, O, Arrow(I, I)]
+
+
+@st.composite
+def trans_triples(draw):
+    """Up to three entries per context in random cons/union shapes.  Half
+    are coordinated: entry k of each context comes from one name pair and
+    one type, each context in its own order.  Source names are pairwise
+    distinct and so are target names, but one name can be both, which
+    breaks freshness."""
+    if draw(st.booleans()):
+        sources = st.sampled_from(_NAMES[:3])
+        targets = st.sampled_from(_NAMES[2:] + [M1, M2])
+        pair = st.tuples(sources, targets, st.sampled_from(_TYPES))
+        steps = draw(st.lists(pair, max_size=3, unique_by=(lambda p: p[0], lambda p: p[1])))
+        rows = (
+            [TyAssoc(x, t) for x, _, t in steps],
+            [VarAssoc(x, y) for x, y, _ in steps],
+            [TyAssoc(y, t) for _, y, t in steps],
+        )
+        rows = [draw(st.permutations(row)) for row in rows]
+    else:
+        ty = st.builds(TyAssoc, st.sampled_from(_NAMES), st.sampled_from(_TYPES))
+        var = st.builds(VarAssoc, st.sampled_from(_NAMES), st.sampled_from(_NAMES))
+        rows = [draw(st.lists(st.one_of(ty, var), max_size=3)) for _ in range(3)]
+    return tuple(draw(shaped(list(row), 3)) for row in rows)
+
+
+class TestAlignmentDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(trans_triples())
+    def test_trans_rel_against_exhaustive(self, triple):
+        expected = trans_rel_mset_exhaustive(*triple)
+        assert trans_rel_mset(*triple) == expected
+        assert check_mset_pred(TRANS_REL, triple) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_unary_against_ty_ctx_mset(self, ty_spec, data):
+        names = st.sampled_from(_NAMES + [N1, N2, M1, M2])
+        assoc = st.builds(TyAssoc, names, st.sampled_from(_TYPES))
+        items = data.draw(
+            st.one_of(
+                st.lists(assoc, max_size=10, unique_by=lambda a: a.name),
+                st.lists(assoc, max_size=10),
+            )
+        )
+        g = data.draw(shaped(items, 3))
+        aligned = align_mset(ty_spec, [g])
+        assert (aligned is not None) == ty_ctx_mset(g)
+        if aligned is not None:
+            (row,) = aligned
+            assert perm(from_list(row), g)
+            assert check_list_pred(ty_spec, [from_list(row)])
 
 
 class TestGeneration:

@@ -10,8 +10,10 @@ from linctx.terms import (
     Base,
     Bound,
     Free,
+    Let,
     Name,
     close_term,
+    free_counts,
     free_names,
     fresh,
     locally_closed,
@@ -96,6 +98,20 @@ class TestFreeNames:
         n = Name("q")
         for body in [Bound(0), App(Bound(0), Free(Name("r"))), Abs(I, Bound(1))]:
             assert free_names(open_term(body, n)) <= free_names(Abs(I, body)) | {n}
+
+    def test_counts(self):
+        n1, n2 = Name("n", 1), Name("n", 2)
+        t = Let(I, App(Free(n1), Free(n2)), Abs(I, App(Free(n1), App(Bound(0), Bound(1)))))
+        assert free_counts(t) == {n1: 2, n2: 1}
+        assert free_counts(Abs(I, Bound(0))) == {}
+        assert set(free_counts(t)) == free_names(t)
+
+    def test_counts_deep(self):
+        n = Name("n")
+        t = Free(n)
+        for _ in range(5000):
+            t = App(t, Free(n))
+        assert free_counts(t) == {n: 5001}
 
 
 class TestParsePrint:
