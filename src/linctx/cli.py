@@ -18,6 +18,7 @@ from . import suites
 from .ctx import EMPTY
 from .ctxspec import (
     check_distr_cases,
+    check_lemma_arity,
     lift_lemma,
     parse_lemma_file,
     parse_spec_file,
@@ -164,13 +165,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if spec is None:
                 print(f"lemma {stmt.name!r}: no specification defines {stmt.pred_name!r}")
                 return 2
+            try:
+                check_lemma_arity(spec, stmt)
+                lifted = lift_lemma(spec, stmt)[0] if stmt.pred_name == spec.list_name else None
+            except LinctxError as e:
+                print(f"lemma {stmt.name!r}: {type(e).__name__}: {e}")
+                return 2
             entries.append((stmt.name, verify_lemma_cases, (spec, stmt, bounds)))
-            if stmt.pred_name == spec.list_name:
-                try:
-                    lifted, _checker = lift_lemma(spec, stmt)
-                except LinctxError as e:
-                    print(f"lemma {stmt.name!r}: {type(e).__name__}: {e}")
-                    return 2
+            if lifted is not None:
                 entries.append((lifted.name, verify_lemma_cases, (spec, lifted, bounds)))
 
     reports = []

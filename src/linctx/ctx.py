@@ -444,15 +444,20 @@ def parse_ctx_tokens(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) 
 
 
 def _parse_cons(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) -> Ctx:
+    # `::` is right-associative: collect the heads of a chain, then cons
+    # them onto its tail from the right, so long chains need no recursion.
+    heads = []
+    while not (ts.at_ident("nil") or ts.at_sym("(") or ts.at_sym("[")):
+        heads.append(parse_elem(ts))
+        ts.eat_sym("::")
     if ts.at_ident("nil"):
         ts.next()
-        return EMPTY
-    if ts.at_sym("("):
+        tail = EMPTY
+    elif ts.at_sym("("):
         ts.next()
-        inner = parse_ctx_tokens(ts, parse_elem)
+        tail = parse_ctx_tokens(ts, parse_elem)
         ts.eat_sym(")")
-        return inner
-    if ts.at_sym("["):
+    else:
         ts.next()
         items = []
         if not ts.at_sym("]"):
@@ -461,10 +466,10 @@ def _parse_cons(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) -> Ct
                 ts.next()
                 items.append(parse_elem(ts))
         ts.eat_sym("]")
-        return from_list(items)
-    head = parse_elem(ts)
-    ts.eat_sym("::")
-    return Cons(head, _parse_cons(ts, parse_elem))
+        tail = from_list(items)
+    for head in reversed(heads):
+        tail = Cons(head, tail)
+    return tail
 
 
 def print_ctx(g: Ctx, print_elem: Callable[[Any], str] = str) -> str:

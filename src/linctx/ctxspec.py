@@ -34,7 +34,7 @@ from .ctx import (
     splits,
 )
 from .errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
-from .lex import TokenStream
+from .lex import Token, TokenStream
 from .report import CheckReport, GenBounds, run_check
 from .terms import TYPE_UNIVERSE, Arrow, Base, Name, name_pool, print_type
 from .typecheck import TyAssoc, VarAssoc
@@ -170,11 +170,13 @@ def render_pattern(pat: PatTerm) -> str:
         return pat.name
     if not pat.args:
         return pat.ctor
-    rendered = []
-    for a in pat.args:
-        s = render_pattern(a)
-        rendered.append(f"({s})" if isinstance(a, PatApp) and a.args else s)
-    return f"{pat.ctor} " + " ".join(rendered)
+    return f"{pat.ctor} " + " ".join(_render_pattern_atom(a) for a in pat.args)
+
+
+def _render_pattern_atom(pat: PatTerm) -> str:
+    """A pattern in argument position: a compound one is parenthesised."""
+    rendered = render_pattern(pat)
+    return f"({rendered})" if isinstance(pat, PatApp) and pat.args else rendered
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,12 @@ class FIsName:
 class FEq:
     lhs: PatTerm
     rhs: PatTerm
+
+
+@dataclass(frozen=True)
+class FMember:  # the lemma atom `member TERM L`
+    term: PatTerm
+    index: int  # the position of L among the lemma's context variables
 
 
 @dataclass(frozen=True)
@@ -225,7 +233,7 @@ def eval_formula(f: SideFormula, binding: dict) -> bool:
 def formula_vars(f: SideFormula) -> frozenset:
     if isinstance(f, FTrue):
         return frozenset()
-    if isinstance(f, FIsName):
+    if isinstance(f, (FIsName, FMember)):
         return pattern_vars(f.term)
     if isinstance(f, FEq):
         return pattern_vars(f.lhs) | pattern_vars(f.rhs)
@@ -238,7 +246,7 @@ def render_formula(f: SideFormula) -> str:
     if isinstance(f, FTrue):
         return "true"
     if isinstance(f, FIsName):
-        return f"name {render_pattern(f.term)}"
+        return f"name {_render_pattern_atom(f.term)}"
     if isinstance(f, FEq):
         return f"{render_pattern(f.lhs)} = {render_pattern(f.rhs)}"
     if isinstance(f, FAnd):
@@ -323,15 +331,15 @@ def _validate_spec(name: str, clauses: Sequence[Clause]) -> ContextSpec:
 # ---------------------------------------------------------------------------
 
 
-Classifier = Callable[[str], PatTerm]  # a bare identifier as a variable or constant
+Classifier = Callable[[Token], PatTerm]  # a bare identifier as a variable or constant
 
 
-def _classify_ident(text: str, nabla_vars: Sequence[str]) -> PatTerm:
-    if text in nabla_vars:
-        return NablaVar(text)
-    if text[0].isupper():
-        return MetaVar(text)
-    return PatApp(text, ())
+def _classify_ident(tok: Token, nabla_vars: Sequence[str]) -> PatTerm:
+    if tok.text in nabla_vars:
+        return NablaVar(tok.text)
+    if tok.text[0].isupper():
+        return MetaVar(tok.text)
+    return PatApp(tok.text, ())
 
 
 def _parse_pattern_atom(ts: TokenStream, classify: Classifier) -> PatTerm:
@@ -340,8 +348,7 @@ def _parse_pattern_atom(ts: TokenStream, classify: Classifier) -> PatTerm:
         inner = _parse_pattern(ts, classify)
         ts.eat_sym(")")
         return inner
-    tok = ts.eat_ident()
-    return classify(tok.text)
+    return classify(ts.eat_ident())
 
 
 def _parse_pattern(ts: TokenStream, classify: Classifier) -> PatTerm:
@@ -352,7 +359,7 @@ def _parse_pattern(ts: TokenStream, classify: Classifier) -> PatTerm:
         return PatApp(head.text, args)
     if ts.at_ident() or ts.at_sym("("):
         raise SyntaxError_(f"unknown constructor {head.text!r}", head.pos)
-    return classify(head.text)
+    return classify(head)
 
 
 def _parse_formula(ts: TokenStream, classify: Classifier) -> SideFormula:
@@ -606,6 +613,8 @@ def check_mset_pred(
 #       [exists VAR*,] ATOM [/\ ATOM]* .
 #
 # where ATOM is `member TERM Lj`, `name TERM`, `TERM = TERM`, or `true`.
+# The context variables are distinct, and an undeclared identifier that
+# starts with an uppercase letter is an error rather than a constant.
 # ---------------------------------------------------------------------------
 
 
@@ -615,27 +624,21 @@ class LemmaStmt:
     pred_name: str
     ctx_vars: tuple
     forall_vars: tuple
-    hyp_members: tuple    # ((pattern, context index), ...)
+    hyps: tuple  # FMember atoms
     exist_vars: tuple
-    concl_members: tuple  # ((pattern, context index), ...)
-    concl_formulas: tuple
-    concl_eqs: tuple      # ((pattern, pattern), ...)
+    concl: tuple  # FMember, FIsName, FEq and FTrue atoms, in source order
 
     def mentions_ctx_vars(self) -> bool:
-        used = frozenset()
-        for pat, _ in self.hyp_members + self.concl_members:
-            used |= pattern_vars(pat)
-        for f in self.concl_formulas:
-            used |= formula_vars(f)
-        for lhs, rhs in self.concl_eqs:
-            used |= pattern_vars(lhs) | pattern_vars(rhs)
+        used = frozenset().union(*(formula_vars(f) for f in self.hyps + self.concl))
         return bool(used & set(self.ctx_vars))
 
 
-def _classify_lemma_ident(text: str, declared: Sequence[str]) -> PatTerm:
-    if text in declared:
-        return MetaVar(text)
-    return PatApp(text, ())
+def _classify_lemma_ident(tok: Token, declared: Sequence[str]) -> PatTerm:
+    if tok.text in declared:
+        return MetaVar(tok.text)
+    if tok.text[0].isupper():
+        raise SyntaxError_(f"undeclared variable {tok.text!r}", tok.pos)
+    return PatApp(tok.text, ())
 
 
 def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
@@ -650,74 +653,59 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
     pred_name = ts.eat_ident().text
     ctx_vars = []
     while ts.at_ident():
-        ctx_vars.append(ts.eat_ident().text)
+        tok = ts.eat_ident()
+        if tok.text in ctx_vars:
+            raise SyntaxError_(f"context variable {tok.text!r} is repeated", tok.pos)
+        ctx_vars.append(tok.text)
     if not ctx_vars:
         raise SyntaxError_("predicate application needs context variables", ts.peek().pos)
     declared = list(forall_vars) + [v for v in ctx_vars if v not in forall_vars]
     classify = partial(_classify_lemma_ident, declared=declared)
 
-    def ctx_index(tok) -> int:
+    def atom() -> SideFormula:
+        if ts.at_sym("("):  # a parenthesised side formula is no lemma atom
+            raise SyntaxError_("expected 'identifier', found '('", ts.peek().pos)
+        if not ts.at_ident("member"):
+            return _parse_formula_atom(ts, classify)
+        ts.next()
+        pat = _parse_pattern_atom(ts, classify)
+        tok = ts.eat_ident()
         if tok.text not in ctx_vars:
             raise SyntaxError_(f"{tok.text!r} is not a context variable", tok.pos)
-        return ctx_vars.index(tok.text)
+        return FMember(pat, ctx_vars.index(tok.text))
 
-    def member_atom() -> tuple:
-        ts.eat_ident("member")
-        pat = _parse_pattern_atom(ts, classify)
-        return pat, ctx_index(ts.eat_ident())
-
-    hyp_members = []
-    concl_members = []
+    hyps = []
+    concl = []
     ts.eat_sym("->")
     while ts.at_ident("member"):
-        atom = member_atom()
+        hyp = atom()
         if not ts.at_sym("->"):
-            concl_members.append(atom)  # the first atom of the conclusion
+            concl.append(hyp)  # the first atom of the conclusion
             break
         ts.next()
-        hyp_members.append(atom)
+        hyps.append(hyp)
 
     exist_vars = []
-    if not concl_members and ts.at_ident("exists"):
-        ts.next()
-        while not ts.at_sym(","):
-            exist_vars.append(ts.eat_ident().text)
-        ts.eat_sym(",")
-        declared += exist_vars
-
-    concl_formulas = []
-    concl_eqs = []
-
-    def conclusion_atom() -> None:
-        if ts.at_ident("member"):
-            concl_members.append(member_atom())
-        elif ts.at_ident("name"):
+    if not concl:
+        if ts.at_ident("exists"):
             ts.next()
-            concl_formulas.append(FIsName(_parse_pattern_atom(ts, classify)))
-        elif ts.at_ident("true"):
-            ts.next()
-        else:
-            lhs = _parse_pattern(ts, classify)
-            ts.eat_sym("=")
-            rhs = _parse_pattern(ts, classify)
-            concl_eqs.append((lhs, rhs))
-
-    if not concl_members:
-        conclusion_atom()
+            while not ts.at_sym(","):
+                exist_vars.append(ts.eat_ident().text)
+            ts.eat_sym(",")
+            declared += exist_vars
+        concl.append(atom())
     while ts.at_sym("/\\"):
         ts.next()
-        conclusion_atom()
+        concl.append(atom())
     ts.eat_sym(".")
     return LemmaStmt(
         name=name,
         pred_name=pred_name,
         ctx_vars=tuple(ctx_vars),
         forall_vars=tuple(v for v in forall_vars if v not in ctx_vars),
-        hyp_members=tuple(hyp_members),
+        hyps=tuple(hyps),
         exist_vars=tuple(exist_vars),
-        concl_members=tuple(concl_members),
-        concl_formulas=tuple(concl_formulas),
-        concl_eqs=tuple(concl_eqs),
+        concl=tuple(concl),
     )
 
 
@@ -738,29 +726,18 @@ def parse_lemma_file(text: str) -> list:
 
 
 def render_lemma(stmt: LemmaStmt) -> str:
-    quantified = list(stmt.ctx_vars) + list(stmt.forall_vars)
-    parts = [f"Lemma {stmt.name} : forall {' '.join(quantified)},"]
+    def render_atom(f: SideFormula) -> str:
+        if isinstance(f, FMember):
+            return f"member {_render_pattern_atom(f.term)} {stmt.ctx_vars[f.index]}"
+        return render_formula(f)
+
+    quantified = " ".join(stmt.ctx_vars + stmt.forall_vars)
     hyps = [f"{stmt.pred_name} {' '.join(stmt.ctx_vars)}"]
-    for pat, idx in stmt.hyp_members:
-        rendered = render_pattern(pat)
-        if isinstance(pat, PatApp) and pat.args:
-            rendered = f"({rendered})"
-        hyps.append(f"member {rendered} {stmt.ctx_vars[idx]}")
-    body = " -> ".join(hyps) + " ->"
-    concl = []
-    for pat, idx in stmt.concl_members:
-        rendered = render_pattern(pat)
-        if isinstance(pat, PatApp) and pat.args:
-            rendered = f"({rendered})"
-        concl.append(f"member {rendered} {stmt.ctx_vars[idx]}")
-    concl += [render_formula(f) for f in stmt.concl_formulas]
-    concl += [f"{render_pattern(l)} = {render_pattern(r)}" for l, r in stmt.concl_eqs]
-    if not concl:
-        concl = ["true"]
-    conclusion = " /\\ ".join(concl)
+    hyps += [render_atom(f) for f in stmt.hyps]
+    conclusion = " /\\ ".join(render_atom(f) for f in stmt.concl)
     if stmt.exist_vars:
         conclusion = f"exists {' '.join(stmt.exist_vars)}, " + conclusion
-    return f"{parts[0]} {body} {conclusion}."
+    return f"Lemma {stmt.name} : forall {quantified}, {' -> '.join(hyps)} -> {conclusion}."
 
 
 # ---------------------------------------------------------------------------
@@ -797,19 +774,30 @@ def _record_sorts(pat: PatTerm, sort: Optional[str], sorts: dict) -> None:
             _record_sorts(a, s, sorts)
 
 
+def check_lemma_arity(spec: ContextSpec, stmt: LemmaStmt) -> None:
+    """Raise ShapeError unless the predicate gets one context per position."""
+    if len(stmt.ctx_vars) != spec.arity:
+        n = len(stmt.ctx_vars)
+        raise ShapeError(f"{stmt.pred_name!r} takes {spec.arity} context(s), got {n}")
+
+
 def _lemma_var_sorts(spec: ContextSpec, stmt: LemmaStmt) -> dict:
+    check_lemma_arity(spec, stmt)
+    atoms = stmt.hyps + stmt.concl
     sorts: dict = {}
     for _ in range(2):  # second pass lets equalities propagate sorts
-        for pat, idx in stmt.hyp_members + stmt.concl_members:
-            _record_sorts(pat, _index_elem_sort(spec, idx), sorts)
-        for f in stmt.concl_formulas:
+        for f in atoms:
+            if isinstance(f, FMember):
+                _record_sorts(f.term, _index_elem_sort(spec, f.index), sorts)
+        for f in atoms:
             if isinstance(f, FIsName):
                 _record_sorts(f.term, "name", sorts)
-        for lhs, rhs in stmt.concl_eqs:
-            lhs_sort = _pattern_sort(lhs, sorts)
-            rhs_sort = _pattern_sort(rhs, sorts)
-            _record_sorts(lhs, rhs_sort, sorts)
-            _record_sorts(rhs, lhs_sort, sorts)
+        for f in atoms:
+            if isinstance(f, FEq):
+                lhs_sort = _pattern_sort(f.lhs, sorts)
+                rhs_sort = _pattern_sort(f.rhs, sorts)
+                _record_sorts(f.lhs, rhs_sort, sorts)
+                _record_sorts(f.rhs, lhs_sort, sorts)
     return sorts
 
 
@@ -909,13 +897,13 @@ def _universal_bindings(
     are unsatisfiable on this tuple.
     """
     bindings = [{}]
-    for pat, idx in stmt.hyp_members:
-        values = tuple(dict.fromkeys(elems(contexts[idx])))
+    for hyp in stmt.hyps:
+        values = tuple(dict.fromkeys(elems(contexts[hyp.index])))
         bindings = [
             extended
             for b in bindings
             for value in values
-            if (extended := match_pattern(pat, value, b)) is not None
+            if (extended := match_pattern(hyp.term, value, b)) is not None
         ]
         if not bindings:
             return []
@@ -942,16 +930,11 @@ def _lemma_witness(
     exist_keys = [MetaVar(v) for v in stmt.exist_vars]
     for combo in itertools.product(*(candidates(v) for v in stmt.exist_vars)):
         candidate = {**binding, **dict(zip(exist_keys, combo))}
-        if (
-            all(
-                member(instantiate(pat, candidate), contexts[idx])
-                for pat, idx in stmt.concl_members
-            )
-            and all(eval_formula(f, candidate) for f in stmt.concl_formulas)
-            and all(
-                instantiate(lhs, candidate) == instantiate(rhs, candidate)
-                for lhs, rhs in stmt.concl_eqs
-            )
+        if all(
+            member(instantiate(f.term, candidate), contexts[f.index])
+            if isinstance(f, FMember)
+            else eval_formula(f, candidate)
+            for f in stmt.concl
         ):
             return candidate
     return None
@@ -1325,9 +1308,9 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
         cases = 0
         for binding in _universal_bindings(stmt, contexts, candidates):
             cases += 1
-            for pat, idx in stmt.hyp_members:
-                value = instantiate(pat, binding)
-                if not mem_transport(value, contexts[idx], lists[idx]):
+            for hyp in stmt.hyps:
+                value = instantiate(hyp.term, binding)
+                if not mem_transport(value, contexts[hyp.index], lists[hyp.index]):
                     return cases, (
                         f"hypothesis transport failed for {render_value(value)}"
                         f" in {_render_contexts(lifted.ctx_vars, contexts)}"
@@ -1337,9 +1320,11 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
                 return cases, (
                     f"list-level conclusion has no witness under {_render_binding(binding)}"
                 )
-            for pat, idx in stmt.concl_members:
-                value = instantiate(pat, witness)
-                if not mem_transport(value, lists[idx], contexts[idx]):
+            for f in stmt.concl:
+                if not isinstance(f, FMember):
+                    continue
+                value = instantiate(f.term, witness)
+                if not mem_transport(value, lists[f.index], contexts[f.index]):
                     return cases, (
                         f"conclusion transport failed for {render_value(value)}"
                         f" in {_render_contexts(lifted.ctx_vars, contexts)}"

@@ -42,6 +42,14 @@ class TestCheck:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_deep_context_gives_verdict(self, capsys, tmp_path):
+        entries = " :: ".join(f"ty_of n{k} i" for k in range(1, 3001))
+        deep = tmp_path / "deep.judg"
+        deep.write_text(f"{entries} :: nil |- n1 : i ; reject\n")
+        code, out = run(capsys, "check", "--system", "linear", "--algo", deep)
+        assert code == 0
+        assert out == f"{deep}:1: ok\n"
+
     def test_parse_error_gives_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.judg"
         bad.write_text("# comment\nnil |- : ; accept\n")
@@ -150,6 +158,19 @@ class TestVerify:
         assert json.loads(out.strip().splitlines()[0])["elapsed_ms"] is not None
 
 
+# Each lemma file is rejected before any check runs.
+BAD_LEMMAS = {
+    "unknown.lem": "Lemma u : forall L X, nope_list L -> member X L -> true.",
+    "arity.lem": "Lemma arity : forall L M X, ty_ctx'_list L M -> member X L -> true.",
+    "few.lem": "Lemma few : forall L X, trans_rel_list L -> member X L -> true.",
+    "few_mset.lem": "Lemma few_mset : forall G X, trans_rel G -> member X G -> true.",
+    "dup.lem": "Lemma dup : forall L X, trans_rel_list L L L -> member X L -> true.",
+    "undeclared.lem": (
+        "Lemma undeclared : forall L X, ty_ctx'_list L -> member (ty_of X T) L -> X = Y."
+    ),
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv, missing",
@@ -182,8 +203,37 @@ class TestBadInput:
                 "unknown suite 'nope'; choose from "
                 "['core', 'equivalence', 'translation', 'typing']",
             ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "arity.lem"],
+                "lemma 'arity': ShapeError: \"ty_ctx'_list\" takes 1 context(s), got 2",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "few.lem"],
+                "lemma 'few': ShapeError: 'trans_rel_list' takes 3 context(s), got 1",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "few_mset.lem"],
+                "lemma 'few_mset': ShapeError: 'trans_rel' takes 3 context(s), got 1",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "dup.lem"],
+                "dup.lem: parse error: context variable 'L' is repeated (at position 41)",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "undeclared.lem"],
+                "undeclared.lem: parse error: undeclared variable 'T' (at position 65)",
+            ),
         ],
-        ids=["missing-lemmas", "unknown-predicate", "unknown-suite"],
+        ids=[
+            "missing-lemmas",
+            "unknown-predicate",
+            "unknown-suite",
+            "wrong-arity",
+            "too-few-contexts",
+            "too-few-contexts-mset",
+            "repeated-context",
+            "undeclared-variable",
+        ],
     )
     def test_inputs_checked_before_any_check_runs(
         self, capsys, tmp_path, monkeypatch, argv, message
@@ -194,9 +244,8 @@ class TestBadInput:
         monkeypatch.setattr("linctx.cli.run_checks", no_checks)
         monkeypatch.setattr("linctx.suites.run_checks", no_checks)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "unknown.lem").write_text(
-            "Lemma u : forall L X, nope_list L -> member X L -> true.\n"
-        )
+        for name, text in BAD_LEMMAS.items():
+            (tmp_path / name).write_text(text + "\n")
         code, out = run(capsys, *argv)
         assert code == 2
         assert out == message + "\n"

@@ -399,6 +399,10 @@ class TestLiteralSyntax:
         got = parse_ctx("a :: nil ++ [b]")
         assert got == Union(Cons("a", EMPTY), lst("b"))
 
+    def test_deep_cons_chain(self):
+        items = [f"e{k}" for k in range(5000)]
+        assert parse_ctx(" :: ".join(items) + " :: nil") == from_list(items)
+
     def test_union_right_associative(self):
         got = parse_ctx("[a] ++ [b] ++ [c]")
         assert got == Union(lst("a"), Union(lst("b"), lst("c")))

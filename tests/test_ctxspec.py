@@ -13,6 +13,7 @@ from linctx import ctxspec
 from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, perm
 from linctx.ctxspec import (
     DerivationStore,
+    FMember,
     MemberFact,
     PermFact,
     PredFact,
@@ -526,6 +527,54 @@ class TestVerifyLemma:
         with pytest.raises(ShapeError):
             verify_lemma(ty_spec, stmt, BOUNDS)
 
+    @pytest.mark.parametrize(
+        "application", ["trans_rel_list L", "trans_rel_list L M K N", "trans_rel L"]
+    )
+    def test_wrong_number_of_contexts(self, tr_spec, application):
+        stmt = parse_lemma(f"Lemma a : forall L M K N X, {application} -> member X L -> true.")
+        with pytest.raises(ShapeError, match="takes 3 context"):
+            ctxspec.verify_lemma_cases(tr_spec, stmt, BOUNDS)
+        if application.startswith("trans_rel_list"):
+            with pytest.raises(ShapeError, match="takes 3 context"):
+                lift_lemma(tr_spec, stmt)
+
+
+@st.composite
+def lemma_texts(draw):
+    """Lemma text from the grammar: distinct context variables, member
+    hypotheses over the universal variables, and conclusion atoms over
+    the universal and existential ones, with optional redundant
+    parentheses around pattern arguments."""
+    ctx_vars = draw(st.lists(st.sampled_from(["L", "M", "K"]), min_size=1, max_size=3, unique=True))
+    forall_vars = draw(st.lists(st.sampled_from(["X", "Y", "T"]), max_size=3, unique=True))
+    exist_vars = draw(st.lists(st.sampled_from(["E", "n"]), max_size=2, unique=True))
+
+    def pattern(names, depth, arg):
+        if depth == 0 or draw(st.booleans()):
+            leaf = draw(st.sampled_from(names + ["i", "o"]))
+            return f"({leaf})" if arg and draw(st.booleans()) else leaf
+        ctor = draw(st.sampled_from(["ty_of", "trans_to", "arrow"]))
+        text = f"{ctor} {pattern(names, depth - 1, True)} {pattern(names, depth - 1, True)}"
+        return f"({text})" if arg else text
+
+    def atom(kind, names):
+        if kind == "member":
+            return f"member {pattern(names, 2, True)} {draw(st.sampled_from(ctx_vars))}"
+        if kind == "name":
+            return f"name {pattern(names, 2, True)}"
+        if kind == "=":
+            return f"{pattern(names, 2, False)} = {pattern(names, 2, False)}"
+        return "true"
+
+    hyps = [atom("member", forall_vars) for _ in range(draw(st.integers(0, 2)))]
+    kinds = draw(st.lists(st.sampled_from(["member", "name", "=", "true"]), min_size=1, max_size=3))
+    names = forall_vars + exist_vars
+    concl = " /\\ ".join(atom(kind, names) for kind in kinds)
+    if exist_vars:
+        concl = f"exists {' '.join(exist_vars)}, {concl}"
+    body = " -> ".join([f"p_list {' '.join(ctx_vars)}"] + hyps + [concl])
+    return f"Lemma g : forall {' '.join(forall_vars + ctx_vars)}, {body}."
+
 
 class TestLifting:
     def test_lift_reproduces_mset_membership_statement(self, ty_spec):
@@ -593,12 +642,40 @@ class TestLifting:
                 assert parse_lemma(render_lemma(stmt)) == stmt
         for text in MEMBER_CONCL_LEMMAS:
             stmt = parse_lemma(text)
-            assert len(stmt.hyp_members) == len(stmt.concl_members) == 1
+            assert len(stmt.hyps) == sum(isinstance(f, FMember) for f in stmt.concl) == 1
             assert parse_lemma(render_lemma(stmt)) == stmt
+
+    @settings(max_examples=100, deadline=None)
+    @given(lemma_texts())
+    def test_render_round_trip_generated(self, text):
+        stmt = parse_lemma(text)
+        assert parse_lemma(render_lemma(stmt)) == stmt
 
     def test_unknown_constructor(self):
         with pytest.raises(SyntaxError_, match="unknown constructor 'foo'"):
             parse_lemma("Lemma u : forall L X, ty_ctx'_list L -> member X L -> foo X = X.")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "Lemma u : forall L X, ty_ctx'_list L -> member (ty_of X T) L -> X = X.",
+                "undeclared variable 'T' (at position 56)",
+            ),
+            (
+                "Lemma u : forall L X, ty_ctx'_list L -> member X L -> exists n, X = ty_of n U.",
+                "undeclared variable 'U' (at position 76)",
+            ),
+            (
+                "Lemma u : forall L X, trans_rel_list L X L -> member X L -> true.",
+                "context variable 'L' is repeated (at position 41)",
+            ),
+        ],
+    )
+    def test_rejected_identifiers(self, text, message):
+        with pytest.raises(SyntaxError_) as err:
+            parse_lemma(text)
+        assert str(err.value) == message
 
     def test_lemma_file(self):
         stmts = parse_lemma_file(MEM_LEMMA + "\n" + UNIQ_LEMMA)

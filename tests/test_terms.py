@@ -26,6 +26,7 @@ from linctx.terms import (
     term_size,
     type_universe,
 )
+from linctx.suites import gen_terms
 
 I = Base("i")
 O = Base("o")
@@ -137,6 +138,11 @@ class TestParsePrint:
         for s in sources:
             t = parse_term(s)
             assert parse_term(print_term(t)) == t
+        frees = (Name("c", 1), Name("c", 2))
+        terms = gen_terms(frees, 5, (I, Arrow(I, O)), True)
+        assert len(terms) == 1566
+        for t in terms:
+            assert parse_term(print_term(t), nominals=frees) == t
 
     def test_print_golden(self):
         t = parse_term("abs (i -> i) (x\\ abs i (y\\ app x y))")
