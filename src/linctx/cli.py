@@ -60,7 +60,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         except LinctxError as e:
             print(f"{args.file}:{lineno}: parse error: {e}")
             return 2
-        verdict = check_judgment(judgment, args.system, algo=args.algo)
+        try:
+            verdict = check_judgment(judgment, args.system, algo=args.algo)
+        except LinctxError as e:
+            print(f"{args.file}:{lineno}: {type(e).__name__}: {e}")
+            return 2
         if verdict != judgment.expect:
             failures += 1
             expected = "accept" if judgment.expect else "reject"

@@ -436,11 +436,16 @@ def parse_ctx(text: str, parse_elem: Callable[[TokenStream], Any] = parse_atom_e
 
 
 def parse_ctx_tokens(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) -> Ctx:
-    left = _parse_cons(ts, parse_elem)
-    if ts.at_sym("++"):
+    # `++` is right-associative: collect the operands of a chain, then
+    # join them from the right, so long chains need no recursion.
+    operands = [_parse_cons(ts, parse_elem)]
+    while ts.at_sym("++"):
         ts.next()
-        return Union(left, parse_ctx_tokens(ts, parse_elem))
-    return left
+        operands.append(_parse_cons(ts, parse_elem))
+    g = operands.pop()
+    for left in reversed(operands):
+        g = Union(left, g)
+    return g
 
 
 def _parse_cons(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) -> Ctx:

@@ -233,7 +233,7 @@ def eval_formula(f: SideFormula, binding: dict) -> bool:
 def formula_vars(f: SideFormula) -> frozenset:
     if isinstance(f, FTrue):
         return frozenset()
-    if isinstance(f, (FIsName, FMember)):
+    if isinstance(f, FIsName):
         return pattern_vars(f.term)
     if isinstance(f, FEq):
         return pattern_vars(f.lhs) | pattern_vars(f.rhs)
@@ -613,8 +613,9 @@ def check_mset_pred(
 #       [exists VAR*,] ATOM [/\ ATOM]* .
 #
 # where ATOM is `member TERM Lj`, `name TERM`, `TERM = TERM`, or `true`.
-# The context variables are distinct, and an undeclared identifier that
-# starts with an uppercase letter is an error rather than a constant.
+# The context variables are distinct and appear in no TERM, and an
+# undeclared identifier that starts with an uppercase letter is an error
+# rather than a constant.
 # ---------------------------------------------------------------------------
 
 
@@ -628,12 +629,10 @@ class LemmaStmt:
     exist_vars: tuple
     concl: tuple  # FMember, FIsName, FEq and FTrue atoms, in source order
 
-    def mentions_ctx_vars(self) -> bool:
-        used = frozenset().union(*(formula_vars(f) for f in self.hyps + self.concl))
-        return bool(used & set(self.ctx_vars))
 
-
-def _classify_lemma_ident(tok: Token, declared: Sequence[str]) -> PatTerm:
+def _classify_lemma_ident(tok: Token, declared: Sequence[str], ctx_vars: Sequence[str]) -> PatTerm:
+    if tok.text in ctx_vars:
+        raise SyntaxError_(f"context variable {tok.text!r} is used as a term", tok.pos)
     if tok.text in declared:
         return MetaVar(tok.text)
     if tok.text[0].isupper():
@@ -660,7 +659,7 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
     if not ctx_vars:
         raise SyntaxError_("predicate application needs context variables", ts.peek().pos)
     declared = list(forall_vars) + [v for v in ctx_vars if v not in forall_vars]
-    classify = partial(_classify_lemma_ident, declared=declared)
+    classify = partial(_classify_lemma_ident, declared=declared, ctx_vars=ctx_vars)
 
     def atom() -> SideFormula:
         if ts.at_sym("("):  # a parenthesised side formula is no lemma atom
@@ -873,7 +872,7 @@ def _lemma_candidates(sorts: dict, contexts: Sequence[Ctx]) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def _render_contexts(ctx_vars: Sequence[str], contexts: Sequence[Ctx]) -> str:
+def render_contexts(ctx_vars: Sequence[str], contexts: Sequence[Ctx]) -> str:
     return "; ".join(
         f"{v} = {print_ctx(g, render_value)}" for v, g in zip(ctx_vars, contexts)
     )
@@ -1091,7 +1090,7 @@ def verify_lemma_cases(
         for binding in _universal_bindings(stmt, contexts, candidates):
             if _lemma_witness(stmt, contexts, binding, candidates) is None:
                 return cases, (
-                    f"{_render_contexts(stmt.ctx_vars, contexts)}"
+                    f"{render_contexts(stmt.ctx_vars, contexts)}"
                     + (f" with {_render_binding(binding)}" if binding else "")
                 )
     return cases, None
@@ -1224,13 +1223,26 @@ def check_distr_cases(
     bounds: GenBounds = GenBounds(),
     enforce_freshness: bool = True,
 ) -> tuple:
-    """Case-level body of check_distr: (cases run, counterexample or None).
-
-    Each instance is aligned once, before its splits are enumerated, and
-    every alignment and half check of the check shares one memo (see
-    `_distr_witnesses`); the memo is dropped when the check returns.
-    """
+    """Case-level body of check_distr over the generated multiset
+    instances; an index outside the arity raises before generation."""
+    gen_distr_lemma(spec, index)
     instances = generate_mset_instances(spec, bounds, enforce_freshness)
+    return check_distr_instances(spec, index, instances, enforce_freshness)
+
+
+def check_distr_instances(
+    spec: ContextSpec,
+    index: int,
+    instances: Iterable[Sequence[Ctx]],
+    enforce_freshness: bool = True,
+) -> tuple:
+    """Distributivity over the given context tuples: (cases run,
+    counterexample or None), one case per split of context `index`.
+
+    A tuple outside the predicate fails at its first split.  Each tuple is
+    aligned once, and every alignment and half check shares one memo (see
+    `_distr_witnesses`) that is dropped when the check returns.
+    """
     index0 = index - 1
     memo: dict = {}
     cases = 0
@@ -1246,7 +1258,7 @@ def check_distr_cases(
                     f"G{index} ~ {print_ctx(first, render_value)}"
                     f" ++ {print_ctx(second, render_value)}"
                 )
-                return cases, f"{_render_contexts(gvars, contexts)}; {split_desc}"
+                return cases, f"{render_contexts(gvars, contexts)}; {split_desc}"
     return cases, None
 
 
@@ -1271,12 +1283,13 @@ def check_distr(
 def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
     """The multiset-form statement for a list-form lemma, plus its checker.
 
-    Precondition: the statement is about the list-form predicate and no
-    term or formula in it mentions a context variable.  The checker runs
-    the three transport steps on one multiset context tuple: unfold the
-    multiset predicate to obtain coordinated lists, transport the member
-    hypotheses into the lists, evaluate the list-level statement there,
-    and transport member conclusions back through the same permutations.
+    Precondition: the statement is about the list-form predicate, and no
+    term in it mentions a context variable (the parser rejects those).
+    The checker runs the three transport steps on one multiset context
+    tuple: unfold the multiset predicate to obtain coordinated lists,
+    transport the member hypotheses into the lists, evaluate the
+    list-level statement there, and transport member conclusions back
+    through the same permutations.
 
     The checker is the oracle for the transport argument: the tests run
     it on generated multiset instances.  Reports on the lifted statement
@@ -1287,8 +1300,6 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
         raise ShapeError(
             f"lift expects a lemma about {spec.list_name!r}, got {stmt.pred_name!r}"
         )
-    if stmt.mentions_ctx_vars():
-        raise ShapeError("lemma terms must not mention the context variables")
     lifted = replace(
         stmt,
         name=f"{stmt.name}_mset",
@@ -1313,7 +1324,7 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
                 if not mem_transport(value, contexts[hyp.index], lists[hyp.index]):
                     return cases, (
                         f"hypothesis transport failed for {render_value(value)}"
-                        f" in {_render_contexts(lifted.ctx_vars, contexts)}"
+                        f" in {render_contexts(lifted.ctx_vars, contexts)}"
                     )
             witness = _lemma_witness(stmt, lists, binding, candidates)
             if witness is None:
@@ -1327,7 +1338,7 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
                 if not mem_transport(value, lists[f.index], contexts[f.index]):
                     return cases, (
                         f"conclusion transport failed for {render_value(value)}"
-                        f" in {_render_contexts(lifted.ctx_vars, contexts)}"
+                        f" in {render_contexts(lifted.ctx_vars, contexts)}"
                     )
         return cases, None
 

@@ -12,6 +12,7 @@ docstring.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable
 
 from .ctx import (
@@ -32,7 +33,7 @@ from .ctx import (
     sel_transport,
     splits,
 )
-from .ctxspec import _distr_witnesses, align_mset, render_value
+from .ctxspec import check_distr_instances, render_contexts, render_value
 from .report import GenBounds, run_checks
 from .terms import (
     Abs,
@@ -606,12 +607,7 @@ def gen_trans_triples_mset(bounds: GenBounds) -> list:
     return out
 
 
-def _render_triple(triple: tuple) -> str:
-    g1, g2, g3 = triple
-    return (
-        f"G1 = {print_ctx(g1, render_value)}; G2 = {print_ctx(g2, render_value)}; "
-        f"G3 = {print_ctx(g3, render_value)}"
-    )
+_render_triple = partial(render_contexts, ("G1", "G2", "G3"))
 
 
 def check_trans_rel_uniq(bounds: GenBounds) -> tuple:
@@ -689,48 +685,27 @@ def check_trans_rel_sel(bounds: GenBounds) -> tuple:
 
 
 def check_trans_rel_list_distr(bounds: GenBounds) -> tuple:
-    """Coordinated position-wise partitions preserve the list relation."""
+    """Coordinated position-wise partitions preserve the list relation.
+
+    The three lists of a triple have equal lengths, and `partition_list`
+    lists the partitions of equal-length lists in the same mask order, so
+    zipping their partitions applies one mask to all three lists.
+    """
     cases = 0
-    for l1, l2, l3 in gen_trans_triples(bounds):
-        if not trans_rel_list(l1, l2, l3):
+    for triple in gen_trans_triples(bounds):
+        if not trans_rel_list(*triple):
             continue
-        rows = (elems(l1), elems(l2), elems(l3))
-        k = len(rows[0])
-        for mask_bits in itertools.product((True, False), repeat=k):
+        for parts in zip(*(partition_list(l) for l in triple)):
             cases += 1
-            first = [
-                from_list([e for e, m in zip(row, mask_bits) if m]) for row in rows
-            ]
-            second = [
-                from_list([e for e, m in zip(row, mask_bits) if not m]) for row in rows
-            ]
-            ok = trans_rel_list(*first) and trans_rel_list(*second)
-            for row, f, s in zip(rows, first, second):
-                if not any(
-                    p1 == f and p2 == s for p1, p2 in partition_list(from_list(row))
-                ):
-                    ok = False
-            if not ok:
-                return cases, f"partition failed: {_render_triple((l1, l2, l3))}"
+            firsts, seconds = zip(*parts)
+            if not (trans_rel_list(*firsts) and trans_rel_list(*seconds)):
+                return cases, f"partition failed: {_render_triple(triple)}"
     return cases, None
 
 
 def check_trans_rel_distr(bounds: GenBounds) -> tuple:
     """Splits of the first context induce coordinated splits of the others."""
-    cases = 0
-    memo: dict = {}
-    for triple in gen_trans_triples_mset(bounds):
-        aligned = align_mset(TRANS_REL, triple, _memo=memo)
-        if aligned is None:
-            continue
-        for first, second in splits(triple[0]):
-            cases += 1
-            if _distr_witnesses(TRANS_REL, triple, aligned, 0, first, second, True, memo) is None:
-                return cases, (
-                    f"no coordinated split witnesses: {_render_triple(triple)} with "
-                    f"G1 ~ {print_ctx(first, render_value)} ++ {print_ctx(second, render_value)}"
-                )
-    return cases, None
+    return check_distr_instances(TRANS_REL, 1, gen_trans_triples_mset(bounds))
 
 
 def check_trans_sel_implies_mem(bounds: GenBounds) -> tuple:

@@ -168,6 +168,8 @@ BAD_LEMMAS = {
     "undeclared.lem": (
         "Lemma undeclared : forall L X, ty_ctx'_list L -> member (ty_of X T) L -> X = Y."
     ),
+    "ctx_term.lem": "Lemma m2 : forall L X, ty_ctx'_list L -> member X L -> X = L.",
+    "ctx_term_mset.lem": "Lemma m : forall G X, ty_ctx' G -> member X G -> X = G.",
 }
 
 
@@ -223,6 +225,16 @@ class TestBadInput:
                 ["verify", FIXTURES / "specs.ctx", "--lemmas", "undeclared.lem"],
                 "undeclared.lem: parse error: undeclared variable 'T' (at position 65)",
             ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "ctx_term.lem"],
+                "ctx_term.lem: parse error: context variable 'L' is used as a term "
+                "(at position 59)",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "ctx_term_mset.lem"],
+                "ctx_term_mset.lem: parse error: context variable 'G' is used as a term "
+                "(at position 53)",
+            ),
         ],
         ids=[
             "missing-lemmas",
@@ -233,6 +245,8 @@ class TestBadInput:
             "too-few-contexts-mset",
             "repeated-context",
             "undeclared-variable",
+            "context-variable-term",
+            "context-variable-term-mset",
         ],
     )
     def test_inputs_checked_before_any_check_runs(
@@ -249,6 +263,26 @@ class TestBadInput:
         code, out = run(capsys, *argv)
         assert code == 2
         assert out == message + "\n"
+
+    @pytest.mark.parametrize(
+        "options, operands, message",
+        [
+            (["--system", "linear", "--algo"], 2, "leftover checking requires a list-form context"),
+            (["--system", "linear", "--algo"], 3000, "leftover checking requires a list-form context"),
+            (["--system", "stlc"], 2, "type_of_enum requires a list-form context"),
+            (["--system", "stlc", "--algo"], 2, "type_of_infer requires a list-form context"),
+        ],
+        ids=["linear-algo", "linear-algo-3000-operands", "stlc", "stlc-algo"],
+    )
+    def test_union_context_the_checker_cannot_take(
+        self, capsys, tmp_path, options, operands, message
+    ):
+        union = " ++ ".join(f"[ty_of x{k} i]" for k in range(operands))
+        judg = tmp_path / "union.judg"
+        judg.write_text(f"{union} |- x0 : i ; reject\n")
+        code, out = run(capsys, "check", *options, judg)
+        assert code == 2
+        assert out == f"{judg}:1: PreconditionError: {message}\n"
 
     @pytest.mark.parametrize(
         "option, value",

@@ -205,6 +205,22 @@ class TestPartition:
     def test_empty(self):
         assert partition_list(EMPTY) == ((EMPTY, EMPTY),)
 
+    def test_mask_order(self):
+        # Exactly the mask splits of elems(l), in the order of
+        # itertools.product((True, False), repeat=k): zipping the partitions
+        # of equal-length lists applies one mask to each.
+        for k in range(5):
+            for items in itertools.product(("a", "b"), repeat=k):
+                l = from_list(items)
+                expected = tuple(
+                    (
+                        from_list([e for e, m in zip(elems(l), mask) if m]),
+                        from_list([e for e, m in zip(elems(l), mask) if not m]),
+                    )
+                    for mask in itertools.product((True, False), repeat=k)
+                )
+                assert partition_list(l) == expected
+
     def test_count_is_power_of_two(self):
         for k in range(5):
             for items in itertools.product(("a", "b"), repeat=k):
@@ -406,6 +422,13 @@ class TestLiteralSyntax:
     def test_union_right_associative(self):
         got = parse_ctx("[a] ++ [b] ++ [c]")
         assert got == Union(lst("a"), Union(lst("b"), lst("c")))
+
+    def test_deep_union_chain(self):
+        items = [f"e{k}" for k in range(5000)]
+        expected = lst(items[-1])
+        for item in reversed(items[:-1]):
+            expected = Union(lst(item), expected)
+        assert parse_ctx(" ++ ".join(f"[{item}]" for item in items)) == expected
 
     def test_round_trip(self):
         for g in gen_ctxs(["a", "b"], 3, 3):

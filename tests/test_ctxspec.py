@@ -20,6 +20,7 @@ from linctx.ctxspec import (
     align_mset,
     check_distr,
     check_distr_cases,
+    check_distr_instances,
     check_list_pred,
     check_mset_pred,
     derive_distr,
@@ -449,6 +450,29 @@ class TestDistributivity:
         with pytest.raises(PreconditionError):
             gen_distr_lemma(ty_spec, 2)
 
+    @pytest.mark.parametrize("index", [0, -2, 4])
+    def test_cases_index_out_of_range(self, tr_spec, monkeypatch, index):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("instances generated for an invalid index")
+
+        monkeypatch.setattr(ctxspec, "generate_mset_instances", no_generation)
+        with pytest.raises(PreconditionError, match=f"index {index} out of range for arity 3"):
+            check_distr_cases(tr_spec, index, BOUNDS)
+
+    def test_instances_outside_predicate_fail(self, tr_spec):
+        inside = (
+            from_list([TyAssoc(N1, I)]),
+            from_list([VarAssoc(N1, M1)]),
+            from_list([TyAssoc(M1, I)]),
+        )
+        outside = (inside[0], inside[1], from_list([TyAssoc(M1, O)]))
+        assert check_distr_instances(tr_spec, 3, [inside]) == (2, None)
+        assert check_distr_instances(tr_spec, 3, [inside, outside]) == (
+            3,
+            "G1 = [ty_of n1 i]; G2 = [trans_to n1 m1]; G3 = [ty_of m1 o]; "
+            "G3 ~ [ty_of m1 o] ++ nil",
+        )
+
     def test_checks_pass_every_index(self, ty_spec, tr_spec):
         assert check_distr(ty_spec, 1, BOUNDS).passed
         for i in (1, 2, 3):
@@ -630,11 +654,6 @@ class TestLifting:
         )
         with pytest.raises(ShapeError):
             lift_lemma(ty_spec, mset_stmt)
-        ctx_var_in_term = parse_lemma(
-            "Lemma m2 : forall L X, ty_ctx'_list L -> member X L -> X = L."
-        )
-        with pytest.raises(ShapeError):
-            lift_lemma(ty_spec, ctx_var_in_term)
 
     def test_render_round_trip(self, ty_spec):
         for name in ("lemmas.lem", "broken_uniq.lem"):
@@ -669,6 +688,14 @@ class TestLifting:
             (
                 "Lemma u : forall L X, trans_rel_list L X L -> member X L -> true.",
                 "context variable 'L' is repeated (at position 41)",
+            ),
+            (
+                "Lemma u : forall L X, ty_ctx'_list L -> member X L -> X = L.",
+                "context variable 'L' is used as a term (at position 58)",
+            ),
+            (
+                "Lemma u : forall G X, ty_ctx' G -> member X G -> X = G.",
+                "context variable 'G' is used as a term (at position 53)",
             ),
         ],
     )
