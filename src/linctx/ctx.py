@@ -436,58 +436,78 @@ def parse_ctx(text: str, parse_elem: Callable[[TokenStream], Any] = parse_atom_e
 
 
 def parse_ctx_tokens(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) -> Ctx:
-    # `++` is right-associative: collect the operands of a chain, then
-    # join them from the right, so long chains need no recursion.
-    operands = [_parse_cons(ts, parse_elem)]
-    while ts.at_sym("++"):
+    # `++` is right-associative and `::` binds tighter.  The operands of
+    # the `++` chain being read and the heads of its `::` chain are kept
+    # in lists, and those of each enclosing "(" on a stack, so long chains
+    # and deep nesting need no recursion.
+    enclosing = []  # (operands, heads) of each open "("
+    operands, heads = [], []
+    while True:
+        while not (ts.at_ident("nil") or ts.at_sym("(") or ts.at_sym("[")):
+            heads.append(parse_elem(ts))
+            ts.eat_sym("::")
+        if ts.at_sym("("):
+            ts.next()
+            enclosing.append((operands, heads))
+            operands, heads = [], []
+            continue
+        g = _parse_list_tail(ts, parse_elem)
+        # Close the `::` chain that g ends, and each `++` chain that ends with it.
+        while True:
+            for head in reversed(heads):
+                g = Cons(head, g)
+            operands.append(g)
+            if ts.at_sym("++"):
+                break
+            g = operands.pop()
+            for left in reversed(operands):
+                g = Union(left, g)
+            if not enclosing:
+                return g
+            ts.eat_sym(")")
+            operands, heads = enclosing.pop()
         ts.next()
-        operands.append(_parse_cons(ts, parse_elem))
-    g = operands.pop()
-    for left in reversed(operands):
-        g = Union(left, g)
-    return g
+        heads = []
 
 
-def _parse_cons(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) -> Ctx:
-    # `::` is right-associative: collect the heads of a chain, then cons
-    # them onto its tail from the right, so long chains need no recursion.
-    heads = []
-    while not (ts.at_ident("nil") or ts.at_sym("(") or ts.at_sym("[")):
-        heads.append(parse_elem(ts))
-        ts.eat_sym("::")
+def _parse_list_tail(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) -> Ctx:
+    # `nil` or `[a, b, c]`.
     if ts.at_ident("nil"):
         ts.next()
-        tail = EMPTY
-    elif ts.at_sym("("):
-        ts.next()
-        tail = parse_ctx_tokens(ts, parse_elem)
-        ts.eat_sym(")")
-    else:
-        ts.next()
-        items = []
-        if not ts.at_sym("]"):
+        return EMPTY
+    ts.next()
+    items = []
+    if not ts.at_sym("]"):
+        items.append(parse_elem(ts))
+        while ts.at_sym(","):
+            ts.next()
             items.append(parse_elem(ts))
-            while ts.at_sym(","):
-                ts.next()
-                items.append(parse_elem(ts))
-        ts.eat_sym("]")
-        tail = from_list(items)
-    for head in reversed(heads):
-        tail = Cons(head, tail)
-    return tail
+    ts.eat_sym("]")
+    return from_list(items)
 
 
 def print_ctx(g: Ctx, print_elem: Callable[[Any], str] = str) -> str:
-    if isinstance(g, Empty):
-        return "nil"
-    if is_list(g):
-        return "[" + ", ".join(print_elem(e) for e in elems(g)) + "]"
-    if isinstance(g, Cons):
-        tail = print_ctx(g.tail, print_elem)
-        if isinstance(g.tail, Union):
-            tail = f"({tail})"
-        return f"{print_elem(g.head)} :: {tail}"
-    left = print_ctx(g.left, print_elem)
-    if isinstance(g.left, Union):
-        left = f"({left})"
-    return f"{left} ++ {print_ctx(g.right, print_elem)}"
+    # A list prints as `[a, b]`, a cons chain over a union as `a :: (..)`,
+    # and a union's left operand is parenthesized when it is a union.  The
+    # stack holds the nodes and the literal text still to print, last
+    # first, so deep contexts need no recursion.
+    out = []
+    pending: list = [g]
+    while pending:
+        g = pending.pop()
+        if isinstance(g, str):
+            out.append(g)
+            continue
+        heads = []
+        while isinstance(g, Cons):
+            heads.append(print_elem(g.head))
+            g = g.tail
+        if isinstance(g, Empty):
+            out.append("[" + ", ".join(heads) + "]" if heads else "nil")
+        elif heads:
+            out.append(" :: ".join(heads) + " :: (")
+            pending += (")", g)
+        else:
+            pending += (g.right, " ++ ")
+            pending += (")", g.left, "(") if isinstance(g.left, Union) else (g.left,)
+    return "".join(out)

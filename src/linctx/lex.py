@@ -8,7 +8,7 @@ from .errors import SyntaxError_
 
 # Multi-character symbols must be listed before their prefixes.
 _SYMBOLS = (
-    "_|_", "-|", "/\\", "\\/", "::", "++", "->", "|-", "~>",
+    "_|_", "-|", "/\\", "\\/", "::", "++", "->", "|-",
     "\\", "(", ")", "[", "]", ",", ";", ":", ".", "=", "~",
 )
 

@@ -82,8 +82,22 @@ def _buckets(universe: list) -> dict:
     return out
 
 
-def _render_atom_ctx(g: Ctx) -> str:
-    return print_ctx(g, str)
+def _constant_on_buckets(universe: list, profile: Callable, what: str) -> tuple:
+    """Check that `profile` is constant on each permutation bucket of the
+    universe.  A counterexample names the first context that differs from
+    the first context of its bucket."""
+    cases = 0
+    for bucket in _buckets(universe).values():
+        witness = bucket[0]
+        expected = profile(witness)
+        cases += 1
+        for g in bucket[1:]:
+            cases += 1
+            if profile(g) != expected:
+                return cases, (
+                    f"{what} across a permutation: {print_ctx(witness)} vs {print_ctx(g)}"
+                )
+    return cases, None
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +114,12 @@ def check_mem_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
     equivalent to the membership profile being constant on the bucket,
     which is what is checked.
     """
-    universe = gen_ctxs(_POOL, max_elems, max_depth)
     probes = list(_POOL) + [_FOREIGN]
-    cases = 0
-    for bucket in _buckets(universe).values():
-        profile = None
-        witness = None
-        for g in bucket:
-            current = tuple(member(x, g) for x in probes)
-            cases += 1
-            if profile is None:
-                profile, witness = current, g
-            elif current != profile:
-                return cases, (
-                    f"membership differs across a permutation: "
-                    f"{_render_atom_ctx(witness)} vs {_render_atom_ctx(g)}"
-                )
-    return cases, None
+    return _constant_on_buckets(
+        gen_ctxs(_POOL, max_elems, max_depth),
+        lambda g: tuple(member(x, g) for x in probes),
+        "membership differs",
+    )
 
 
 def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
@@ -129,23 +132,13 @@ def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
     function itself is exercised on all within-bucket pairs of a smaller
     universe.
     """
-    universe = gen_ctxs(_POOL, max_elems, max_depth)
-    cases = 0
-    for bucket in _buckets(universe).values():
-        profile = None
-        witness = None
-        for g in bucket:
-            classes = tuple(
-                frozenset(_mkey(r) for r in select(x, g)) for x in _POOL
-            )
-            cases += 1
-            if profile is None:
-                profile, witness = classes, g
-            elif classes != profile:
-                return cases, (
-                    f"selection residual classes differ across a permutation: "
-                    f"{_render_atom_ctx(witness)} vs {_render_atom_ctx(g)}"
-                )
+    cases, cex = _constant_on_buckets(
+        gen_ctxs(_POOL, max_elems, max_depth),
+        lambda g: tuple(frozenset(_mkey(r) for r in select(x, g)) for x in _POOL),
+        "selection residual classes differ",
+    )
+    if cex is not None:
+        return cases, cex
     small = gen_ctxs(_POOL, 3, 2)
     for bucket in _buckets(small).values():
         for g1 in bucket:
@@ -157,7 +150,7 @@ def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
                         if not perm(residual, transported):
                             return cases, (
                                 f"transported residual is not a permutation: "
-                                f"{_render_atom_ctx(g1)} / {_render_atom_ctx(g2)}"
+                                f"{print_ctx(g1)} / {print_ctx(g2)}"
                             )
     return cases, None
 
@@ -228,7 +221,7 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
             if perm(g1, g2) != perm_rel(g1, g2, memo):
                 return cases, (
                     f"perm and perm_rel disagree on "
-                    f"{_render_atom_ctx(g1)} / {_render_atom_ctx(g2)}"
+                    f"{print_ctx(g1)} / {print_ctx(g2)}"
                 )
     for universe in (
         gen_ctxs(_POOL, 3, max_depth),
@@ -245,7 +238,7 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
                         if rel(index[g], index[h]) != perm_rel(g, h, memo):
                             return cases, (
                                 f"interned search disagrees with perm_rel on "
-                                f"{_render_atom_ctx(g)} / {_render_atom_ctx(h)}"
+                                f"{print_ctx(g)} / {print_ctx(h)}"
                             )
         keys = [_mkey(g) for g in universe]
         n = len(universe)
@@ -256,7 +249,7 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
                 if (ki == keys[j]) != rel(i, j):
                     return cases, (
                         f"perm and perm_rel disagree on "
-                        f"{_render_atom_ctx(universe[i])} / {_render_atom_ctx(universe[j])}"
+                        f"{print_ctx(universe[i])} / {print_ctx(universe[j])}"
                     )
     return cases, None
 
@@ -299,12 +292,12 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
                         if _mkey(l1) != key1 or _mkey(l2) != _mkey(g2):
                             return cases, (
                                 f"perm_to_part output not permutations: "
-                                f"L={_render_atom_ctx(l)}, G1={_render_atom_ctx(g1)}, "
-                                f"G2={_render_atom_ctx(g2)}"
+                                f"L={print_ctx(l)}, G1={print_ctx(g1)}, "
+                                f"G2={print_ctx(g2)}"
                             )
                         if total <= 3 and not part_to_perm(l, l1, l2):
                             return cases, (
-                                f"round trip failed: L={_render_atom_ctx(l)}"
+                                f"round trip failed: L={print_ctx(l)}"
                             )
     return cases, None
 
@@ -318,7 +311,7 @@ def check_part_to_perm(max_elems: int = 4) -> tuple:
             for l1, l2 in partition_list(l):
                 cases += 1
                 if not part_to_perm(l, l1, l2):
-                    return cases, f"failed on L={_render_atom_ctx(l)}"
+                    return cases, f"failed on L={print_ctx(l)}"
     return cases, None
 
 
@@ -331,7 +324,7 @@ def check_sel_implies_mem(max_elems: int = 4, max_depth: int = 3) -> tuple:
         for x in probes:
             cases += 1
             if select(x, g) and not member(x, g):
-                return cases, f"select without member: {x} in {_render_atom_ctx(g)}"
+                return cases, f"select without member: {x} in {print_ctx(g)}"
     return cases, None
 
 

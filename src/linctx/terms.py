@@ -290,25 +290,16 @@ def _parse_tm(ts: TokenStream, declared: dict, binders: list) -> Tm:
         return App(fn, arg)
     if ts.at_ident("abs"):
         ts.next()
-        ann = _parse_aty(ts)
+        ann = _parse_type_atom(ts)
         body = _parse_binder(ts, declared, binders)
         return Abs(ann, body)
     if ts.at_ident("let"):
         ts.next()
-        ann = _parse_aty(ts)
+        ann = _parse_type_atom(ts)
         val = _parse_atm(ts, declared, binders)
         body = _parse_binder(ts, declared, binders)
         return Let(ann, val, body)
     return _parse_atm(ts, declared, binders)
-
-
-def _parse_aty(ts: TokenStream) -> Ty:
-    if ts.at_sym("("):
-        ts.next()
-        ty = parse_type_tokens(ts)
-        ts.eat_sym(")")
-        return ty
-    return Base(ts.eat_ident().text)
 
 
 def _parse_binder(ts: TokenStream, declared: dict, binders: list) -> Tm:

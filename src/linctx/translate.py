@@ -14,7 +14,6 @@ reading stay as independent oracles for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
@@ -25,7 +24,6 @@ from .ctx import (
     from_list,
     is_list,
     no_elems,
-    parse_ctx_tokens,
     select,
     splits,
 )
@@ -36,7 +34,6 @@ from .errors import (
     PreconditionError,
     UnmappedVariableError,
 )
-from .lex import TokenStream
 from .terms import (
     Abs,
     App,
@@ -50,20 +47,22 @@ from .terms import (
     free_names,
     locally_closed,
     open_term,
-    parse_term_tokens,
 )
 from .typecheck import TyAssoc, VarAssoc
 
 
+def _entry_names(a: object) -> frozenset:
+    if isinstance(a, TyAssoc):
+        return frozenset((a.name,))
+    if isinstance(a, VarAssoc):
+        return frozenset((a.src, a.dst))
+    if isinstance(a, Name):
+        return frozenset((a,))
+    return frozenset()
+
+
 def _assoc_names(g: Ctx) -> set:
-    out = set()
-    for a in elems(g):
-        if isinstance(a, VarAssoc):
-            out.add(a.src)
-            out.add(a.dst)
-        elif isinstance(a, TyAssoc):
-            out.add(a.name)
-    return out
+    return set().union(*map(_entry_names, elems(g)))
 
 
 def _fresh_pair(avoid: set) -> tuple:
@@ -150,19 +149,20 @@ def translate(g: Ctx, e: Tm) -> Tm:
         if isinstance(t, App):
             return App(go(t.fn, mapping), go(t.arg, mapping))
         if isinstance(t, Abs):
-            x, y = _fresh_pair(avoid | set(mapping) | set(mapping.values()))
-            body = open_term(t.body, x)
-            if free_counts(body)[x] != 1:
-                raise LinearityError(f"bound variable of {t!r} is not used exactly once")
-            return Abs(t.ann, close_term(go(body, {**mapping, x: y}), y))
+            return binder(t, mapping)
         if isinstance(t, Let):
             val = go(t.val, mapping)
-            x, y = _fresh_pair(avoid | set(mapping) | set(mapping.values()))
-            body = open_term(t.body, x)
-            if free_counts(body)[x] != 1:
-                raise LinearityError(f"bound variable of {t!r} is not used exactly once")
-            return App(Abs(t.ann, close_term(go(body, {**mapping, x: y}), y)), val)
+            return App(binder(t, mapping), val)
         raise MalformedTermError(f"cannot translate {t!r}")
+
+    def binder(t: Abs | Let, mapping: dict) -> Abs:
+        # The abstraction over t's translated body, whose bound variable
+        # is renamed through a fresh source/target pair.
+        x, y = _fresh_pair(avoid | set(mapping) | set(mapping.values()))
+        body = open_term(t.body, x)
+        if free_counts(body)[x] != 1:
+            raise LinearityError(f"bound variable of {t!r} is not used exactly once")
+        return Abs(t.ann, close_term(go(body, {**mapping, x: y}), y))
 
     return go(e, {a.src: a.dst for a in assocs})
 
@@ -170,16 +170,6 @@ def translate(g: Ctx, e: Tm) -> Tm:
 # ---------------------------------------------------------------------------
 # The coordinated context relation.
 # ---------------------------------------------------------------------------
-
-
-def _entry_names(a: object) -> frozenset:
-    if isinstance(a, TyAssoc):
-        return frozenset((a.name,))
-    if isinstance(a, VarAssoc):
-        return frozenset((a.src, a.dst))
-    if isinstance(a, Name):
-        return frozenset((a,))
-    return frozenset()
 
 
 def trans_rel_list(l1: Ctx, l2: Ctx, l3: Ctx) -> bool:
@@ -244,43 +234,3 @@ def trans_rel_mset_exhaustive(g1: Ctx, g2: Ctx, g3: Ctx) -> bool:
         for l2 in arrangements(g2)
         for l3 in arrangements(g3)
     )
-
-
-# ---------------------------------------------------------------------------
-# Translation fixtures: `CTX |- SRC ~> DST ; accept` (or `; reject`).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransJudgment:
-    ctx: Ctx
-    src: Tm
-    dst: Tm
-    expect: bool
-
-
-def parse_var_assoc(ts: TokenStream) -> VarAssoc:
-    ts.eat_ident("trans_to")
-    src = Name(ts.eat_ident().text)
-    dst = Name(ts.eat_ident().text)
-    return VarAssoc(src, dst)
-
-
-def parse_trans_judgment(line: str) -> TransJudgment:
-    ts = TokenStream.of(line)
-    g = parse_ctx_tokens(ts, parse_var_assoc)
-    ts.eat_sym("|-")
-    src_decl = {}
-    dst_decl = {}
-    for a in elems(g):
-        src_decl[str(a.src)] = a.src
-        dst_decl[str(a.dst)] = a.dst
-    src = parse_term_tokens(ts, src_decl)
-    ts.eat_sym("~>")
-    dst = parse_term_tokens(ts, dst_decl)
-    ts.eat_sym(";")
-    verdict = ts.eat_ident().text
-    ts.expect_eof()
-    if verdict not in ("accept", "reject"):
-        raise PreconditionError(f"expected verdict 'accept' or 'reject', got {verdict!r}")
-    return TransJudgment(g, src, dst, verdict == "accept")

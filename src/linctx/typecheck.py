@@ -41,7 +41,7 @@ from .terms import (
     Name,
     Tm,
     Ty,
-    _parse_aty,
+    _parse_type_atom,
     _print_type_atom,
     fresh,
     free_names,
@@ -171,6 +171,14 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
+def _cached_splits(g: Ctx, cache: dict) -> tuple:
+    key = ("splits", g)
+    parts = cache.get(key)
+    if parts is None:
+        parts = cache[key] = splits(g)
+    return parts
+
+
 def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict) -> frozenset:
     key = (g, e)
     cached = cache.get(key)
@@ -187,13 +195,8 @@ def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict) -> frozenset:
     elif isinstance(e, Bound):
         raise MalformedTermError("term is not locally closed")
     elif isinstance(e, App):
-        split_key = ("splits", g)
-        parts = cache.get(split_key)
-        if parts is None:
-            parts = splits(g)
-            cache[split_key] = parts
         out = set()
-        for g1, g2 in parts:
+        for g1, g2 in _cached_splits(g, cache):
             for fn_ty in _linear_types(g1, e.fn, with_let, cache):
                 if isinstance(fn_ty, Arrow):
                     if fn_ty.dom in _linear_types(g2, e.arg, with_let, cache):
@@ -206,13 +209,8 @@ def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict) -> frozenset:
         )
         result = frozenset(Arrow(e.ann, t) for t in body_tys)
     elif isinstance(e, Let) and with_let:
-        split_key = ("splits", g)
-        parts = cache.get(split_key)
-        if parts is None:
-            parts = splits(g)
-            cache[split_key] = parts
         out = set()
-        for g1, g2 in parts:
+        for g1, g2 in _cached_splits(g, cache):
             if e.ann in _linear_types(g1, e.val, with_let, cache):
                 x = fresh(ctx_names(g) | free_names(e))
                 out |= _linear_types(
@@ -298,30 +296,22 @@ def _check_linear(g_in: Ctx, e: Tm, with_let: bool) -> Optional[tuple]:
                 return None
             return fn_ty.cod, rem2, used2
         if isinstance(t, Abs):
-            x = fresh(avoid_base | used | {a.name for a in remaining})
-            res = go(open_term(t.body, x), (TyAssoc(x, t.ann),) + remaining, used)
-            if res is None:
-                return None
-            body_ty, rem, used2 = res
-            if any(a.name == x for a in rem):
-                return None  # the bound variable was never used
-            return Arrow(t.ann, body_ty), rem, used2
+            res = binder(t, remaining, used)
+            return None if res is None else (Arrow(t.ann, res[0]),) + res[1:]
         if isinstance(t, Let) and with_let:
             val_res = go(t.val, remaining, used)
-            if val_res is None:
+            if val_res is None or val_res[0] != t.ann:
                 return None
-            val_ty, rem1, used1 = val_res
-            if val_ty != t.ann:
-                return None
-            x = fresh(avoid_base | used1 | {a.name for a in rem1})
-            res = go(open_term(t.body, x), (TyAssoc(x, t.ann),) + rem1, used1)
-            if res is None:
-                return None
-            body_ty, rem2, used2 = res
-            if any(a.name == x for a in rem2):
-                return None
-            return body_ty, rem2, used2
+            return binder(t, val_res[1], val_res[2])
         return None
+
+    def binder(t: Abs | Let, remaining: tuple, used: frozenset) -> Optional[tuple]:
+        # Types t's body under a fresh association of its annotation.
+        x = fresh(avoid_base | used | {a.name for a in remaining})
+        res = go(open_term(t.body, x), (TyAssoc(x, t.ann),) + remaining, used)
+        if res is None or any(a.name == x for a in res[1]):
+            return None  # ill-typed, or the bound variable was never used
+        return res
 
     out = go(e, tuple(assocs), frozenset())
     if out is None:
@@ -379,7 +369,7 @@ class Judgment:
 def parse_ty_assoc(ts: TokenStream) -> TyAssoc:
     ts.eat_ident("ty_of")
     name = Name(ts.eat_ident().text)
-    return TyAssoc(name, _parse_aty(ts))
+    return TyAssoc(name, _parse_type_atom(ts))
 
 
 def parse_judgment(line: str) -> Judgment:

@@ -19,7 +19,25 @@ def run(capsys, *argv):
     return code, out
 
 
+# Each run of `check` and `translate` pinned in cli_check_translate.txt:
+# its command line, its stdout and its exit status.
+CLI_RUNS = [
+    ["check", "--system", system, *algo, judg]
+    for judg in ("linear.judg", "ml.judg", "stlc.judg")
+    for system in ("stlc", "linear", "ml")
+    for algo in ([], ["--algo"])
+] + [["translate", "--verify", "terms.tm"]]
+
+
 class TestCheck:
+    def test_check_and_translate_golden(self, capsys, monkeypatch):
+        monkeypatch.chdir(FIXTURES)
+        transcript = ""
+        for argv in CLI_RUNS:
+            code, out = run(capsys, *argv)
+            transcript += f"$ linctx {' '.join(argv)}\n{out}exit {code}\n"
+        assert transcript == (GOLDEN / "cli_check_translate.txt").read_text()
+
     def test_linear_fixture(self, capsys):
         code, out = run(capsys, "check", "--system", "linear", FIXTURES / "linear.judg")
         assert code == 0
@@ -46,6 +64,13 @@ class TestCheck:
         entries = " :: ".join(f"ty_of n{k} i" for k in range(1, 3001))
         deep = tmp_path / "deep.judg"
         deep.write_text(f"{entries} :: nil |- n1 : i ; reject\n")
+        code, out = run(capsys, "check", "--system", "linear", "--algo", deep)
+        assert code == 0
+        assert out == f"{deep}:1: ok\n"
+
+    def test_deep_parentheses_give_verdict(self, capsys, tmp_path):
+        deep = tmp_path / "deep.judg"
+        deep.write_text("(" * 3000 + "[ty_of x i]" + ")" * 3000 + " |- x : i ; accept\n")
         code, out = run(capsys, "check", "--system", "linear", "--algo", deep)
         assert code == 0
         assert out == f"{deep}:1: ok\n"

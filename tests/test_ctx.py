@@ -31,7 +31,13 @@ from linctx.ctx import (
     splits,
 )
 from linctx.errors import PreconditionError
+from linctx.terms import Name, type_universe
+from linctx.typecheck import TyAssoc, parse_ty_assoc
 from strategies import shaped
+
+# Parsed names carry their whole text, so the round trip draws index-0 names.
+ASSOC_NAMES = (Name("a"), Name("b1"), Name("c'"))
+TYPES = type_universe(depth=3)
 
 
 def lst(*items):
@@ -429,10 +435,34 @@ class TestLiteralSyntax:
         for item in reversed(items[:-1]):
             expected = Union(lst(item), expected)
         assert parse_ctx(" ++ ".join(f"[{item}]" for item in items)) == expected
+        assert parse_ctx(print_ctx(expected)) == expected
+
+    def test_deep_cons_over_union(self):
+        # 3,000 levels of `c :: (.. ++ nil)`, printed with nested parentheses
+        g = EMPTY
+        for _ in range(3000):
+            g = Cons("c", Union(g, EMPTY))
+        text = print_ctx(g)
+        assert text.startswith("c :: (c :: (") and text.endswith("nil) ++ nil)")
+        assert parse_ctx(text) == g
+
+    def test_deep_parentheses(self):
+        assert parse_ctx("(" * 3000 + "[a]" + ")" * 3000) == lst("a")
 
     def test_round_trip(self):
         for g in gen_ctxs(["a", "b"], 3, 3):
             assert parse_ctx(print_ctx(g)) == g
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_beyond_universe(self, data):
+        atoms = data.draw(st.lists(st.sampled_from(("a", "b", "e1", "x'")), max_size=8))
+        g = data.draw(shaped(atoms, 4))
+        assert parse_ctx(print_ctx(g)) == g
+        entry = st.builds(TyAssoc, st.sampled_from(ASSOC_NAMES), st.sampled_from(TYPES))
+        assocs = data.draw(st.lists(entry, max_size=8))
+        h = data.draw(shaped(assocs, 4))
+        assert parse_ctx(print_ctx(h), parse_ty_assoc) == h
 
     def test_print_golden(self):
         assert print_ctx(EMPTY) == "nil"

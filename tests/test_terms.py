@@ -1,6 +1,7 @@
 """Term syntax: locally nameless representation, parsing, printing."""
 
 import pytest
+from hypothesis import given, settings
 
 from linctx.errors import MalformedTermError, SyntaxError_, UnboundIdentifierError
 from linctx.terms import (
@@ -27,9 +28,11 @@ from linctx.terms import (
     type_universe,
 )
 from linctx.suites import gen_terms
+from strategies import terms as drawn_terms
 
 I = Base("i")
 O = Base("o")
+FREES = (Name("x"), Name("x", 1), Name("c", 1))
 
 
 class TestNamesAndFresh:
@@ -143,6 +146,12 @@ class TestParsePrint:
         assert len(terms) == 1566
         for t in terms:
             assert parse_term(print_term(t), nominals=frees) == t
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_terms(FREES, (I, Arrow(I, O), Arrow(Arrow(I, I), O)), 12))
+    def test_round_trip_beyond_universe(self, t):
+        # sizes up to 12, past gen_terms' size 5; free names that binders avoid
+        assert parse_term(print_term(t), nominals=FREES) == t
 
     def test_print_golden(self):
         t = parse_term("abs (i -> i) (x\\ abs i (y\\ app x y))")

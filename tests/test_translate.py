@@ -18,10 +18,8 @@ from linctx.terms import (
     parse_term,
 )
 from linctx.translate import (
-    TransJudgment,
     VarAssoc,
     ltrans_rel,
-    parse_trans_judgment,
     trans_rel_list,
     trans_rel_mset,
     trans_rel_mset_exhaustive,
@@ -239,18 +237,3 @@ class TestTypePreservationSpot:
         out = translate(l2, src)
         assert linear_type(l3, out) == I
         assert ltrans_rel(l2, src, out)
-
-
-class TestFixtureFormat:
-    def test_parse(self):
-        j = parse_trans_judgment("[trans_to a b] |- a ~> b ; accept")
-        assert j == TransJudgment(
-            from_list([VarAssoc(Name("a"), Name("b"))]),
-            Free(Name("a")),
-            Free(Name("b")),
-            True,
-        )
-
-    def test_verdict(self):
-        j = parse_trans_judgment("nil |- abs i (x\\ x) ~> abs i (y\\ y) ; accept")
-        assert ltrans_rel(j.ctx, j.src, j.dst) == j.expect

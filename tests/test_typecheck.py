@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs
 from linctx.errors import PreconditionError
@@ -15,6 +17,7 @@ from linctx.terms import (
     Free,
     Let,
     Name,
+    TYPE_UNIVERSE,
     name_pool,
     parse_term,
     type_universe,
@@ -37,12 +40,14 @@ from linctx.typecheck import (
     type_of_enum,
     type_of_infer,
 )
+from strategies import linear_judgments, terms
 
 I = Base("i")
 O = Base("o")
 T1 = Base("tau1")
 T2 = Base("tau2")
 N1, N2, N3 = Name("n", 1), Name("n", 2), Name("n", 3)
+NAMES = tuple(name_pool(4))
 
 GOOD = parse_term("abs (tau1 -> tau2) (x\\ abs tau1 (y\\ app x y))")
 GOOD_TY = Arrow(Arrow(T1, T2), Arrow(T1, T2))
@@ -214,6 +219,25 @@ class TestMiniML:
             ctx = assoc_list((N1, I))
             assert mltype_types(ctx, e) == ltype_types(ctx, e)
             assert ml_type(ctx, e) == linear_type(ctx, e)
+
+
+@st.composite
+def random_judgments(draw):
+    names = draw(st.permutations(NAMES))[: draw(st.integers(0, len(NAMES)))]
+    g = from_list([TyAssoc(n, draw(st.sampled_from(TYPE_UNIVERSE))) for n in names])
+    return g, draw(terms(NAMES, TYPE_UNIVERSE, 9))
+
+
+class TestBeyondUniverse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(random_judgments(), linear_judgments(NAMES, TYPE_UNIVERSE, 12)))
+    def test_relational_agrees_with_algorithmic(self, judgment):
+        # Up to 4 associations and terms past size 4, where the equivalence
+        # suite stops.  About half of the terms type in the let system, and
+        # about a fifth are typed terms past size 4.
+        g, e = judgment
+        assert mltype_types(g, e) == {ml_type(g, e)} - {None}
+        assert ltype_types(g, e) == {linear_type(g, e)} - {None}
 
 
 class TestJudgments:
