@@ -15,6 +15,7 @@ permutations.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Any, Callable, Container, Iterable, Optional, Sequence
@@ -1067,13 +1068,55 @@ def generate_mset_instances(
     return out
 
 
+# ---------------------------------------------------------------------------
+# One decision per multiset class.
+#
+# A lemma instance is decided on the class key of its contexts, the
+# multiset of entries of each one; a distributivity case on that key plus
+# the multiset of the split's first half, which fixes the second half's.
+# Every presentation of a class gets the same verdict:
+# - the multiset-form predicate, `member` and every lemma atom read only
+#   multisets, and each candidate pool holds the values in the contexts,
+#   read in some order by a search that only asks whether one works;
+# - an ordered partition of an aligned list tuple gives aligned lists.
+#   Clause formulas are local to one position, and freshness looks only
+#   at the names of later entries, so a subsequence has fewer names to
+#   avoid.  The halves built from any alignment therefore satisfy the
+#   list form, and the split's halves, permutations of them, the
+#   multiset form.
+# A case whose key is already decided is counted but not recomputed.  Only
+# passing keys are kept: a failure ends the check, so the case count and
+# counterexample are those of deciding every case.
+# ---------------------------------------------------------------------------
+
+
+def _class_key(g: Ctx) -> frozenset:
+    """The multiset class of one context: its entries with their counts."""
+    return frozenset(Counter(elems(g)).items())
+
+
+def _lemma_counterexample(
+    stmt: LemmaStmt, sorts: dict, contexts: Sequence[Ctx]
+) -> Optional[str]:
+    """Why the lemma fails on one context tuple, or None when it holds."""
+    candidates = _lemma_candidates(sorts, contexts)
+    for binding in _universal_bindings(stmt, contexts, candidates):
+        if _lemma_witness(stmt, contexts, binding, candidates) is None:
+            return f"{render_contexts(stmt.ctx_vars, contexts)}" + (
+                f" with {_render_binding(binding)}" if binding else ""
+            )
+    return None
+
+
 def verify_lemma_cases(
     spec: ContextSpec,
     stmt: LemmaStmt,
     bounds: GenBounds = GenBounds(),
     enforce_freshness: bool = True,
 ) -> tuple:
-    """Case-level body of verify_lemma: (cases run, counterexample or None)."""
+    """Case-level body of verify_lemma: (cases run, counterexample or None).
+
+    Each instance is one case, decided once per multiset class."""
     if stmt.pred_name == spec.list_name:
         instances = generate_list_instances(spec, bounds, enforce_freshness)
     elif stmt.pred_name == spec.name:
@@ -1083,16 +1126,17 @@ def verify_lemma_cases(
             f"lemma is about {stmt.pred_name!r}, expected {spec.name!r} or {spec.list_name!r}"
         )
     sorts = _lemma_var_sorts(spec, stmt)
+    passed: set = set()
     cases = 0
     for contexts in instances:
         cases += 1
-        candidates = _lemma_candidates(sorts, contexts)
-        for binding in _universal_bindings(stmt, contexts, candidates):
-            if _lemma_witness(stmt, contexts, binding, candidates) is None:
-                return cases, (
-                    f"{render_contexts(stmt.ctx_vars, contexts)}"
-                    + (f" with {_render_binding(binding)}" if binding else "")
-                )
+        key = tuple(_class_key(g) for g in contexts)
+        if key in passed:
+            continue
+        counterexample = _lemma_counterexample(stmt, sorts, contexts)
+        if counterexample is not None:
+            return cases, counterexample
+        passed.add(key)
     return cases, None
 
 
@@ -1166,9 +1210,24 @@ def gen_distr_lemma(spec: ContextSpec, index: int) -> DistrLemma:
     return DistrLemma(spec.name, spec.arity, index)
 
 
+def _align_instance(
+    spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool, memo: dict
+) -> tuple:
+    """(alignment, class key) of one predicate instance.
+
+    The alignment is `align_mset`'s, or None when there is none or one of
+    its rows does not hold exactly its context's entries.  The key is the
+    tuple of `_class_key`s of the contexts.
+    """
+    counts = [Counter(elems(g)) for g in contexts]
+    aligned = align_mset(spec, contexts, enforce_freshness, _memo=memo)
+    if aligned is not None and any(Counter(row) != c for row, c in zip(aligned, counts)):
+        aligned = None
+    return aligned, tuple(frozenset(c.items()) for c in counts)
+
+
 def _distr_witnesses(
     spec: ContextSpec,
-    contexts: Sequence[Ctx],
     aligned: tuple,
     index0: int,
     first: Ctx,
@@ -1178,12 +1237,14 @@ def _distr_witnesses(
 ) -> Optional[tuple]:
     """Coordinated split witnesses for one predicate instance.
 
-    `aligned` is `align_mset(spec, contexts)`, computed once per instance
-    by the caller rather than once per split.  Flattens the given split
-    of the chosen context into an ordered partition of its aligned list,
-    applies the same position mask to every other list, and returns the
-    halves.  Returns None when any step or the final predicate checks
-    fail.
+    `aligned` is the instance's alignment from `_align_instance`,
+    computed once per instance by the caller rather than once per split.
+    Flattens the given split of the chosen context into an ordered
+    partition of its aligned list, applies the same position mask to
+    every other list, and returns the halves.  Each row is a permutation
+    of its context, so the halves of every other row recombine to a
+    permutation of theirs.  Returns None when any step or the final
+    predicate checks fail.
 
     `memo` lives only for the caller's one check.  The two multiset
     checks on the halves align through it, and it keeps the list-form
@@ -1211,9 +1272,6 @@ def _distr_witnesses(
         return None
     if align_mset(spec, doubles, enforce_freshness, _memo=memo) is None:
         return None
-    for j in range(spec.arity):
-        if j != index0 and not perm(contexts[j], Union(firsts[j], seconds[j])):
-            return None
     return primes, doubles, tuple(firsts), tuple(seconds)
 
 
@@ -1241,17 +1299,23 @@ def check_distr_instances(
 
     A tuple outside the predicate fails at its first split.  Each tuple is
     aligned once, and every alignment and half check shares one memo (see
-    `_distr_witnesses`) that is dropped when the check returns.
+    `_distr_witnesses`) that is dropped when the check returns.  Each
+    split is decided once per multiset class.
     """
     index0 = index - 1
     memo: dict = {}
+    passed: set = set()
     cases = 0
     for contexts in instances:
-        aligned = align_mset(spec, contexts, enforce_freshness, _memo=memo)
+        aligned, instance_key = _align_instance(spec, contexts, enforce_freshness, memo)
         for first, second in splits(contexts[index0]):
             cases += 1
+            key = (instance_key, _class_key(first))
+            # An instance that does not align fails whatever its class.
+            if aligned is not None and key in passed:
+                continue
             if aligned is None or _distr_witnesses(
-                spec, contexts, aligned, index0, first, second, enforce_freshness, memo
+                spec, aligned, index0, first, second, enforce_freshness, memo
             ) is None:
                 gvars = [f"G{j}" for j in range(1, spec.arity + 1)]
                 split_desc = (
@@ -1259,6 +1323,7 @@ def check_distr_instances(
                     f" ++ {print_ctx(second, render_value)}"
                 )
                 return cases, f"{render_contexts(gvars, contexts)}; {split_desc}"
+            passed.add(key)
     return cases, None
 
 
@@ -1405,9 +1470,9 @@ def derive_distr(
         raise ShapeError("split context does not occur in the predicate fact")
     first, second = perm_fact.right.left, perm_fact.right.right
     memo: dict = {}
-    aligned = align_mset(spec, pred_fact.contexts, _memo=memo)
+    aligned, _key = _align_instance(spec, pred_fact.contexts, True, memo)
     result = None if aligned is None else _distr_witnesses(
-        spec, pred_fact.contexts, aligned, index0, first, second, True, memo
+        spec, aligned, index0, first, second, True, memo
     )
     if result is None:
         raise VerificationError("no coordinated split witnesses exist")

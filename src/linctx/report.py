@@ -69,7 +69,9 @@ def run_checks(checks: Sequence[tuple], jobs: int = 1) -> list:
     entries = sorted(checks, key=lambda e: e[0])
     if jobs <= 1 or len(entries) <= 1:
         return [_run_entry(e) for e in entries]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool may start every worker up front, so it gets no more than
+    # there are checks.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
         return list(pool.map(_run_entry, entries))
 
 

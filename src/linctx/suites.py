@@ -265,17 +265,17 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
     is asserted on the fully-swept arrangements.
     """
     universe = gen_ctxs(_POOL, max_elems, max_depth)
-    by_count: dict = {}
+    by_count: dict = {}  # size -> (context, its _mkey) pairs
     for g in universe:
-        by_count.setdefault(len(elems(g)), []).append(g)
+        key = _mkey(g)
+        by_count.setdefault(len(key), []).append((g, key))
     cases = 0
     for k1 in range(max_elems + 1):
         for k2 in range(max_elems + 1 - k1):
             total = k1 + k2
-            for g1 in by_count.get(k1, ()):
-                key1 = _mkey(g1)
-                for g2 in by_count.get(k2, ()):
-                    combined = tuple(sorted(key1 + _mkey(g2)))
+            for g1, key1 in by_count.get(k1, ()):
+                for g2, key2 in by_count.get(k2, ()):
+                    combined = tuple(sorted(key1 + key2))
                     if total <= 3:
                         arrangements = [
                             arr
@@ -289,7 +289,7 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
                         cases += 1
                         l = from_list(arr)
                         l1, l2 = perm_to_part(l, g1, g2)
-                        if _mkey(l1) != key1 or _mkey(l2) != _mkey(g2):
+                        if _mkey(l1) != key1 or _mkey(l2) != key2:
                             return cases, (
                                 f"perm_to_part output not permutations: "
                                 f"L={print_ctx(l)}, G1={print_ctx(g1)}, "

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linctx import ctxspec
-from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, perm
+from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, perm, splits
 from linctx.ctxspec import (
     DerivationStore,
     FMember,
@@ -36,6 +36,7 @@ from linctx.ctxspec import (
     render_lemma,
     render_value,
     verify_lemma,
+    verify_lemma_cases,
 )
 from linctx.errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
 from linctx.report import GenBounds
@@ -519,6 +520,93 @@ class TestDistributivity:
             "G1 = [ty_of n2 i, ty_of n i]; G2 = [trans_to n2 n3, trans_to n n1]; "
             f"G3 = [ty_of n3 i, ty_of n1 i]; G{index} ~ {halves[index - 1]}",
         )
+
+
+def _fixture_specs() -> list:
+    return [
+        spec
+        for name in ("specs.ctx", "broken_freshness.ctx")
+        for spec in parse_spec_file((FIXTURES / name).read_text())
+    ]
+
+
+def _class_bounds(spec, enforce: bool) -> range:
+    """ctx_elems 1-2, and 3 for the unary fixture specs with freshness on."""
+    return range(1, 4 if enforce and spec.name in ("ty_ctx'", "loose_ctx") else 3)
+
+
+def _assert_class_blind(verdicts: list) -> None:
+    """Every case gets the verdict of the first case of its class."""
+    first_of_class: dict = {}
+    for case, (key, verdict) in enumerate(verdicts, 1):
+        first, first_verdict = first_of_class.setdefault(key, (case, verdict))
+        assert verdict == first_verdict, f"case {case} differs from case {first} of its class"
+
+
+class TestClassVerdicts:
+    """Deciding each multiset class once changes no verdict: every case is
+    decided here on its own, with no verdict memo, and compared with the
+    cases of its class and with the memoised checks."""
+
+    @pytest.mark.parametrize("spec", _fixture_specs(), ids=lambda spec: spec.name)
+    def test_distr(self, spec):
+        # The largest bound's instances start with those of the smaller
+        # bounds (`test_lemmas` checks this), so its cases cover theirs.
+        for enforce in (True, False):
+            bounds = GenBounds(ctx_elems=_class_bounds(spec, enforce)[-1])
+            instances = generate_mset_instances(spec, bounds, enforce)
+            memo: dict = {}  # alignments and half checks, shared as in one check
+            aligned = [ctxspec._align_instance(spec, g, enforce, memo) for g in instances]
+            for index in range(1, spec.arity + 1):
+                verdicts = []
+                for contexts, (rows, key) in zip(instances, aligned):
+                    for first, second in splits(contexts[index - 1]):
+                        holds = rows is not None and ctxspec._distr_witnesses(
+                            spec, rows, index - 1, first, second, enforce, memo
+                        ) is not None
+                        verdicts.append(((key, ctxspec._class_key(first)), holds))
+                _assert_class_blind(verdicts)
+                holds = [h for _, h in verdicts]
+                want = holds.index(False) + 1 if False in holds else len(holds)
+                got, counterexample = check_distr_instances(spec, index, instances, enforce)
+                assert (got, counterexample is None) == (want, all(holds))
+
+    @pytest.mark.parametrize("lemma_file", ["lemmas.lem", "broken_uniq.lem"])
+    def test_lemmas(self, lemma_file):
+        specs = {}
+        for spec in _fixture_specs():
+            specs[spec.name] = specs[spec.list_name] = spec
+        for stmt in parse_lemma_file((FIXTURES / lemma_file).read_text()):
+            spec = specs[stmt.pred_name]
+            for lemma in (stmt, lift_lemma(spec, stmt)[0]):
+                generate = (
+                    generate_list_instances
+                    if lemma.pred_name == spec.list_name
+                    else generate_mset_instances
+                )
+                sorts = ctxspec._lemma_var_sorts(spec, lemma)
+                for enforce in (True, False):
+                    bounds = _class_bounds(spec, enforce)
+                    instances = generate(spec, GenBounds(ctx_elems=bounds[-1]), enforce)
+                    verdicts = [
+                        (
+                            tuple(ctxspec._class_key(g) for g in contexts),
+                            ctxspec._lemma_counterexample(lemma, sorts, contexts),
+                        )
+                        for contexts in instances
+                    ]
+                    _assert_class_blind([(key, cex is None) for key, cex in verdicts])
+                    for ctx_elems in bounds:
+                        smaller = GenBounds(ctx_elems=ctx_elems)
+                        prefix = generate(spec, smaller, enforce)
+                        count = len(prefix)
+                        # each level of the generators extends the levels before it
+                        assert prefix == instances[:count]
+                        want = next(
+                            ((n + 1, cex) for n, (_, cex) in enumerate(verdicts[:count]) if cex),
+                            (count, None),
+                        )
+                        assert verify_lemma_cases(spec, lemma, smaller, enforce) == want
 
 
 class TestVerifyLemma:

@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields
 
+from linctx import report
 from linctx.report import (
     CheckReport,
     GenBounds,
@@ -39,6 +40,30 @@ class TestRunner:
         parallel = run_checks(checks, jobs=2)
         strip = lambda rs: [(r.name, r.cases, r.verdict, r.counterexample) for r in rs]
         assert strip(sequential) == strip(parallel)
+
+    def test_pool_no_larger_than_the_checks(self, monkeypatch):
+        # A stand-in pool that records its size and runs in this process,
+        # so that a huge --jobs starts nothing.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+        checks = [("a", _passing, (1,)), ("b", _passing, (2,)), ("c", _failing, (3,))]
+        assert [r.name for r in run_checks(checks, jobs=5000)] == ["a", "b", "c"]
+        run_checks(checks, jobs=2)
+        assert sizes == [3, 2]
 
 
 class TestRendering:
