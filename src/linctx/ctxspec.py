@@ -1212,18 +1212,15 @@ def gen_distr_lemma(spec: ContextSpec, index: int) -> DistrLemma:
 
 def _align_instance(
     spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool, memo: dict
-) -> tuple:
-    """(alignment, class key) of one predicate instance.
-
-    The alignment is `align_mset`'s, or None when there is none or one of
-    its rows does not hold exactly its context's entries.  The key is the
-    tuple of `_class_key`s of the contexts.
-    """
-    counts = [Counter(elems(g)) for g in contexts]
+) -> Optional[tuple]:
+    """`align_mset`'s alignment of one predicate instance, or None when there
+    is none or one of its rows does not hold exactly its context's entries."""
     aligned = align_mset(spec, contexts, enforce_freshness, _memo=memo)
-    if aligned is not None and any(Counter(row) != c for row, c in zip(aligned, counts)):
-        aligned = None
-    return aligned, tuple(frozenset(c.items()) for c in counts)
+    if aligned is None or any(
+        Counter(row) != Counter(elems(g)) for row, g in zip(aligned, contexts)
+    ):
+        return None
+    return aligned
 
 
 def _distr_witnesses(
@@ -1307,7 +1304,8 @@ def check_distr_instances(
     passed: set = set()
     cases = 0
     for contexts in instances:
-        aligned, instance_key = _align_instance(spec, contexts, enforce_freshness, memo)
+        aligned = _align_instance(spec, contexts, enforce_freshness, memo)
+        instance_key = tuple(_class_key(g) for g in contexts)
         for first, second in splits(contexts[index0]):
             cases += 1
             key = (instance_key, _class_key(first))
@@ -1470,7 +1468,7 @@ def derive_distr(
         raise ShapeError("split context does not occur in the predicate fact")
     first, second = perm_fact.right.left, perm_fact.right.right
     memo: dict = {}
-    aligned, _key = _align_instance(spec, pred_fact.contexts, True, memo)
+    aligned = _align_instance(spec, pred_fact.contexts, True, memo)
     result = None if aligned is None else _distr_witnesses(
         spec, aligned, index0, first, second, True, memo
     )

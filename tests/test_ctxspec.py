@@ -543,13 +543,44 @@ def _assert_class_blind(verdicts: list) -> None:
         assert verdict == first_verdict, f"case {case} differs from case {first} of its class"
 
 
+def _decided_cases(verdicts: list) -> list:
+    """The cases a memoised check decides: the first case of each class, up
+    to and including the first failing case."""
+    seen: set = set()
+    decided = []
+    for key, holds, case in verdicts:
+        if key not in seen:
+            seen.add(key)
+            decided.append(case)
+        if not holds:
+            break
+    return decided
+
+
 class TestClassVerdicts:
-    """Deciding each multiset class once changes no verdict: every case is
+    """Deciding each multiset class once changes no verdict.  Every case is
     decided here on its own, with no verdict memo, and compared with the
-    cases of its class and with the memoised checks."""
+    cases of its class.  The memoised checks then run with the per-case
+    decision replaced by a stand-in that records which cases it is asked
+    to decide and answers with the verdicts found here: each class has to
+    be decided exactly once, in case order, up to the first failure."""
 
     @pytest.mark.parametrize("spec", _fixture_specs(), ids=lambda spec: spec.name)
-    def test_distr(self, spec):
+    def test_distr(self, spec, monkeypatch):
+        witnesses = ctxspec._distr_witnesses
+        holds_of: dict = {}
+        asked = []
+
+        def decide(spec_, rows, index0, first, second, enforce_, memo_):
+            # each aligned row holds exactly its context's entries
+            key = (
+                tuple(ctxspec._class_key(from_list(row)) for row in rows),
+                ctxspec._class_key(first),
+            )
+            asked.append(key)
+            return () if holds_of[key] else None
+
+        monkeypatch.setattr(ctxspec, "_distr_witnesses", decide)
         # The largest bound's instances start with those of the smaller
         # bounds (`test_lemmas` checks this), so its cases cover theirs.
         for enforce in (True, False):
@@ -559,20 +590,34 @@ class TestClassVerdicts:
             aligned = [ctxspec._align_instance(spec, g, enforce, memo) for g in instances]
             for index in range(1, spec.arity + 1):
                 verdicts = []
-                for contexts, (rows, key) in zip(instances, aligned):
+                for contexts, rows in zip(instances, aligned):
+                    instance_key = tuple(ctxspec._class_key(g) for g in contexts)
                     for first, second in splits(contexts[index - 1]):
-                        holds = rows is not None and ctxspec._distr_witnesses(
+                        key = (instance_key, ctxspec._class_key(first))
+                        holds = rows is not None and witnesses(
                             spec, rows, index - 1, first, second, enforce, memo
                         ) is not None
-                        verdicts.append(((key, ctxspec._class_key(first)), holds))
-                _assert_class_blind(verdicts)
-                holds = [h for _, h in verdicts]
+                        holds_of.setdefault(key, holds)
+                        # an instance that does not align fails undecided
+                        verdicts.append((key, holds, key if rows is not None else None))
+                _assert_class_blind([(key, holds) for key, holds, _ in verdicts])
+                holds = [h for _, h, _ in verdicts]
                 want = holds.index(False) + 1 if False in holds else len(holds)
+                asked.clear()
                 got, counterexample = check_distr_instances(spec, index, instances, enforce)
                 assert (got, counterexample is None) == (want, all(holds))
+                assert asked == [key for key in _decided_cases(verdicts) if key is not None]
+                holds_of.clear()
 
     @pytest.mark.parametrize("lemma_file", ["lemmas.lem", "broken_uniq.lem"])
-    def test_lemmas(self, lemma_file):
+    def test_lemmas(self, lemma_file, monkeypatch):
+        counterexample_of: dict = {}
+        asked = []
+
+        def decide(stmt_, sorts_, contexts):
+            asked.append(contexts)
+            return counterexample_of[contexts]
+
         specs = {}
         for spec in _fixture_specs():
             specs[spec.name] = specs[spec.list_name] = spec
@@ -588,25 +633,33 @@ class TestClassVerdicts:
                 for enforce in (True, False):
                     bounds = _class_bounds(spec, enforce)
                     instances = generate(spec, GenBounds(ctx_elems=bounds[-1]), enforce)
-                    verdicts = [
-                        (
-                            tuple(ctxspec._class_key(g) for g in contexts),
-                            ctxspec._lemma_counterexample(lemma, sorts, contexts),
-                        )
-                        for contexts in instances
-                    ]
-                    _assert_class_blind([(key, cex is None) for key, cex in verdicts])
-                    for ctx_elems in bounds:
-                        smaller = GenBounds(ctx_elems=ctx_elems)
-                        prefix = generate(spec, smaller, enforce)
-                        count = len(prefix)
-                        # each level of the generators extends the levels before it
-                        assert prefix == instances[:count]
-                        want = next(
-                            ((n + 1, cex) for n, (_, cex) in enumerate(verdicts[:count]) if cex),
-                            (count, None),
-                        )
-                        assert verify_lemma_cases(spec, lemma, smaller, enforce) == want
+                    counterexample_of.clear()
+                    verdicts = []
+                    for contexts in instances:
+                        cex = ctxspec._lemma_counterexample(lemma, sorts, contexts)
+                        counterexample_of[tuple(contexts)] = cex
+                        key = tuple(ctxspec._class_key(g) for g in contexts)
+                        verdicts.append((key, cex is None, tuple(contexts)))
+                    _assert_class_blind([(key, holds) for key, holds, _ in verdicts])
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ctxspec, "_lemma_counterexample", decide)
+                        for ctx_elems in bounds:
+                            smaller = GenBounds(ctx_elems=ctx_elems)
+                            prefix = generate(spec, smaller, enforce)
+                            count = len(prefix)
+                            # each level of the generators extends the levels before it
+                            assert prefix == instances[:count]
+                            want = next(
+                                (
+                                    (n + 1, counterexample_of[case])
+                                    for n, (_, holds, case) in enumerate(verdicts[:count])
+                                    if not holds
+                                ),
+                                (count, None),
+                            )
+                            asked.clear()
+                            assert verify_lemma_cases(spec, lemma, smaller, enforce) == want
+                            assert asked == _decided_cases(verdicts[:count])
 
 
 class TestVerifyLemma:

@@ -1,10 +1,12 @@
 """Paired benchmark runs: the base commit against the working tree.
 
-    python3 tools/bench_pair.py --pr 11 --pairs schematic=5 --pairs core=1 \
-        [--base HEAD] [--seconds 24] [--out BENCH_11.json]
+    python3 tools/bench_pair.py --pr 11 --pairs schematic=5 --pairs core=1 [--base REV]
 
 Each pair runs `perfbench/run.py --trace 0` once on the base commit and
-once on the working tree, with the same workload and seed.  The side
+once on the working tree, with the same workload and seed, and with the
+run length `run_seconds` of BENCHMARK.json.  The base defaults to HEAD,
+the parent of a change that is not committed yet; once the change is
+committed, pass `--base HEAD~1`.  The side
 that runs first alternates from one pair to the next, so that a drift
 in host speed does not favour one side.  The base commit is exported
 with `git archive` into a temporary directory, which is removed at the
@@ -99,19 +101,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--base", default="HEAD", help="base commit (default HEAD)")
-    parser.add_argument("--seconds", type=float, default=24.0)
-    parser.add_argument("--out", type=Path, help="default BENCH_<pr>.json at the repo root")
     args = parser.parse_args(argv)
 
     # Leave through `finally` on SIGTERM too, so the exported tree is removed.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     plan = parse_pairs(args.pairs)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     base_rev = git("rev-parse", args.base).decode().strip()
     head_rev = git("rev-parse", "HEAD").decode().strip()
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
@@ -125,13 +126,13 @@ def main(argv=None) -> int:
                 record = {"workload": workload, "seed": seed, "first": order[0]}
                 for side in order:
                     print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
-                    record[side] = run_side(trees[side], workload, seed, args.seconds)
+                    record[side] = run_side(trees[side], workload, seed, seconds)
                 pairs.append(record)
 
     result = {
         "base": base_rev,
         "change": head_rev + (" with uncommitted changes" if dirty else ""),
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
