@@ -45,6 +45,15 @@ def terms(draw, frees, anns, max_size):
 
 
 @st.composite
+def judgments(draw, names, anns, max_size):
+    """A list context over distinct names taken from `names`, each with a
+    type from `anns`, and a term of `terms` over all of `names`."""
+    picked = draw(st.permutations(names))[: draw(st.integers(0, len(names)))]
+    g = from_list([TyAssoc(n, draw(st.sampled_from(anns))) for n in picked])
+    return g, draw(terms(names, anns, max_size))
+
+
+@st.composite
 def linear_judgments(draw, names, anns, max_steps):
     """A list context over some of `names` and a term built for it bottom
     up by the linear typing rules, so that it usually types.

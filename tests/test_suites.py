@@ -3,7 +3,12 @@
 import json
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from linctx import suites
+from linctx.ctx import elems, from_list
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
     check_linear_equivalence,
@@ -15,13 +20,16 @@ from linctx.suites import (
     translation_lemma_suite,
     typing_lemma_suite,
 )
-from linctx.terms import Arrow, Base, Let, Name, term_size
+from linctx.terms import TYPE_UNIVERSE, Arrow, Base, Let, Name, free_counts, name_pool, term_size
 from linctx.translate import trans_rel_list
+from linctx.typecheck import ml_type
+from strategies import judgments, linear_judgments
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 I = Base("i")
 SMALL = GenBounds(ctx_elems=2, term_size=3)
+NAMES = tuple(name_pool(4))
 
 
 class TestTermGenerator:
@@ -105,5 +113,97 @@ class TestSuitesSmoke:
 
     def test_pres_ty_covers_let(self):
         cases, counterexample = check_ltrans_pres_ty(GenBounds(ctx_elems=1, term_size=4))
-        assert counterexample is None
-        assert cases > 0
+        assert (cases, counterexample) == (166, None)
+
+
+class TestExchange:
+    """ML typing over distinct names does not depend on the order of the
+    context.  `check_ltrans_pres_ty` types each source term once per
+    multiset class of its source context, and is sound only by this."""
+
+    def test_generated_source_contexts_have_distinct_names(self):
+        for l1, _, _ in gen_trans_triples(GenBounds(ctx_elems=3)):
+            names = [a.name for a in elems(l1)]
+            assert len(set(names)) == len(names)
+
+    def test_reversed_source_context_types_alike(self):
+        # The candidate terms of check_ltrans_pres_ty: every term within
+        # its size bound whose free names each occur once.
+        by_frees: dict = {}
+        for e in gen_terms(tuple(name_pool(3, "x")), 5, suites._TRANS_TYPES, True):
+            counts = free_counts(e)
+            if all(v == 1 for v in counts.values()):
+                by_frees.setdefault(frozenset(counts), []).append(e)
+        contexts = {
+            l1 for l1, _, _ in gen_trans_triples(GenBounds(ctx_elems=2)) if len(elems(l1)) == 2
+        }
+        assert len(contexts) == 54
+        typed = 0
+        for l1 in contexts:
+            flipped = from_list(elems(l1)[::-1])
+            for e in by_frees[frozenset(a.name for a in elems(l1))]:
+                ty = ml_type(l1, e)
+                assert ml_type(flipped, e) == ty, (l1, e)
+                typed += ty is not None
+        assert typed > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(judgments(NAMES, TYPE_UNIVERSE, 9), linear_judgments(NAMES, TYPE_UNIVERSE, 12)),
+        st.data(),
+    )
+    def test_permuted_context_types_alike(self, judgment, data):
+        # Up to 4 associations over distinct names, past the check's bounds.
+        g, e = judgment
+        permuted = from_list(data.draw(st.permutations(elems(g))))
+        assert ml_type(permuted, e) == ml_type(g, e)
+
+
+class TestPresTyPinned:
+    """`check_ltrans_pres_ty` at ctx_elems=2 against the per-triple typing
+    it replaced: the same first counterexample, for far fewer checker
+    calls."""
+
+    @pytest.mark.parametrize(
+        "mutant, expected",
+        [
+            (
+                lambda real: lambda g, e: None,
+                (
+                    1,
+                    "type not preserved for Abs(ann=Base(label='i'), body=Bound(index=0)): "
+                    "source Arrow(dom=Base(label='i'), cod=Base(label='i')), target None; "
+                    "G1 = nil; G2 = nil; G3 = nil",
+                ),
+            ),
+            (
+                lambda real: lambda g, e: None if len(elems(g)) == 2 else real(g, e),
+                (
+                    167,
+                    "type not preserved for App(fn=Free(name=Name(text='x', index=2)), "
+                    "arg=Free(name=Name(text='x', index=1))): source Base(label='i'), "
+                    "target None; G1 = [ty_of x1 i, ty_of x2 (i -> i)]; "
+                    "G2 = [trans_to x1 y1, trans_to x2 y2]; G3 = [ty_of y1 i, ty_of y2 (i -> i)]",
+                ),
+            ),
+        ],
+        ids=["first-case", "two-entries"],
+    )
+    def test_first_counterexample(self, monkeypatch, mutant, expected):
+        monkeypatch.setattr(suites, "linear_type", mutant(suites.linear_type))
+        assert check_ltrans_pres_ty(GenBounds(ctx_elems=2)) == expected
+
+    def test_ml_type_calls(self, monkeypatch):
+        # 231,873 calls when every triple typed its terms, and 43,827 with
+        # one typing per exact source context.
+        calls = 0
+        real = suites.ml_type
+
+        def counting(g, e):
+            nonlocal calls
+            calls += 1
+            return real(g, e)
+
+        monkeypatch.setattr(suites, "ml_type", counting)
+        assert check_ltrans_pres_ty(GenBounds(ctx_elems=2)) == (598, None)
+        assert calls == 26_763

@@ -40,7 +40,7 @@ from linctx.typecheck import (
     type_of_enum,
     type_of_infer,
 )
-from strategies import linear_judgments, terms
+from strategies import judgments, linear_judgments
 
 I = Base("i")
 O = Base("o")
@@ -221,16 +221,11 @@ class TestMiniML:
             assert ml_type(ctx, e) == linear_type(ctx, e)
 
 
-@st.composite
-def random_judgments(draw):
-    names = draw(st.permutations(NAMES))[: draw(st.integers(0, len(NAMES)))]
-    g = from_list([TyAssoc(n, draw(st.sampled_from(TYPE_UNIVERSE))) for n in names])
-    return g, draw(terms(NAMES, TYPE_UNIVERSE, 9))
-
-
 class TestBeyondUniverse:
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(random_judgments(), linear_judgments(NAMES, TYPE_UNIVERSE, 12)))
+    @given(
+        st.one_of(judgments(NAMES, TYPE_UNIVERSE, 9), linear_judgments(NAMES, TYPE_UNIVERSE, 12))
+    )
     def test_relational_agrees_with_algorithmic(self, judgment):
         # Up to 4 associations and terms past size 4, where the equivalence
         # suite stops.  About half of the terms type in the let system, and

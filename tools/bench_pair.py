@@ -12,8 +12,10 @@ in host speed does not favour one side.  The base commit is exported
 with `git archive` into a temporary directory, which is removed at the
 end; the repository itself is left as it was.  The result file holds
 both sides' result lines for every pair, plus per-workload medians, the
-change-to-base ratio of each median and how many pairs the change won.
-Standard library only.
+base's interquartile range, the change-to-base ratio of each median and
+how many pairs the change won.  A run that exits non-zero stops the
+series: the file then holds the pairs completed before it, with
+`"complete": false`, and the exit status is 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def parse_pairs(specs: list) -> list:
 
 
 def summarise(pairs: list, better: dict) -> dict:
-    """Per workload and metric: both medians, their ratio, and the change's wins."""
+    """Per workload and metric: both medians, the base's interquartile range
+    (None below two pairs), the ratio of the medians, and the change's wins."""
     summary: dict = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
@@ -78,6 +81,10 @@ def summarise(pairs: list, better: dict) -> dict:
         for metric, direction in better.items():
             values = {s: [p[s]["metrics"][metric]["value"] for p in runs] for s in SIDES}
             medians = {s: statistics.median(values[s]) for s in SIDES}
+            base_iqr = None
+            if len(runs) >= 2:
+                q1, _, q3 = statistics.quantiles(values["base"], n=4)
+                base_iqr = q3 - q1
             wins = sum(
                 (c < b) if direction == "lower" else (c > b)
                 for b, c in zip(values["base"], values["change"])
@@ -85,6 +92,7 @@ def summarise(pairs: list, better: dict) -> dict:
             rows[metric] = {
                 "base_median": medians["base"],
                 "change_median": medians["change"],
+                "base_iqr": base_iqr,
                 "ratio": medians["change"] / medians["base"] if medians["base"] else None,
                 "change_wins": f"{wins}/{len(runs)}",
             }
@@ -115,19 +123,27 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     pairs = []
+    failure = None
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         trees = {"base": Path(tmp), "change": ROOT}
         export_commit(base_rev, trees["base"])
         turn = 0
-        for workload, count in plan:
-            for seed in range(1, count + 1):
-                order = SIDES if turn % 2 == 0 else SIDES[::-1]
-                turn += 1
-                record = {"workload": workload, "seed": seed, "first": order[0]}
-                for side in order:
-                    print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
-                    record[side] = run_side(trees[side], workload, seed, seconds)
-                pairs.append(record)
+        try:
+            for workload, count in plan:
+                for seed in range(1, count + 1):
+                    order = SIDES if turn % 2 == 0 else SIDES[::-1]
+                    turn += 1
+                    record = {"workload": workload, "seed": seed, "first": order[0]}
+                    for side in order:
+                        print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
+                        record[side] = run_side(trees[side], workload, seed, seconds)
+                    pairs.append(record)
+        except subprocess.CalledProcessError as err:
+            failure = (
+                f"{workload} seed {seed}: {side} run exited with status {err.returncode};"
+                f" keeping the {len(pairs)} pairs completed before it"
+            )
+            print(failure, file=sys.stderr, flush=True)
 
     result = {
         "base": base_rev,
@@ -138,6 +154,7 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
         },
+        "complete": failure is None,
         "summary": summarise(pairs, better),
         "pairs": pairs,
     }
@@ -148,7 +165,7 @@ def main(argv=None) -> int:
                 f"{workload:12} {metric:12} base {m['base_median']:.4g}"
                 f" change {m['change_median']:.4g} wins {m['change_wins']}"
             )
-    return 0
+    return 0 if failure is None else 1
 
 
 if __name__ == "__main__":
