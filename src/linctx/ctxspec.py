@@ -1241,13 +1241,8 @@ def _distr_witnesses(
     every other list, and returns the halves.  Each row is a permutation
     of its context, so the halves of every other row recombine to a
     permutation of theirs.  Returns None when any step or the final
-    predicate checks fail.
-
-    `memo` lives only for the caller's one check.  The two multiset
-    checks on the halves align through it, and it keeps the list-form
-    verdict on both halves under the pair of half tuples.  That key never
-    equals a tuple of contexts or rows, and it hashes through the hashes
-    cached in its contexts, where the aligned rows would rehash every entry.
+    predicate checks fail.  The two multiset checks on the halves align
+    through `memo`, which lives only for the caller's one check.
     """
     mask = perm_to_part_mask(from_list(aligned[index0]), first, second)
     firsts = []
@@ -1255,13 +1250,10 @@ def _distr_witnesses(
     for row in aligned:
         firsts.append(from_list([e for e, m in zip(row, mask) if m]))
         seconds.append(from_list([e for e, m in zip(row, mask) if not m]))
-    key = (tuple(firsts), tuple(seconds))
-    halves_ok = memo.get(key)
-    if halves_ok is None:
-        halves_ok = memo[key] = check_list_pred(
-            spec, firsts, enforce_freshness
-        ) and check_list_pred(spec, seconds, enforce_freshness)
-    if not halves_ok:
+    if not (
+        check_list_pred(spec, firsts, enforce_freshness)
+        and check_list_pred(spec, seconds, enforce_freshness)
+    ):
         return None
     primes = tuple(first if j == index0 else firsts[j] for j in range(spec.arity))
     doubles = tuple(second if j == index0 else seconds[j] for j in range(spec.arity))
@@ -1295,9 +1287,8 @@ def check_distr_instances(
     counterexample or None), one case per split of context `index`.
 
     A tuple outside the predicate fails at its first split.  Each tuple is
-    aligned once, and every alignment and half check shares one memo (see
-    `_distr_witnesses`) that is dropped when the check returns.  Each
-    split is decided once per multiset class.
+    aligned once, and every alignment shares one memo that is dropped when
+    the check returns.  Each split is decided once per multiset class.
     """
     index0 = index - 1
     memo: dict = {}

@@ -155,14 +155,15 @@ def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
     return cases, None
 
 
-def _perm_rel_fast_table(universe: list) -> dict:
+def _perm_rel_fast_table(universe: list) -> tuple:
     """Memoized evaluation of the search-based permutation relation.
 
     Contexts are interned as integers; residuals of universe members are
     again universe members, so the whole recursion stays inside the
     integer coding.  The algorithm is the same clause-for-clause search
     as perm_rel (agreement with the shipped function is itself asserted
-    by the caller on a sub-universe).
+    by the caller on a sub-universe).  Returns the interning index and
+    the relation on interned ids.
     """
     index = {g: i for i, g in enumerate(universe)}
     empties = [no_elems(g) for g in universe]
@@ -198,7 +199,7 @@ def _perm_rel_fast_table(universe: list) -> dict:
         memo[key] = result
         return result
 
-    return {"universe": universe, "index": index, "rel": rel}
+    return index, rel
 
 
 def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
@@ -227,9 +228,7 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
         gen_ctxs(_POOL, 3, max_depth),
         gen_ctxs(_POOL, max_elems, 2),
     ):
-        table = _perm_rel_fast_table(universe)
-        rel = table["rel"]
-        index = table["index"]
+        index, rel = _perm_rel_fast_table(universe)
         for g in small:
             if g in index:
                 for h in small:
@@ -741,12 +740,12 @@ def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
     # itertools.permutations of the names, so its names are distinct, and
     # ML typing over distinct names does not depend on the context's order
     # (exchange): every arrangement in a class gives the same ml_type on
-    # every term.
+    # every term.  l1 holds the source names of l2, so its class fixes srcs.
     typed: dict = {}
     cases = 0
     for l1, l2, l3 in gen_trans_triples(bounds):
         srcs = frozenset(a.src for a in elems(l2))
-        key = (_class_key(l1), srcs)
+        key = _class_key(l1)
         if key not in typed:
             typed[key] = [
                 (e, src_ty)

@@ -27,7 +27,7 @@ from .ctx import (
     select,
     splits,
 )
-from .ctxspec import align_mset, parse_spec
+from .ctxspec import align_mset, parse_spec, value_names
 from .errors import (
     LinearityError,
     MalformedTermError,
@@ -39,7 +39,6 @@ from .terms import (
     App,
     Free,
     Let,
-    Name,
     Tm,
     close_term,
     fresh,
@@ -51,21 +50,7 @@ from .terms import (
 from .typecheck import TyAssoc, VarAssoc
 
 
-def _entry_names(a: object) -> frozenset:
-    if isinstance(a, TyAssoc):
-        return frozenset((a.name,))
-    if isinstance(a, VarAssoc):
-        return frozenset((a.src, a.dst))
-    if isinstance(a, Name):
-        return frozenset((a,))
-    return frozenset()
-
-
-def _assoc_names(g: Ctx) -> set:
-    return set().union(*map(_entry_names, elems(g)))
-
-
-def _fresh_pair(avoid: set) -> tuple:
+def _fresh_pair(avoid: frozenset) -> tuple:
     x = fresh(avoid)
     y = fresh(avoid | {x})
     return x, y
@@ -94,7 +79,7 @@ def ltrans_rel(g: Ctx, e: Tm, e2: Tm) -> bool:
     if isinstance(e, Let) and isinstance(e2, App):
         if not isinstance(e2.fn, Abs) or e2.fn.ann != e.ann:
             return False
-        avoid = _assoc_names(g) | free_names(e) | free_names(e2)
+        avoid = free_names(e).union(free_names(e2), *map(value_names, elems(g)))
         for g1, g2 in splits(g):
             if ltrans_rel(g1, e.val, e2.arg):
                 x, y = _fresh_pair(avoid)
@@ -106,7 +91,7 @@ def ltrans_rel(g: Ctx, e: Tm, e2: Tm) -> bool:
                     return True
         return False
     if isinstance(e, Abs) and isinstance(e2, Abs) and e.ann == e2.ann:
-        avoid = _assoc_names(g) | free_names(e) | free_names(e2)
+        avoid = free_names(e).union(free_names(e2), *map(value_names, elems(g)))
         x, y = _fresh_pair(avoid)
         return ltrans_rel(
             Cons(VarAssoc(x, y), g), open_term(e.body, x), open_term(e2.body, y)
@@ -141,7 +126,7 @@ def translate(g: Ctx, e: Tm) -> Tm:
         if count != 1:
             raise LinearityError(f"source name {n} is used {count} times, expected 1")
 
-    avoid = _assoc_names(g) | free_names(e)
+    avoid = free_names(e).union(*map(value_names, elems(g)))
 
     def go(t: Tm, mapping: dict) -> Tm:
         if isinstance(t, Free):
@@ -194,7 +179,7 @@ def trans_rel_list(l1: Ctx, l2: Ctx, l3: Ctx) -> bool:
             return False
         tail_names = set()
         for j in range(i + 1, k):
-            tail_names |= _entry_names(e1[j]) | _entry_names(e2[j]) | _entry_names(e3[j])
+            tail_names |= value_names(e1[j]) | value_names(e2[j]) | value_names(e3[j])
         if x in tail_names or y in tail_names:
             return False
     return True

@@ -424,6 +424,17 @@ class TestGeneration:
         for contexts in generate_mset_instances(ty_spec, BOUNDS):
             assert check_mset_pred(ty_spec, contexts)
 
+    def test_nested_union_variant(self, ty_spec):
+        deep = GenBounds(ctx_elems=2, union_depth=3)
+        instances = generate_mset_instances(ty_spec, deep)
+        nested = [g for (g,) in instances if isinstance(g, Union) and isinstance(g.left, Union)]
+        assert nested
+        for contexts in instances:
+            assert check_mset_pred(ty_spec, contexts)
+        cases, counterexample = check_distr_cases(ty_spec, 1, deep)
+        assert counterexample is None
+        assert cases > check_distr_cases(ty_spec, 1, GenBounds(ctx_elems=2))[0]
+
     def test_generation_is_deterministic(self, ty_spec):
         first = generate_mset_instances(ty_spec, BOUNDS)
         second = generate_mset_instances(ty_spec, BOUNDS)
@@ -501,6 +512,22 @@ class TestDistributivity:
                             }
                             lines.append(json.dumps(record) + "\n")
         assert "".join(lines) == (FIXTURES / "golden" / "distr_cases.jsonl").read_text()
+
+    def test_memo_holds_only_alignments(self, tr_spec, monkeypatch):
+        # Every memo entry is an alignment search's answer: a row tuple, or
+        # None when there is none.  No split verdict is kept there.
+        memos = []
+        real = ctxspec.align_mset
+
+        def recording(spec, contexts, enforce, *, _memo=None):
+            memos.append(_memo)
+            return real(spec, contexts, enforce, _memo=_memo)
+
+        monkeypatch.setattr(ctxspec, "align_mset", recording)
+        assert check_distr_cases(tr_spec, 2, BOUNDS)[1] is None
+        memo = memos[0]
+        assert memo and all(m is memo for m in memos)
+        assert all(v is None or isinstance(v, tuple) for v in memo.values())
 
     @pytest.mark.parametrize("index", [1, 2, 3])
     def test_reversed_mask_counterexample(self, tr_spec, monkeypatch, index):
@@ -586,17 +613,23 @@ class TestClassVerdicts:
         for enforce in (True, False):
             bounds = GenBounds(ctx_elems=_class_bounds(spec, enforce)[-1])
             instances = generate_mset_instances(spec, bounds, enforce)
-            memo: dict = {}  # alignments and half checks, shared as in one check
+            memo: dict = {}  # alignments, shared as in one check
             aligned = [ctxspec._align_instance(spec, g, enforce, memo) for g in instances]
+            # Verdicts of identical calls, which tree shapes aligning to the
+            # same rows repeat; the key knows nothing of classes.
+            decided: dict = {}
             for index in range(1, spec.arity + 1):
                 verdicts = []
                 for contexts, rows in zip(instances, aligned):
                     instance_key = tuple(ctxspec._class_key(g) for g in contexts)
                     for first, second in splits(contexts[index - 1]):
                         key = (instance_key, ctxspec._class_key(first))
-                        holds = rows is not None and witnesses(
-                            spec, rows, index - 1, first, second, enforce, memo
-                        ) is not None
+                        call = (rows, index - 1, first, second)
+                        if rows is not None and call not in decided:
+                            decided[call] = witnesses(
+                                spec, rows, index - 1, first, second, enforce, memo
+                            ) is not None
+                        holds = rows is not None and decided[call]
                         holds_of.setdefault(key, holds)
                         # an instance that does not align fails undecided
                         verdicts.append((key, holds, key if rows is not None else None))
@@ -903,6 +936,15 @@ class TestDerivation:
             store.assert_member("a", EMPTY)
         with pytest.raises(VerificationError):
             store.assert_pred("ty_ctx'", [from_list(["junk"])])
+
+    def test_store_member_and_subst(self, ty_spec):
+        store = DerivationStore([ty_spec], BOUNDS)
+        g = from_list(["a", "b"])
+        member_fact = store.assert_member("a", g)
+        perm_fact = store.assert_perm(g, Union(from_list(["b"]), from_list(["a"])))
+        out = store.subst(perm_fact, member_fact)
+        assert out == MemberFact("a", perm_fact.right)
+        assert store.facts == [member_fact, perm_fact, out]
 
     def test_store_requires_known_facts(self, ty_spec):
         store = DerivationStore([ty_spec], BOUNDS)
