@@ -80,7 +80,8 @@ class TestSummarise:
         assert summary["schematic"]["metrics"]["verdict_s"]["change_wins"] == "0/1"
 
 
-def test_failed_run_keeps_completed_pairs(tmp_path, monkeypatch, capsys):
+def isolate_main(tmp_path, monkeypatch, run_side):
+    """Point main at a scratch root whose runs are answered by `run_side`."""
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps(
             {
@@ -89,6 +90,14 @@ def test_failed_run_keeps_completed_pairs(tmp_path, monkeypatch, capsys):
             }
         )
     )
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair.signal, "signal", lambda signum, handler: None)
+    monkeypatch.setattr(bench_pair, "git", lambda *args: b"")
+    monkeypatch.setattr(bench_pair, "export_commit", lambda rev, into: None)
+    monkeypatch.setattr(bench_pair, "run_side", run_side)
+
+
+def test_failed_run_keeps_completed_pairs(tmp_path, monkeypatch, capsys):
     runs = []
 
     def run_side(tree, workload, seed, seconds):
@@ -97,11 +106,7 @@ def test_failed_run_keeps_completed_pairs(tmp_path, monkeypatch, capsys):
             raise subprocess.CalledProcessError(3, ["run.py"])
         return run_record(1.0)
 
-    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_pair.signal, "signal", lambda signum, handler: None)
-    monkeypatch.setattr(bench_pair, "git", lambda *args: b"")
-    monkeypatch.setattr(bench_pair, "export_commit", lambda rev, into: None)
-    monkeypatch.setattr(bench_pair, "run_side", run_side)
+    isolate_main(tmp_path, monkeypatch, run_side)
     assert bench_pair.main(["--pr", "0", "--pairs", "core=3"]) == 1
     assert runs == [("core", 1), ("core", 1), ("core", 2)]
     assert "core seed 2: change run exited with status 3" in capsys.readouterr().err
@@ -109,3 +114,25 @@ def test_failed_run_keeps_completed_pairs(tmp_path, monkeypatch, capsys):
     assert result["complete"] is False
     assert [p["seed"] for p in result["pairs"]] == [1]
     assert result["summary"]["core"]["pairs"] == 1
+
+
+def test_incorrect_run_fails_the_series(tmp_path, monkeypatch, capsys):
+    def run_side(tree, workload, seed, seconds):
+        # The working tree is the scratch root; the base is exported elsewhere.
+        return run_record(1.0, correct=not (tree == tmp_path and seed == 2))
+
+    isolate_main(tmp_path, monkeypatch, run_side)
+    assert bench_pair.main(["--pr", "0", "--pairs", "core=3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "correct" in line] == [
+        "core seed 2: change run reported correct: false"
+    ]
+    result = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert result["complete"] is True
+    assert [p["seed"] for p in result["pairs"]] == [1, 2, 3]
+    assert not result["summary"]["core"]["all_correct"]
+
+
+def test_correct_runs_exit_zero(tmp_path, monkeypatch):
+    isolate_main(tmp_path, monkeypatch, lambda tree, workload, seed, seconds: run_record(1.0))
+    assert bench_pair.main(["--pr", "0", "--pairs", "core=2"]) == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linctx import suites
-from linctx.ctx import elems, from_list
+from linctx.ctx import Union, elems, from_list, gen_ctxs, perm_rel
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
     check_linear_equivalence,
@@ -207,3 +207,50 @@ class TestPresTyPinned:
         monkeypatch.setattr(suites, "ml_type", counting)
         assert check_ltrans_pres_ty(GenBounds(ctx_elems=2)) == (598, None)
         assert calls == 26_763
+
+
+class TestPermRelRows:
+    def test_rows_agree_with_perm_rel_over_three_letters(self):
+        # A third letter reaches pairs where some x of one context is
+        # missing from the other.
+        universe = gen_ctxs(("a", "b", "c"), 3, 2)
+        assert len(universe) == 374
+        index, rows = suites._perm_rel_fast_table(universe)
+        assert index == {g: i for i, g in enumerate(universe)}
+        memo: dict = {}
+        for i, g in enumerate(universe):
+            expected = sum(1 << j for j, h in enumerate(universe) if perm_rel(g, h, memo))
+            assert rows[i] == expected, g
+
+
+class TestPermEquivPinned:
+    """The first counterexample of `check_perm_equiv` at (3, 3) when the
+    decision or the search it is checked against is broken: the count is
+    the row-major position of the first disagreeing pair."""
+
+    def test_select_drops_b_from_three_element_unions(self, monkeypatch):
+        real = suites.select
+
+        def mutant(x, g):
+            if x == "b" and isinstance(g, Union) and len(elems(g)) == 3:
+                return ()
+            return real(x, g)
+
+        monkeypatch.setattr(suites, "select", mutant)
+        assert suites.check_perm_equiv(3, 3) == (
+            514_137,
+            "perm and perm_rel disagree on [b, b, b] / nil ++ [b, b, b]",
+        )
+
+    def test_mkey_leaves_two_element_keys_unsorted(self, monkeypatch):
+        real = suites._mkey
+
+        def mutant(g):
+            found = elems(g)
+            return tuple(found) if len(found) == 2 else real(g)
+
+        monkeypatch.setattr(suites, "_mkey", mutant)
+        assert suites.check_perm_equiv(3, 3) == (
+            81_034,
+            "perm and perm_rel disagree on [a, b] / [b, a]",
+        )

@@ -15,7 +15,9 @@ both sides' result lines for every pair, plus per-workload medians, the
 base's interquartile range, the change-to-base ratio of each median and
 how many pairs the change won.  A run that exits non-zero stops the
 series: the file then holds the pairs completed before it, with
-`"complete": false`, and the exit status is 1.  Standard library only.
+`"complete": false`, and the exit status is 1.  A run whose result line
+reports `"correct": false` is named on stderr, and the exit status is
+then 1 too.  Standard library only.
 """
 
 from __future__ import annotations
@@ -159,13 +161,16 @@ def main(argv=None) -> int:
         "pairs": pairs,
     }
     out.write_text(json.dumps(result, indent=2) + "\n")
+    wrong = [(p["workload"], p["seed"], s) for p in pairs for s in SIDES if not p[s]["correct"]]
+    for workload, seed, side in wrong:
+        print(f"{workload} seed {seed}: {side} run reported correct: false", file=sys.stderr)
     for workload, row in result["summary"].items():
         for metric, m in row["metrics"].items():
             print(
                 f"{workload:12} {metric:12} base {m['base_median']:.4g}"
                 f" change {m['change_median']:.4g} wins {m['change_wins']}"
             )
-    return 0 if failure is None else 1
+    return 0 if failure is None and not wrong else 1
 
 
 if __name__ == "__main__":
