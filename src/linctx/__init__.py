@@ -23,6 +23,7 @@ from .ctx import (
     is_list,
     mem_transport,
     member,
+    multiset,
     no_elems,
     parse_ctx,
     part_to_perm,

@@ -216,14 +216,20 @@ def depth(g: Ctx) -> int:
     return deepest
 
 
+def multiset(entries: Iterable[Any]) -> frozenset:
+    """The multiset class of a sequence of entries: each distinct entry with
+    its count.  Every decision or grouping up to permutation uses this class."""
+    return frozenset(Counter(entries).items())
+
+
 def perm(g1: Ctx, g2: Ctx) -> bool:
     """Whether g1 and g2 have the same elements as multisets.
 
-    Decided by comparing flattenings; the search-based reading of the
-    permutation relation is kept separately as `perm_rel` and serves as
-    the oracle this decision is checked against.
+    Decided by comparing the `multiset` classes of the flattenings; the
+    search-based reading of the permutation relation is kept separately as
+    `perm_rel` and serves as the oracle this decision is checked against.
     """
-    return Counter(elems(g1)) == Counter(elems(g2))
+    return multiset(elems(g1)) == multiset(elems(g2))
 
 
 def perm_rel(g1: Ctx, g2: Ctx, _memo: dict | None = None) -> bool:
@@ -335,9 +341,10 @@ def perm_to_part_mask(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     if not is_list(l):
         raise PreconditionError("perm_to_part: first argument must be a list")
     items = elems(l)
-    left = Counter(elems(g1))
-    if Counter(items) != left + Counter(elems(g2)):
+    firsts = elems(g1)
+    if multiset(items) != multiset(firsts + elems(g2)):
         raise PreconditionError("perm_to_part: list is not a permutation of the combined split")
+    left = Counter(firsts)
     mask = []
     for e in items:
         into_first = left[e] > 0

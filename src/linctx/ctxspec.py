@@ -15,7 +15,6 @@ permutations.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Any, Callable, Container, Iterable, Optional, Sequence
@@ -29,6 +28,7 @@ from .ctx import (
     is_list,
     member,
     mem_transport,
+    multiset,
     perm,
     perm_to_part_mask,
     print_ctx,
@@ -37,7 +37,7 @@ from .ctx import (
 from .errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
 from .lex import Token, TokenStream
 from .report import CheckReport, GenBounds, run_check
-from .terms import TYPE_UNIVERSE, Arrow, Base, Name, name_pool, print_type
+from .terms import TYPE_UNIVERSE, Arrow, Base, Name, fresh, name_pool, print_type
 from .typecheck import TyAssoc, VarAssoc
 
 
@@ -250,10 +250,6 @@ def render_formula(f: SideFormula) -> str:
         return f"name {_render_pattern_atom(f.term)}"
     if isinstance(f, FEq):
         return f"{render_pattern(f.lhs)} = {render_pattern(f.rhs)}"
-    if isinstance(f, FAnd):
-        return f"{render_formula(f.left)} /\\ {render_formula(f.right)}"
-    if isinstance(f, FOr):
-        return f"({render_formula(f.left)} \\/ {render_formula(f.right)})"
     raise ShapeError(f"unknown formula {f!r}")
 
 
@@ -988,15 +984,13 @@ def generate_list_instances(
             for row in rows:
                 for entry in row:
                     used_names |= value_names(entry)
-            fresh = [  # the canonical fresh names: the first unused ones
-                Name("n", i)
-                for i in range(len(used_names) + max_nabla)
-                if Name("n", i) not in used_names
-            ][:max_nabla]
+            fresh_names: list = []  # the first names of fresh's chain not yet used
+            for _ in range(max_nabla):
+                fresh_names.append(fresh(used_names.union(fresh_names)))
             collision_candidates = sorted(used_names, key=str)[:1]
             for clause, meta_bindings in clause_bindings:
                 k = len(clause.nabla_vars)
-                nabla_pool = tuple(fresh[:k])
+                nabla_pool = tuple(fresh_names[:k])
                 nabla_choices = [nabla_pool]
                 for coll in collision_candidates:
                     for i in range(k):
@@ -1007,10 +1001,7 @@ def generate_list_instances(
                 for binding in meta_bindings:
                     for nabla_combo in dict.fromkeys(nabla_choices):
                         full = {**binding, **dict(zip(nabla_keys, nabla_combo))}
-                        try:
-                            entries = tuple(instantiate(p, full) for p in clause.patterns)
-                        except ShapeError:
-                            continue
+                        entries = tuple(instantiate(p, full) for p in clause.patterns)
                         # the rows already satisfy the predicate; only the
                         # new heads need checking against their names
                         if _heads_ok(spec, entries, used_names, enforce_freshness):
@@ -1071,9 +1062,9 @@ def generate_mset_instances(
 # ---------------------------------------------------------------------------
 # One decision per multiset class.
 #
-# A lemma instance is decided on the class key of its contexts, the
-# multiset of entries of each one; a distributivity case on that key plus
-# the multiset of the split's first half, which fixes the second half's.
+# A lemma instance is decided on its class key, the `multiset` class of
+# each of its contexts; a distributivity case on that key plus the class
+# of the split's first half, which fixes the second half's.
 # Every presentation of a class gets the same verdict:
 # - the multiset-form predicate, `member` and every lemma atom read only
 #   multisets, and each candidate pool holds the values in the contexts,
@@ -1088,11 +1079,6 @@ def generate_mset_instances(
 # passing keys are kept: a failure ends the check, so the case count and
 # counterexample are those of deciding every case.
 # ---------------------------------------------------------------------------
-
-
-def _class_key(g: Ctx) -> frozenset:
-    """The multiset class of one context: its entries with their counts."""
-    return frozenset(Counter(elems(g)).items())
 
 
 def _lemma_counterexample(
@@ -1130,7 +1116,7 @@ def verify_lemma_cases(
     cases = 0
     for contexts in instances:
         cases += 1
-        key = tuple(_class_key(g) for g in contexts)
+        key = tuple(multiset(elems(g)) for g in contexts)
         if key in passed:
             continue
         counterexample = _lemma_counterexample(stmt, sorts, contexts)
@@ -1217,7 +1203,7 @@ def _align_instance(
     is none or one of its rows does not hold exactly its context's entries."""
     aligned = align_mset(spec, contexts, enforce_freshness, _memo=memo)
     if aligned is None or any(
-        Counter(row) != Counter(elems(g)) for row, g in zip(aligned, contexts)
+        multiset(row) != multiset(elems(g)) for row, g in zip(aligned, contexts)
     ):
         return None
     return aligned
@@ -1296,10 +1282,10 @@ def check_distr_instances(
     cases = 0
     for contexts in instances:
         aligned = _align_instance(spec, contexts, enforce_freshness, memo)
-        instance_key = tuple(_class_key(g) for g in contexts)
+        instance_key = tuple(multiset(elems(g)) for g in contexts)
         for first, second in splits(contexts[index0]):
             cases += 1
-            key = (instance_key, _class_key(first))
+            key = (instance_key, multiset(elems(first)))
             # An instance that does not align fails whatever its class.
             if aligned is not None and key in passed:
                 continue

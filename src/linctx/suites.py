@@ -22,6 +22,7 @@ from .ctx import (
     from_list,
     gen_ctxs,
     member,
+    multiset,
     no_elems,
     part_to_perm,
     partition_list,
@@ -33,7 +34,7 @@ from .ctx import (
     sel_transport,
     splits,
 )
-from .ctxspec import _class_key, check_distr_instances, render_contexts, render_value
+from .ctxspec import check_distr_instances, render_contexts, render_value
 from .report import GenBounds, run_checks
 from .terms import (
     Abs,
@@ -71,14 +72,10 @@ _POOL = ("a", "b")
 _FOREIGN = "z"
 
 
-def _mkey(g: Ctx) -> tuple:
-    return tuple(sorted(elems(g), key=str))
-
-
 def _buckets(universe: list) -> dict:
     out: dict = {}
     for g in universe:
-        out.setdefault(_mkey(g), []).append(g)
+        out.setdefault(multiset(elems(g)), []).append(g)
     return out
 
 
@@ -134,7 +131,7 @@ def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
     """
     cases, cex = _constant_on_buckets(
         gen_ctxs(_POOL, max_elems, max_depth),
-        lambda g: tuple(frozenset(_mkey(r) for r in select(x, g)) for x in _POOL),
+        lambda g: tuple(frozenset(multiset(elems(r)) for r in select(x, g)) for x in _POOL),
         "selection residual classes differ",
     )
     if cex is not None:
@@ -230,10 +227,11 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
 
     The interned search gives each context's whole row of the relation
     at once, the same clause read for all partners together, and a row
-    is compared with the bitset of the context's `_mkey` bucket in one
-    step.  Each row still counts one case per pair; on a mismatch the
-    lowest differing bit is the first failing pair in row-major order,
-    so counts and counterexamples are those of a pair-by-pair sweep.
+    is compared in one step with the bitset of the context's `multiset`
+    bucket, the class by which `perm` decides.  Each row still counts one
+    case per pair; on a mismatch the lowest differing bit is the first
+    failing pair in row-major order, so counts and counterexamples are
+    those of a pair-by-pair sweep.
     """
     cases = 0
     small = gen_ctxs(_POOL, 2, 2)
@@ -262,7 +260,7 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
                                 f"interned search disagrees with perm_rel on "
                                 f"{print_ctx(g)} / {print_ctx(h)}"
                             )
-        keys = [_mkey(g) for g in universe]
+        keys = [multiset(elems(g)) for g in universe]
         buckets: dict = {}
         for j, key in enumerate(keys):
             buckets[key] = buckets.get(key, 0) | 1 << j
@@ -290,9 +288,11 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
     is asserted on the fully-swept arrangements.
     """
     universe = gen_ctxs(_POOL, max_elems, max_depth)
-    by_count: dict = {}  # size -> (context, its _mkey) pairs
+    # size -> (context, its sorted entries), which build the arrangements and,
+    # on this pool of strings, decide exactly whether an output is a permutation
+    by_count: dict = {}
     for g in universe:
-        key = _mkey(g)
+        key = tuple(sorted(elems(g)))
         by_count.setdefault(len(key), []).append((g, key))
     cases = 0
     for k1 in range(max_elems + 1):
@@ -314,7 +314,8 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
                         cases += 1
                         l = from_list(arr)
                         l1, l2 = perm_to_part(l, g1, g2)
-                        if _mkey(l1) != key1 or _mkey(l2) != key2:
+                        found = (tuple(sorted(elems(l1))), tuple(sorted(elems(l2))))
+                        if found != (key1, key2):
                             return cases, (
                                 f"perm_to_part output not permutations: "
                                 f"L={print_ctx(l)}, G1={print_ctx(g1)}, "
@@ -771,7 +772,7 @@ def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
     cases = 0
     for l1, l2, l3 in gen_trans_triples(bounds):
         srcs = frozenset(a.src for a in elems(l2))
-        key = _class_key(l1)
+        key = multiset(elems(l1))
         if key not in typed:
             typed[key] = [
                 (e, src_ty)

@@ -27,15 +27,15 @@ class Name:
         return self.text if self.index == 0 else f"{self.text}{self.index}"
 
 
-def fresh(avoid: Iterable[Name], stem: str = "n") -> Name:
-    """First name of the canonical chain (stem, stem1, stem2, ...) not in avoid.
+def fresh(avoid: Iterable[Name]) -> Name:
+    """First name of the canonical chain (n, n1, n2, ...) not in avoid.
 
     Deterministic in its arguments; the result is never a member of avoid.
     """
     avoid = set(avoid)
     k = 0
     while True:
-        candidate = Name(stem, k)
+        candidate = Name("n", k)
         if candidate not in avoid:
             return candidate
         k += 1

@@ -17,6 +17,7 @@ from linctx.ctx import (
     is_list,
     mem_transport,
     member,
+    multiset,
     no_elems,
     parse_ctx,
     part_to_perm,
@@ -157,6 +158,14 @@ class TestPerm:
         assert perm(EMPTY, Union(EMPTY, EMPTY))
         assert not perm(lst("a"), lst("a", "a"))
 
+    def test_multiset_counts_each_entry(self):
+        assert multiset(("a", "b", "a")) == frozenset({("a", 2), ("b", 1)})
+        assert multiset(()) == frozenset()
+        # entries that print alike stay apart
+        assert multiset((Name("c", 1), Name("c1"))) == frozenset(
+            {(Name("c", 1), 1), (Name("c1"), 1)}
+        )
+
     def test_perm_rel_examples(self):
         assert perm_rel(EMPTY, EMPTY)
         assert perm_rel(lst("a", "b"), lst("b", "a"))
@@ -172,11 +181,11 @@ class TestPerm:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_agrees_with_perm_rel_beyond_universe(self, data):
-        # up to 7 elements in arbitrary cons/union shapes, past gen_ctxs' bounds
-        items1 = data.draw(st.lists(st.sampled_from("abc"), max_size=7))
-        items2 = data.draw(
-            st.one_of(st.permutations(items1), st.lists(st.sampled_from("abc"), max_size=7))
-        )
+        # up to 7 elements in arbitrary cons/union shapes, past gen_ctxs' bounds,
+        # with two distinct names that both print as c1
+        pool = st.sampled_from(("a", "b", "c", Name("c", 1), Name("c1")))
+        items1 = data.draw(st.lists(pool, max_size=7))
+        items2 = data.draw(st.one_of(st.permutations(items1), st.lists(pool, max_size=7)))
         g1 = data.draw(shaped(items1, 3))
         g2 = data.draw(shaped(items2, 3))
         assert elems(g1) == tuple(items1) and elems(g2) == tuple(items2)

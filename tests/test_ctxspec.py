@@ -10,10 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linctx import ctxspec
-from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, perm, splits
+from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, is_list, multiset, perm, splits
 from linctx.ctxspec import (
     DerivationStore,
+    FAnd,
+    FEq,
+    FIsName,
     FMember,
+    FOr,
+    MetaVar,
+    NablaVar,
+    PatApp,
     MemberFact,
     PermFact,
     PredFact,
@@ -157,6 +164,46 @@ class TestParsing:
         )
         assert check_list_pred(spec, [from_list([TyAssoc(N1, I)])])
         assert not check_list_pred(spec, [from_list([TyAssoc(N1, Arrow(I, I))])])
+
+
+class TestSideFormulaSyntax:
+    """A side formula with a conjunction after `-|`, a parenthesised
+    disjunction and a `name` atom, through every check that reads it."""
+
+    SMALL_CMD = (
+        "Context small with elems as nabla x (ty_of x T -| (T = i \\/ T = o) /\\ name x)."
+    )
+    LEMMA = "Lemma base : forall L X T, small_list L -> member (ty_of X T) L -> "
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return parse_spec(self.SMALL_CMD)
+
+    def test_parsed_formula(self, spec):
+        is_i, is_o = (FEq(MetaVar("T"), PatApp(ty, ())) for ty in ("i", "o"))
+        assert spec.clauses[0].formula == FAnd(FOr(is_i, is_o), FIsName(NablaVar("x")))
+
+    def test_list_pred(self, spec):
+        n = Name("n")
+        assert check_list_pred(spec, [from_list([TyAssoc(n, I)])])
+        assert not check_list_pred(spec, [from_list([TyAssoc(n, Arrow(I, I))])])
+
+    def test_instances_and_distributivity(self, spec):
+        assert len(generate_list_instances(spec, BOUNDS)) == 7
+        assert check_distr_cases(spec, 1, BOUNDS) == (73, None)
+
+    def test_lemma_with_bare_constant(self, spec):
+        stmt = parse_lemma(self.LEMMA + "exists U, U = i.")
+        # a bare lowercase constant is a base type, so U ranges over types
+        assert ctxspec._lemma_var_sorts(spec, stmt)["U"] == "ty"
+        assert verify_lemma_cases(spec, stmt, BOUNDS) == (7, None)
+
+    def test_lemma_counterexample(self, spec):
+        stmt = parse_lemma(self.LEMMA + "T = i.")
+        assert verify_lemma_cases(spec, stmt, BOUNDS) == (
+            3,
+            "L = [ty_of n o] with T = o, X = n",
+        )
 
 
 class TestElaborationFidelity:
@@ -601,8 +648,8 @@ class TestClassVerdicts:
         def decide(spec_, rows, index0, first, second, enforce_, memo_):
             # each aligned row holds exactly its context's entries
             key = (
-                tuple(ctxspec._class_key(from_list(row)) for row in rows),
-                ctxspec._class_key(first),
+                tuple(multiset(row) for row in rows),
+                multiset(elems(first)),
             )
             asked.append(key)
             return () if holds_of[key] else None
@@ -621,9 +668,9 @@ class TestClassVerdicts:
             for index in range(1, spec.arity + 1):
                 verdicts = []
                 for contexts, rows in zip(instances, aligned):
-                    instance_key = tuple(ctxspec._class_key(g) for g in contexts)
+                    instance_key = tuple(multiset(elems(g)) for g in contexts)
                     for first, second in splits(contexts[index - 1]):
-                        key = (instance_key, ctxspec._class_key(first))
+                        key = (instance_key, multiset(elems(first)))
                         call = (rows, index - 1, first, second)
                         if rows is not None and call not in decided:
                             decided[call] = witnesses(
@@ -671,7 +718,7 @@ class TestClassVerdicts:
                     for contexts in instances:
                         cex = ctxspec._lemma_counterexample(lemma, sorts, contexts)
                         counterexample_of[tuple(contexts)] = cex
-                        key = tuple(ctxspec._class_key(g) for g in contexts)
+                        key = tuple(multiset(elems(g)) for g in contexts)
                         verdicts.append((key, cex is None, tuple(contexts)))
                     _assert_class_blind([(key, holds) for key, holds, _ in verdicts])
                     with monkeypatch.context() as patch:
@@ -881,6 +928,64 @@ class TestLifting:
     def test_lemma_file(self):
         stmts = parse_lemma_file(MEM_LEMMA + "\n" + UNIQ_LEMMA)
         assert [s.name for s in stmts] == ["ty_ctx_mem", "ty_ctx_uniq"]
+
+
+class TestTransportFailures:
+    """Each non-passing outcome of the `lift_lemma` checker."""
+
+    @pytest.fixture(scope="class")
+    def fixtures(self):
+        specs = {spec.name: spec for spec in _fixture_specs()}
+        lemmas = {
+            stmt.name: stmt
+            for name in ("lemmas.lem", "broken_uniq.lem")
+            for stmt in parse_lemma_file((FIXTURES / name).read_text())
+        }
+        return specs, lemmas
+
+    def checker(self, fixtures, spec_name, lemma_name):
+        specs, lemmas = fixtures
+        return lift_lemma(specs[spec_name], lemmas[lemma_name])[1]
+
+    def test_unaligned_instance_is_not_checked(self, fixtures):
+        checker = self.checker(fixtures, "ty_ctx'", "ty_ctx_uniq")
+        n = Name("n")
+        assert checker((from_list([TyAssoc(n, I), TyAssoc(n, O)]),)) == (0, None)
+
+    def test_list_level_conclusion_without_witness(self, fixtures):
+        checker = self.checker(fixtures, "loose_ctx", "loose_uniq")
+        assert checker((from_list([TyAssoc(M1, O), TyAssoc(M1, I)]),)) == (
+            2,
+            "list-level conclusion has no witness under T1 = o, T2 = i, X = m1",
+        )
+
+    def test_hypothesis_transport_failure(self, fixtures, monkeypatch):
+        checker = self.checker(fixtures, "ty_ctx'", "ty_ctx_uniq")
+        monkeypatch.setattr(ctxspec, "mem_transport", lambda x, g, g2: False)
+        g = Union(from_list([TyAssoc(Name("n"), I)]), from_list([TyAssoc(N1, O)]))
+        assert checker((g,)) == (
+            1,
+            "hypothesis transport failed for ty_of n i in G1 = [ty_of n i] ++ [ty_of n1 o]",
+        )
+
+    def test_conclusion_transport_failure(self, fixtures, monkeypatch):
+        checker = self.checker(fixtures, "trans_rel", "trans_rel_mem")
+        real = ctxspec.mem_transport
+        # transport into a list works; transport back into a union fails
+        monkeypatch.setattr(
+            ctxspec, "mem_transport", lambda x, g, g2: is_list(g2) and real(x, g, g2)
+        )
+        x, y = Name("x"), Name("y")
+        contexts = (
+            Union(from_list([TyAssoc(x, I)]), EMPTY),
+            from_list([VarAssoc(x, y)]),
+            from_list([TyAssoc(y, I)]),
+        )
+        assert checker(contexts) == (
+            1,
+            "conclusion transport failed for ty_of x i in G1 = [ty_of x i] ++ nil; "
+            "G2 = [trans_to x y]; G3 = [ty_of y i]",
+        )
 
 
 class TestDerivation:
