@@ -284,8 +284,10 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
     max_elems elements combined, and every arrangement L of the combined
     multiset (all arrangements up to 3 elements, the canonical sorted one
     at 4): the result is an ordered partition of L whose components are
-    permutations of G1 and G2.  The partition-to-permutation round trip
-    is asserted on the fully-swept arrangements.
+    permutations of G1 and G2.  Both conjuncts are looked up in one table
+    per L, from each ordered partition of L to its components' sorted
+    entries.  The way back is `check_part_to_perm`, on every ordered
+    partition of every list reached here.
     """
     universe = gen_ctxs(_POOL, max_elems, max_depth)
     # size -> (context, its sorted entries), which build the arrangements and,
@@ -294,36 +296,32 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
     for g in universe:
         key = tuple(sorted(elems(g)))
         by_count.setdefault(len(key), []).append((g, key))
+    # combined sorted entries -> [(L, {ordered partition of L: sorted entries of each side})]
+    tables: dict = {}
     cases = 0
     for k1 in range(max_elems + 1):
         for k2 in range(max_elems + 1 - k1):
-            total = k1 + k2
             for g1, key1 in by_count.get(k1, ()):
                 for g2, key2 in by_count.get(k2, ()):
                     combined = tuple(sorted(key1 + key2))
-                    if total <= 3:
-                        arrangements = [
-                            arr
-                            for arr in dict.fromkeys(
-                                itertools.permutations(combined)
-                            )
+                    if combined not in tables:
+                        if k1 + k2 <= 3:
+                            arrangements = dict.fromkeys(itertools.permutations(combined))
+                        else:
+                            arrangements = [combined]
+                        tables[combined] = [
+                            (l, {(l1, l2): (tuple(sorted(elems(l1))), tuple(sorted(elems(l2))))
+                                 for l1, l2 in partition_list(l)})
+                            for l in map(from_list, arrangements)
                         ]
-                    else:
-                        arrangements = [combined]
-                    for arr in arrangements:
+                    for l, table in tables[combined]:
                         cases += 1
-                        l = from_list(arr)
-                        l1, l2 = perm_to_part(l, g1, g2)
-                        found = (tuple(sorted(elems(l1))), tuple(sorted(elems(l2))))
+                        found = table.get(perm_to_part(l, g1, g2))
                         if found != (key1, key2):
+                            what = "an ordered partition" if found is None else "permutations"
                             return cases, (
-                                f"perm_to_part output not permutations: "
-                                f"L={print_ctx(l)}, G1={print_ctx(g1)}, "
-                                f"G2={print_ctx(g2)}"
-                            )
-                        if total <= 3 and not part_to_perm(l, l1, l2):
-                            return cases, (
-                                f"round trip failed: L={print_ctx(l)}"
+                                f"perm_to_part output not {what}: L={print_ctx(l)}, "
+                                f"G1={print_ctx(g1)}, G2={print_ctx(g2)}"
                             )
     return cases, None
 

@@ -263,3 +263,66 @@ class TestPermEquivPinned:
             81_034,
             "perm and perm_rel disagree on [a, b] / [b, a]",
         )
+
+
+def _reverse_first_side(when):
+    real = suites.perm_to_part
+
+    def mutant(l, g1, g2):
+        l1, l2 = real(l, g1, g2)
+        return (from_list(elems(l1)[::-1]), l2) if when(l) else (l1, l2)
+
+    return mutant
+
+
+class TestPermToPartPinned:
+    """`check_perm_to_part` checks both conjuncts of `perm_to_part` on its
+    own: an output that is not an ordered partition of L is a
+    counterexample at every size, and the round trip is left to
+    `check_part_to_perm`."""
+
+    @pytest.mark.parametrize(
+        "when, bounds, expected",
+        [
+            (
+                lambda l: True,
+                (3, 3),
+                (
+                    48_847,
+                    "perm_to_part output not an ordered partition: L=[a, b], G1=[a, b], G2=nil",
+                ),
+            ),
+            (
+                lambda l: True,
+                (4, 3),
+                (
+                    133_567,
+                    "perm_to_part output not an ordered partition: L=[a, b], G1=[a, b], G2=nil",
+                ),
+            ),
+            (
+                lambda l: len(elems(l)) == 4,
+                (4, 3),
+                (
+                    163_072,
+                    "perm_to_part output not an ordered partition: "
+                    "L=[a, a, a, b], G1=[a, b], G2=[a, a]",
+                ),
+            ),
+        ],
+        ids=["reversed-3", "reversed-4", "reversed-only-at-4-entries"],
+    )
+    def test_reversed_first_side(self, monkeypatch, when, bounds, expected):
+        monkeypatch.setattr(suites, "perm_to_part", _reverse_first_side(when))
+        assert suites.check_perm_to_part(*bounds) == expected
+
+    def test_round_trip_is_checked_by_part_to_perm(self, monkeypatch):
+        real = suites.part_to_perm
+
+        def mutant(l, l1, l2):
+            return False if elems(l1) and elems(l2) else real(l, l1, l2)
+
+        monkeypatch.setattr(suites, "part_to_perm", mutant)
+        assert suites.check_part_to_perm(3) == (7, "failed on L=[a, a]")
+        assert suites.check_part_to_perm(4) == (7, "failed on L=[a, a]")
+        assert suites.check_perm_to_part(3, 3) == (94_591, None)
