@@ -32,6 +32,11 @@ class Ctx:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt through the constructor, so that the cached hash is the
+        # receiving process's: entry hashes are object identities.
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
     def __eq__(self, other: object) -> bool:
         a, b = self, other
         pending = []  # pairs of right branches still to compare
@@ -330,6 +335,18 @@ def sel_transport(x: Any, g1: Ctx, g1r: Ctx, g2: Ctx) -> Ctx:
     raise AssertionError("selection transport found no matching residual")
 
 
+def _split_counts(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
+    """The entries of list l and the counts of g1's entries, once the
+    preconditions of `perm_to_part` hold."""
+    if not is_list(l):
+        raise PreconditionError("perm_to_part: first argument must be a list")
+    items = elems(l)
+    firsts = elems(g1)
+    if multiset(items) != multiset(firsts + elems(g2)):
+        raise PreconditionError("perm_to_part: list is not a permutation of the combined split")
+    return items, Counter(firsts)
+
+
 def perm_to_part_mask(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     """Assignment of the elements of list l to the two sides of a split.
 
@@ -338,19 +355,13 @@ def perm_to_part_mask(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     (preferring g1 on ties) and recording True for g1, False for g2.
     Only the copies left in g1 decide, so they are the only ones counted.
     """
-    if not is_list(l):
-        raise PreconditionError("perm_to_part: first argument must be a list")
-    items = elems(l)
-    firsts = elems(g1)
-    if multiset(items) != multiset(firsts + elems(g2)):
-        raise PreconditionError("perm_to_part: list is not a permutation of the combined split")
-    left = Counter(firsts)
+    items, left = _split_counts(l, g1, g2)
     mask = []
     for e in items:
-        into_first = left[e] > 0
-        if into_first:
-            left[e] -= 1
-        mask.append(into_first)
+        n = left.get(e)
+        if n:
+            left[e] = n - 1
+        mask.append(bool(n))
     return tuple(mask)
 
 
@@ -358,13 +369,19 @@ def perm_to_part(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     """Flatten a split of the elements of a list into an ordered partition.
 
     Returns list-form (l1, l2) with perm(g1, l1), perm(g2, l2), and
-    (l1, l2) an ordered partition of l.
+    (l1, l2) an ordered partition of l: the sides `perm_to_part_mask`
+    assigns, built in the same walk.
     """
-    mask = perm_to_part_mask(l, g1, g2)
-    items = elems(l)
-    l1 = from_list([e for e, into_first in zip(items, mask) if into_first])
-    l2 = from_list([e for e, into_first in zip(items, mask) if not into_first])
-    return l1, l2
+    items, left = _split_counts(l, g1, g2)
+    part1, part2 = [], []
+    for e in items:
+        n = left.get(e)
+        if n:
+            left[e] = n - 1
+            part1.append(e)
+        else:
+            part2.append(e)
+    return from_list(part1), from_list(part2)
 
 
 def part_to_perm(l: Ctx, l1: Ctx, l2: Ctx) -> bool:

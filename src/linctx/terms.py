@@ -4,6 +4,10 @@ Terms are locally nameless: bound variables are de Bruijn indices and
 free variables are nominal constants (`Name`s).  Descending under a
 binder opens the body with a fresh name; the surface syntax uses named
 binders and is converted on parsing.
+
+Every node is hash-consed: a constructor call returns the one node with
+those fields, so equal nodes are the same object and `==` and `hash` are
+identity.  The tables live for the whole process.
 """
 
 from __future__ import annotations
@@ -16,8 +20,44 @@ from .errors import MalformedTermError, SyntaxError_, UnboundIdentifierError
 from .lex import TokenStream
 
 
-@dataclass(frozen=True)
-class Name:
+class _InternMeta(type):
+    """Metaclass keeping one table per class from constructor arguments to
+    the unique node built from them."""
+
+    def __init__(cls, *args):
+        super().__init__(*args)
+        cls._table = {}
+
+    def __call__(cls, *args):
+        node = cls._table.get(args)
+        if node is None:
+            node = super().__call__(*args)
+            # Key on the full field tuple too, so that a defaulted
+            # argument (`Name(t)` against `Name(t, 0)`) finds the same node.
+            node = cls._table.setdefault(node.__reduce__()[1], node)
+            cls._table[args] = node
+        return node
+
+
+class Interned(metaclass=_InternMeta):
+    """Base of the hash-consed node classes, each one declared with
+    `node_dataclass`."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # Pickling and copying go back through the constructor, so the
+        # copy is the interned node of the receiving process.
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+# The decorator of every `Interned` class.  `eq=False` keeps identity
+# equality and hashing; the generated `repr` is the plain dataclass one.
+node_dataclass = dataclass(frozen=True, eq=False, slots=True)
+
+
+@node_dataclass
+class Name(Interned):
     """A nominal constant: an atomic fresh name standing for a free variable."""
 
     text: str
@@ -41,13 +81,13 @@ def fresh(avoid: Iterable[Name]) -> Name:
         k += 1
 
 
-@dataclass(frozen=True)
-class Base:
+@node_dataclass
+class Base(Interned):
     label: str
 
 
-@dataclass(frozen=True)
-class Arrow:
+@node_dataclass
+class Arrow(Interned):
     dom: "Ty"
     cod: "Ty"
 
@@ -55,30 +95,30 @@ class Arrow:
 Ty = TyUnion[Base, Arrow]
 
 
-@dataclass(frozen=True)
-class Free:
+@node_dataclass
+class Free(Interned):
     name: Name
 
 
-@dataclass(frozen=True)
-class Bound:
+@node_dataclass
+class Bound(Interned):
     index: int
 
 
-@dataclass(frozen=True)
-class App:
+@node_dataclass
+class App(Interned):
     fn: "Tm"
     arg: "Tm"
 
 
-@dataclass(frozen=True)
-class Abs:
+@node_dataclass
+class Abs(Interned):
     ann: Ty
     body: "Tm"
 
 
-@dataclass(frozen=True)
-class Let:
+@node_dataclass
+class Let(Interned):
     ann: Ty
     val: "Tm"
     body: "Tm"
@@ -100,12 +140,24 @@ def locally_closed(t: Tm, depth: int = 0) -> bool:
     return True
 
 
+# open_term's results, keyed on (body, name); it lives as long as the
+# intern tables, whose nodes it holds anyway.
+_OPENED: dict = {}
+
+
 def open_term(body: Tm, n: Name) -> Tm:
     """Replace the binder's variable (index 0 at the outside) with a free name.
 
     The body must be locally closed at depth 1.
     """
+    key = (body, n)
+    opened = _OPENED.get(key)
+    if opened is None:
+        opened = _OPENED[key] = _open(body, n)
+    return opened
 
+
+def _open(body: Tm, n: Name) -> Tm:
     def go(t: Tm, depth: int) -> Tm:
         if isinstance(t, Bound):
             if t.index == depth:

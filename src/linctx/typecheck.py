@@ -37,6 +37,7 @@ from .terms import (
     Arrow,
     Bound,
     Free,
+    Interned,
     Let,
     Name,
     Tm,
@@ -46,14 +47,15 @@ from .terms import (
     fresh,
     free_names,
     locally_closed,
+    node_dataclass,
     open_term,
     parse_term_tokens,
     parse_type_tokens,
 )
 
 
-@dataclass(frozen=True)
-class TyAssoc:
+@node_dataclass
+class TyAssoc(Interned):
     """Association of a type with a nominal constant."""
 
     name: Name
@@ -63,8 +65,8 @@ class TyAssoc:
         return f"ty_of {self.name} {_print_type_atom(self.ty)}"
 
 
-@dataclass(frozen=True)
-class VarAssoc:
+@node_dataclass
+class VarAssoc(Interned):
     """Association of a source variable with its translated counterpart."""
 
     src: Name

@@ -161,6 +161,23 @@ class TestVerify:
             assert record["verdict"] == "pass"
             assert record["elapsed_ms"] is None
 
+    def test_schematic_structured_deterministic_across_jobs(self, capsys):
+        # The distributivity and lemma checks build interned terms, types
+        # and context entries in their worker processes.
+        argv = [
+            "verify",
+            FIXTURES / "specs.ctx",
+            "--lemmas",
+            FIXTURES / "lemmas.lem",
+            "--format",
+            "structured",
+        ]
+        code1, out1 = run(capsys, *argv, "--jobs", "1")
+        code2, out2 = run(capsys, *argv, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert len(out1.strip().splitlines()) == 12
+
     def test_text_and_structured_verdicts_agree(self, capsys):
         argv = ["verify", FIXTURES / "specs.ctx", "--bound-ctx", "1"]
         code_t, out_t = run(capsys, *argv, "--format", "text")

@@ -1,9 +1,12 @@
 """Report rendering and the check runner."""
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 from linctx import report
+from linctx.ctx import from_list
 from linctx.report import (
     CheckReport,
     GenBounds,
@@ -13,6 +16,8 @@ from linctx.report import (
     run_check,
     run_checks,
 )
+from linctx.terms import Arrow, Base, Name, parse_term
+from linctx.typecheck import TyAssoc, linear_type
 
 
 def _passing(n):
@@ -21,6 +26,18 @@ def _passing(n):
 
 def _failing(n):
     return n, "broken"
+
+
+def _typed_where_built(g, t, ty):
+    """Whether the nodes that arrived in this process are the ones it
+    builds itself (the context as a dict key too), and type as expected."""
+    here = from_list([TyAssoc(Name("f"), Arrow(Base("i"), Base("o")))])
+    same = (
+        t is parse_term("abs i (x\\ app f x)", nominals=["f"])
+        and {here: True}.get(g, False)
+        and linear_type(g, t) is ty
+    )
+    return 1, None if same else f"not re-interned: {t!r}"
 
 
 class TestRunner:
@@ -40,6 +57,21 @@ class TestRunner:
         parallel = run_checks(checks, jobs=2)
         strip = lambda rs: [(r.name, r.cases, r.verdict, r.counterexample) for r in rs]
         assert strip(sequential) == strip(parallel)
+
+    def test_jobs_reintern_check_arguments(self):
+        # Arguments reach a worker pickled; their nodes must come back as
+        # the worker's own interned nodes, and contexts with matching hashes.
+        g = from_list([TyAssoc(Name("f"), Arrow(Base("i"), Base("o")))])
+        t = parse_term("abs i (x\\ app f x)", nominals=["f"])
+        ty = Arrow(Base("i"), Base("o"))
+        checks = [(name, _typed_where_built, (g, t, ty)) for name in ("a", "b")]
+        for jobs in (1, 2):
+            assert [r.counterexample for r in run_checks(checks, jobs=jobs)] == [None, None]
+        # A forked worker inherits this process's tables; a fresh
+        # interpreter shares no object with it.
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            assert pool.submit(_typed_where_built, g, t, ty).result() == (1, None)
 
     def test_pool_no_larger_than_the_checks(self, monkeypatch):
         # A stand-in pool that records its size and runs in this process,

@@ -1,5 +1,8 @@
 """Term syntax: locally nameless representation, parsing, printing."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -28,6 +31,7 @@ from linctx.terms import (
     type_universe,
 )
 from linctx.suites import gen_terms
+from linctx.typecheck import TyAssoc, VarAssoc
 from strategies import terms as drawn_terms
 
 I = Base("i")
@@ -198,3 +202,53 @@ class TestSize:
         assert term_size(Bound(0)) == 1
         assert term_size(parse_term("abs i (x\\ app x x)")) == 4
         assert term_size(parse_term("let i (abs i (z\\ z)) (x\\ x)")) == 4
+
+
+LET_SOURCE = "let (i -> o) (abs i (z\\ z)) (x\\ app x c)"
+
+
+class TestInterning:
+    """Every node is hash-consed: building it twice gives the same object."""
+
+    def test_default_index_is_the_same_name(self):
+        assert Name("c") is Name("c", 0)
+        assert Name("c", 1) is not Name("c")
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_terms(FREES, (I, Arrow(I, O), Arrow(Arrow(I, I), O)), 12))
+    def test_rebuilt_term_is_the_same_object(self, t):
+        assert parse_term(print_term(t), nominals=FREES) is t
+
+    def test_open_term_shares_nodes(self):
+        body = parse_term("abs i (y\\ app x y)", nominals=["x"])
+        x = Name("c", 1)
+        assert open_term(Abs(I, body), x) is open_term(Abs(I, body), Name("c", 1))
+        assert open_term(App(Bound(0), Bound(0)), x) is App(Free(x), Free(x))
+
+    def test_pickle_and_copy_reintern(self):
+        nodes = [
+            parse_term(LET_SOURCE, nominals=["c"]),
+            Name("x", 2),
+            Arrow(Arrow(I, I), O),
+            TyAssoc(Name("x", 2), Arrow(I, O)),
+            VarAssoc(Name("x"), Name("y", 1)),
+        ]
+        for node in nodes:
+            assert pickle.loads(pickle.dumps(node)) is node
+            assert copy.deepcopy(node) is node
+            assert copy.copy(node) is node
+
+    def test_repr_pinned(self):
+        assert repr(Name("c")) == "Name(text='c', index=0)"
+        assert repr(parse_term(LET_SOURCE, nominals=["c"])) == (
+            "Let(ann=Arrow(dom=Base(label='i'), cod=Base(label='o')), "
+            "val=Abs(ann=Base(label='i'), body=Bound(index=0)), "
+            "body=App(fn=Bound(index=0), arg=Free(name=Name(text='c', index=0))))"
+        )
+        assert repr(TyAssoc(Name("x", 2), Arrow(I, O))) == (
+            "TyAssoc(name=Name(text='x', index=2), "
+            "ty=Arrow(dom=Base(label='i'), cod=Base(label='o')))"
+        )
+        assert repr(VarAssoc(Name("x"), Name("y", 1))) == (
+            "VarAssoc(src=Name(text='x', index=0), dst=Name(text='y', index=1))"
+        )
