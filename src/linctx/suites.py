@@ -46,7 +46,6 @@ from .terms import (
     Let,
     Name,
     TYPE_UNIVERSE,
-    free_counts,
     name_pool,
     term_size,
 )
@@ -471,6 +470,91 @@ def gen_terms(
     return result
 
 
+def gen_linear_terms(
+    assocs: tuple,
+    frees: tuple,
+    max_size: int,
+    anns: tuple,
+    with_let: bool,
+) -> list:
+    """The terms of `gen_terms(frees, max_size, anns, with_let)` that type
+    linearly under a list of exactly the type associations `assocs` (over
+    distinct names), in `gen_terms` order, each paired with its type.
+
+    The terms are built by the typing rules, not filtered.  `at` runs
+    `gen_terms`' loops over the resources a subterm may use, a bitmask
+    with bit i for the i-th association and bit len(assocs) + d for the
+    binder at depth d.  A variable consumes its resource; an application
+    and a let thread the leftover of their first part into the second;
+    an abstraction and a let require their own binder to be consumed.
+    This is the leftover-threading checker read backwards, so a term is
+    kept exactly when that checker types it with an empty leftover
+    (`ml_type` with let, `linear_type` without): each association and
+    each binder is used exactly once.  The checker is deterministic, so a
+    kept term has one type, and the output is the in-order subsequence of
+    `gen_terms`.  The memo lives for one call.
+    """
+    k = len(assocs)
+    leaves = [
+        (Free(a.name), 1 << i, a.ty)
+        for n in frees
+        for i, a in enumerate(assocs)
+        if a.name == n
+    ]
+    memo: dict = {}
+
+    def at(size: int, avail: int, need: int, binders: tuple) -> list:
+        # (term, type, leftover) for the terms of gen_terms' at(size,
+        # len(binders)) that type from `avail` and consume all of `need`,
+        # the resources no later part of the term can still consume;
+        # `binders` holds the enclosing binders' annotations, outermost
+        # first.  Each variable consumes one resource, and a term of this
+        # size has at most (size + 1) // 2 variables.
+        if need.bit_count() > (size + 1) // 2:
+            return []
+        key = (size, avail, need, binders)
+        if key in memo:
+            return memo[key]
+        out: list = []
+        depth = len(binders)
+        if size == 1:
+            for leaf, bit, ty in leaves:
+                if avail & bit and not need & ~bit:
+                    out.append((leaf, ty, avail ^ bit))
+            for i in range(depth):
+                bit = 1 << (k + depth - 1 - i)
+                if avail & bit and not need & ~bit:
+                    out.append((Bound(i), binders[depth - 1 - i], avail ^ bit))
+        else:
+            own = 1 << (k + depth)
+            for ann in anns:
+                for body, ty, rest in at(size - 1, avail | own, need | own, binders + (ann,)):
+                    out.append((Abs(ann, body), Arrow(ann, ty), rest))
+            for left in range(1, size - 1):
+                for fn, fn_ty, rest in at(left, avail, 0, binders):
+                    if isinstance(fn_ty, Arrow):
+                        for arg, arg_ty, rest2 in at(size - 1 - left, rest, need & rest, binders):
+                            if arg_ty == fn_ty.dom:
+                                out.append((App(fn, arg), fn_ty.cod, rest2))
+            if with_let:
+                for ann in anns:
+                    for left in range(1, size - 1):
+                        for val, val_ty, rest in at(left, avail, 0, binders):
+                            if val_ty == ann:
+                                body_need = need & rest | own
+                                for body, ty, rest2 in at(
+                                    size - 1 - left, rest | own, body_need, binders + (ann,)
+                                ):
+                                    out.append((Let(ann, val, body), ty, rest2))
+        memo[key] = out
+        return out
+
+    everything = (1 << k) - 1
+    return [
+        (e, ty) for size in range(1, max_size + 1) for e, ty, _ in at(size, everything, everything, ())
+    ]
+
+
 def _typed_lists(names: list, max_k: int) -> list:
     """Type-association lists over distinct names, by size up to max_k."""
     return [
@@ -747,38 +831,37 @@ def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
     separate suite); the translation function's agreement with the
     translation relation is asserted on the smaller terms.
 
-    The source terms are typed once per multiset class of the source
-    context: by exchange, ML typing over distinct names does not depend
-    on the order of the context.  Every triple still runs its own cases,
-    in (triple, term) order, so the case count and the first
-    counterexample are those of typing each triple afresh.
+    The source terms of each multiset class of the source context are
+    built once by `gen_linear_terms`, from the linear typing rules: they
+    are the in-order subsequence of `gen_terms` that types under the
+    class, since each association and each binder is used exactly once.
+    The first triple of a class confirms each term's type with one
+    `ml_type` call, so the shipped checker still decides the source
+    type, and a term it types otherwise is a counterexample.  Every
+    triple still runs its own cases, in (triple, term) order, so the
+    case count and the first counterexample are those of typing each
+    triple afresh.
     """
     term_bound = max(bounds.term_size, 5)
-    xs = name_pool(3, "x")
-    terms = gen_terms(tuple(xs), term_bound, _TRANS_TYPES, True)
-    by_frees: dict = {}
-    for e in terms:
-        counts = free_counts(e)
-        if all(v == 1 for v in counts.values()):
-            by_frees.setdefault(frozenset(counts), []).append(e)
+    xs = tuple(name_pool(3, "x"))
     # Sound because gen_trans_triples builds every l1 from
     # itertools.permutations of the names, so its names are distinct, and
     # ML typing over distinct names does not depend on the context's order
-    # (exchange): every arrangement in a class gives the same ml_type on
-    # every term.  l1 holds the source names of l2, so its class fixes srcs.
+    # (exchange): every arrangement in a class types the same terms alike.
     typed: dict = {}
     cases = 0
     for l1, l2, l3 in gen_trans_triples(bounds):
-        srcs = frozenset(a.src for a in elems(l2))
         key = multiset(elems(l1))
-        if key not in typed:
-            typed[key] = [
-                (e, src_ty)
-                for e in by_frees.get(srcs, ())
-                if (src_ty := ml_type(l1, e)) is not None
-            ]
+        confirm = key not in typed
+        if confirm:
+            typed[key] = gen_linear_terms(elems(l1), xs, term_bound, _TRANS_TYPES, True)
         for e, src_ty in typed[key]:
             cases += 1
+            if confirm and (checked := ml_type(l1, e)) != src_ty:
+                return cases, (
+                    f"source type not confirmed for {e!r}: enumerated {src_ty}, "
+                    f"checker {checked}; {_render_triple((l1, l2, l3))}"
+                )
             translated = translate(l2, e)
             dst_ty = linear_type(l3, translated)
             if dst_ty != src_ty:

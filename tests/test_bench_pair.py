@@ -15,8 +15,8 @@ _spec.loader.exec_module(bench_pair)
 BETTER = {"verdict_s": "lower", "cases_per_s": "higher"}
 
 
-def run_record(verdict_s, correct=True):
-    return {
+def run_record(verdict_s, correct=True, check_s=None):
+    record = {
         "correct": correct,
         "attempted": 10,
         "failed": 0 if correct else 1,
@@ -25,6 +25,9 @@ def run_record(verdict_s, correct=True):
             "cases_per_s": {"value": 100 / verdict_s, "unit": "1/s"},
         },
     }
+    if check_s is not None:
+        record["check_s"] = check_s
+    return record
 
 
 def pair(workload, seed, base, change, correct=True):
@@ -48,6 +51,49 @@ class TestParsePairs:
     def test_rejects(self, spec):
         with pytest.raises(SystemExit):
             bench_pair.parse_pairs([spec])
+
+
+# The stdout of one run.py run with two passes, abridged.
+RUN_STDOUT = """\
+PASS  translation.trans_rel_uniq cases=239 0.012 s
+PASS  translation.ltrans_pres_ty cases=598 0.403 s
+PASS  translation.trans_rel_uniq cases=239 0.010 s
+FAIL  translation.ltrans_pres_ty cases=167 0.051 s
+ERROR translation.sel_implies_mem cases=None 0.002 s
+mismatch_share 0.0 share
+verdict_s 0.533 s
+setup_s 0.12 s
+{"correct": true, "attempted": 14, "failed": 0, "metrics": {}}
+"""
+
+
+class TestCheckSeconds:
+    def test_median_over_passes(self):
+        assert bench_pair.check_seconds(RUN_STDOUT) == {
+            "translation.trans_rel_uniq": 0.011,
+            "translation.ltrans_pres_ty": 0.227,
+            "translation.sel_implies_mem": 0.002,
+        }
+
+    def test_other_lines_ignored(self):
+        assert bench_pair.check_seconds("verdict_s 0.533 s\nMISMATCH x cases=1 0.1 s!\n") == {}
+
+    def test_summary_medians_per_side(self):
+        pairs = [
+            {
+                "workload": "translation",
+                "seed": seed,
+                "first": "base",
+                "base": run_record(1.0, check_s={"t.a": base, "t.b": 0.1}),
+                "change": run_record(0.5, check_s={"t.a": change}),
+            }
+            for seed, (base, change) in enumerate([(0.4, 0.1), (0.5, 0.3), (0.9, 0.2)])
+        ]
+        checks = bench_pair.summarise(pairs, BETTER)["translation"]["check_s"]
+        assert checks == {
+            "t.a": {"base_median": 0.5, "change_median": 0.2},
+            "t.b": {"base_median": 0.1, "change_median": None},
+        }
 
 
 class TestSummarise:

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linctx import suites
-from linctx.ctx import Union, elems, from_list, gen_ctxs, perm_rel
+from linctx.ctx import Union, elems, from_list, gen_ctxs, multiset, perm_rel
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
     check_linear_equivalence,
     check_ltrans_pres_ty,
     core_lemma_suite,
+    gen_linear_terms,
     gen_terms,
     gen_trans_triples,
     gen_trans_triples_mset,
@@ -22,7 +23,7 @@ from linctx.suites import (
 )
 from linctx.terms import TYPE_UNIVERSE, Arrow, Base, Let, Name, free_counts, name_pool, term_size
 from linctx.translate import trans_rel_list
-from linctx.typecheck import ml_type
+from linctx.typecheck import linear_type, ml_type
 from strategies import judgments, linear_judgments
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -30,6 +31,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 I = Base("i")
 SMALL = GenBounds(ctx_elems=2, term_size=3)
 NAMES = tuple(name_pool(4))
+XS = tuple(name_pool(3, "x"))
 
 
 class TestTermGenerator:
@@ -65,6 +67,52 @@ class TestTermGenerator:
     def test_includes_let_terms(self):
         terms = gen_terms((), 4, (I,), True)
         assert any(isinstance(t, Let) for t in terms)
+
+
+def _source_classes(ctx_elems):
+    """One source context per multiset class, as check_ltrans_pres_ty
+    keys them."""
+    classes: dict = {}
+    for l1, _, _ in gen_trans_triples(GenBounds(ctx_elems=ctx_elems)):
+        classes.setdefault(multiset(elems(l1)), l1)
+    return list(classes.values())
+
+
+class TestLinearTermGenerator:
+    """`gen_linear_terms` builds from the typing rules exactly what
+    filtering `gen_terms` by a checker keeps, in the same order."""
+
+    @pytest.mark.parametrize("ctx_elems, size", [(1, 5), (2, 5), (3, 5), (1, 6)])
+    @pytest.mark.parametrize("with_let", [True, False], ids=["ml_type", "linear_type"])
+    def test_equals_filtered_terms(self, ctx_elems, size, with_let):
+        # The filter path it replaced: every term whose free names each
+        # occur once, grouped by those names, then typed by the checker.
+        checker = ml_type if with_let else linear_type
+        by_frees: dict = {}
+        for e in gen_terms(XS, size, suites._TRANS_TYPES, with_let):
+            counts = free_counts(e)
+            if all(v == 1 for v in counts.values()):
+                by_frees.setdefault(frozenset(counts), []).append(e)
+        listed = 0
+        for l1 in _source_classes(ctx_elems):
+            expected = [
+                (e, ty)
+                for e in by_frees.get(frozenset(a.name for a in elems(l1)), ())
+                if (ty := checker(l1, e)) is not None
+            ]
+            got = gen_linear_terms(elems(l1), XS, size, suites._TRANS_TYPES, with_let)
+            assert got == expected, l1
+            listed += len(got)
+        assert listed > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(linear_judgments(XS, suites._TRANS_TYPES, 4).filter(lambda j: term_size(j[1]) <= 6))
+    def test_rule_built_judgments_are_listed(self, judgment):
+        # Past the bounds of the agreement test: any order of the context,
+        # and near-miss let annotations, which must stay unlisted.
+        g, e = judgment
+        listed = dict(gen_linear_terms(elems(g), XS, 6, suites._TRANS_TYPES, True))
+        assert listed.get(e) == ml_type(g, e)
 
 
 class TestTripleGenerator:
@@ -127,8 +175,8 @@ class TestExchange:
             assert len(set(names)) == len(names)
 
     def test_reversed_source_context_types_alike(self):
-        # The candidate terms of check_ltrans_pres_ty: every term within
-        # its size bound whose free names each occur once.
+        # Every term within check_ltrans_pres_ty's size bound whose free
+        # names each occur once, a superset of the terms it builds.
         by_frees: dict = {}
         for e in gen_terms(tuple(name_pool(3, "x")), 5, suites._TRANS_TYPES, True):
             counts = free_counts(e)
@@ -162,7 +210,8 @@ class TestExchange:
 class TestPresTyPinned:
     """`check_ltrans_pres_ty` at ctx_elems=2 against the per-triple typing
     it replaced: the same first counterexample, for far fewer checker
-    calls."""
+    calls, and a source checker that disagrees with the enumerated type
+    is a counterexample too."""
 
     @pytest.mark.parametrize(
         "mutant, expected",
@@ -194,8 +243,10 @@ class TestPresTyPinned:
         assert check_ltrans_pres_ty(GenBounds(ctx_elems=2)) == expected
 
     def test_ml_type_calls(self, monkeypatch):
-        # 231,873 calls when every triple typed its terms, and 43,827 with
-        # one typing per exact source context.
+        # 231,873 calls when every triple typed its terms, 43,827 with one
+        # typing per exact source context, and 26,763 when each class
+        # filtered the generated terms; now one confirming call per
+        # enumerated (class, term) pair.
         calls = 0
         real = suites.ml_type
 
@@ -206,7 +257,22 @@ class TestPresTyPinned:
 
         monkeypatch.setattr(suites, "ml_type", counting)
         assert check_ltrans_pres_ty(GenBounds(ctx_elems=2)) == (598, None)
-        assert calls == 26_763
+        assert calls == 100
+
+    def test_source_checker_mutant(self, monkeypatch):
+        real = suites.ml_type
+
+        def mutant(g, e):
+            return None if len(elems(g)) == 2 else real(g, e)
+
+        monkeypatch.setattr(suites, "ml_type", mutant)
+        assert check_ltrans_pres_ty(GenBounds(ctx_elems=2)) == (
+            167,
+            "source type not confirmed for App(fn=Free(name=Name(text='x', index=2)), "
+            "arg=Free(name=Name(text='x', index=1))): enumerated Base(label='i'), "
+            "checker None; G1 = [ty_of x1 i, ty_of x2 (i -> i)]; "
+            "G2 = [trans_to x1 y1, trans_to x2 y2]; G3 = [ty_of y1 i, ty_of y2 (i -> i)]",
+        )
 
 
 class TestPermRelRows:

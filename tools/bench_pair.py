@@ -13,7 +13,10 @@ with `git archive` into a temporary directory, which is removed at the
 end; the repository itself is left as it was.  The result file holds
 both sides' result lines for every pair, plus per-workload medians, the
 base's interquartile range, the change-to-base ratio of each median and
-how many pairs the change won.  A run that exits non-zero stops the
+how many pairs the change won.  Each run also keeps its per-check
+seconds, the median over its passes of `run.py`'s per-check lines, and
+the summary gives each check's median for each side, so that a file
+shows which check moved.  A run that exits non-zero stops the
 series: the file then holds the pairs completed before it, with
 `"complete": false`, and the exit status is 1.  A run whose result line
 reports `"correct": false` is named on stderr, and the exit status is
@@ -27,6 +30,7 @@ import io
 import json
 import os
 import platform
+import re
 import signal
 import statistics
 import subprocess
@@ -59,7 +63,23 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(argv, cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["check_s"] = check_seconds(proc.stdout)
+    return result
+
+
+# One of run.py's per-check lines: `PASS  translation.ltrans_pres_ty cases=598 0.403 s`.
+CHECK_LINE = re.compile(r"[A-Z]+ +(\S+) cases=\S+ (\d+(?:\.\d+)?) s")
+
+
+def check_seconds(stdout: str) -> dict:
+    """Each check's median seconds over the passes of one run."""
+    seconds: dict = {}
+    for line in stdout.splitlines():
+        match = CHECK_LINE.fullmatch(line)
+        if match:
+            seconds.setdefault(match[1], []).append(float(match[2]))
+    return {name: statistics.median(values) for name, values in seconds.items()}
 
 
 def parse_pairs(specs: list) -> list:
@@ -75,7 +95,8 @@ def parse_pairs(specs: list) -> list:
 
 def summarise(pairs: list, better: dict) -> dict:
     """Per workload and metric: both medians, the base's interquartile range
-    (None below two pairs), the ratio of the medians, and the change's wins."""
+    (None below two pairs), the ratio of the medians, and the change's wins;
+    per workload and check, each side's median of the runs' check seconds."""
     summary: dict = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
@@ -98,10 +119,22 @@ def summarise(pairs: list, better: dict) -> dict:
                 "ratio": medians["change"] / medians["base"] if medians["base"] else None,
                 "change_wins": f"{wins}/{len(runs)}",
             }
+        checks: dict = {}
+        for p in runs:
+            for side in SIDES:
+                for name, value in p[side].get("check_s", {}).items():
+                    checks.setdefault(name, {s: [] for s in SIDES})[side].append(value)
         summary[workload] = {
             "pairs": len(runs),
             "all_correct": all(p[s]["correct"] for p in runs for s in SIDES),
             "metrics": rows,
+            "check_s": {
+                name: {
+                    f"{side}_median": statistics.median(values) if values else None
+                    for side, values in per_side.items()
+                }
+                for name, per_side in checks.items()
+            },
         }
     return summary
 
@@ -170,6 +203,8 @@ def main(argv=None) -> int:
                 f"{workload:12} {metric:12} base {m['base_median']:.4g}"
                 f" change {m['change_median']:.4g} wins {m['change_wins']}"
             )
+        for name, m in row["check_s"].items():
+            print(f"{workload:12} {name} base {m['base_median']} change {m['change_median']}")
     return 0 if failure is None and not wrong else 1
 
 
