@@ -17,45 +17,37 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .errors import PreconditionError
 from .lex import TokenStream
+from .terms import Interned
 
 
-class Ctx:
+class Ctx(Interned):
     """Base class of the three context constructors.
 
-    Equality is structural.  It walks both trees without recursion, skips
-    shared subtrees by identity, rejects most unequal ones by their
-    cached hashes, and compares heads left to right.
+    Every node is hash-consed like the term nodes: a constructor call
+    returns the one node with those fields, so equal contexts are the same
+    object and `==` and `hash` are identity.  Each node keeps its
+    flattening and its multiset class once they are read.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_elems", "_class")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuilt through the constructor, so that the cached hash is the
-        # receiving process's: entry hashes are object identities.
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-    def __eq__(self, other: object) -> bool:
-        a, b = self, other
-        pending = []  # pairs of right branches still to compare
-        while True:
-            while a is not b:
-                if type(a) is not type(b) or a._hash != b._hash:
-                    return False
-                if isinstance(a, Cons):
-                    if not a.head == b.head:  # `!=` would add a call per head
-                        return False
-                    a, b = a.tail, b.tail
-                elif isinstance(a, Union):
-                    pending.append((a.right, b.right))
-                    a, b = a.left, b.left
-                else:
-                    break
-            if not pending:
-                return True
-            a, b = pending.pop()
+    def __repr__(self) -> str:
+        # Written from a stack of the nodes and literal text still to write,
+        # last first, so deep contexts need no recursion.
+        out, pending = [], [self]
+        while pending:
+            g = pending.pop()
+            if isinstance(g, str):
+                out.append(g)
+            elif isinstance(g, Cons):
+                out.append(f"Cons({g.head!r}, ")
+                pending += (")", g.tail)
+            elif isinstance(g, Union):
+                out.append("Union(")
+                pending += (")", g.right, ", ", g.left)
+            else:
+                out.append("Empty()")
+        return "".join(out)
 
 
 class Empty(Ctx):
@@ -65,10 +57,7 @@ class Empty(Ctx):
     __match_args__ = ()
 
     def __init__(self):
-        self._hash = hash((0, "linctx.Empty"))
-
-    def __repr__(self) -> str:
-        return "Empty()"
+        self._elems, self._class = (), frozenset()
 
 
 class Cons(Ctx):
@@ -80,10 +69,7 @@ class Cons(Ctx):
     def __init__(self, head: Any, tail: Ctx):
         self.head = head
         self.tail = tail
-        self._hash = hash((1, head, tail._hash))
-
-    def __repr__(self) -> str:
-        return f"Cons({self.head!r}, {self.tail!r})"
+        self._elems = self._class = None
 
 
 class Union(Ctx):
@@ -95,10 +81,7 @@ class Union(Ctx):
     def __init__(self, left: Ctx, right: Ctx):
         self.left = left
         self.right = right
-        self._hash = hash((2, left._hash, right._hash))
-
-    def __repr__(self) -> str:
-        return f"Union({self.left!r}, {self.right!r})"
+        self._elems = self._class = None
 
 
 EMPTY = Empty()
@@ -113,18 +96,23 @@ def from_list(items: Iterable[Any]) -> Ctx:
 
 
 def elems(g: Ctx) -> tuple:
-    """Left-to-right flattening: cons heads in order, unions left then right."""
-    out = []
+    """Left-to-right flattening: cons heads in order, unions left then right.
+    Kept on the node."""
+    out = g._elems
+    if out is not None:
+        return out
+    items = []
     stack = [g]
     while stack:
         node = stack.pop()
         if isinstance(node, Cons):
-            out.append(node.head)
+            items.append(node.head)
             stack.append(node.tail)
         elif isinstance(node, Union):
             stack.append(node.right)
             stack.append(node.left)
-    return tuple(out)
+    g._elems = out = tuple(items)
+    return out
 
 
 def member(x: Any, g: Ctx) -> bool:
@@ -227,14 +215,22 @@ def multiset(entries: Iterable[Any]) -> frozenset:
     return frozenset(Counter(entries).items())
 
 
+def multiset_of(g: Ctx) -> frozenset:
+    """The multiset class of g's flattening, kept on the node."""
+    out = g._class
+    if out is None:
+        g._class = out = multiset(elems(g))
+    return out
+
+
 def perm(g1: Ctx, g2: Ctx) -> bool:
     """Whether g1 and g2 have the same elements as multisets.
 
-    Decided by comparing the `multiset` classes of the flattenings; the
+    Decided by comparing the multiset classes of the flattenings; the
     search-based reading of the permutation relation is kept separately as
     `perm_rel` and serves as the oracle this decision is checked against.
     """
-    return multiset(elems(g1)) == multiset(elems(g2))
+    return multiset_of(g1) == multiset_of(g2)
 
 
 def perm_rel(g1: Ctx, g2: Ctx, _memo: dict | None = None) -> bool:
@@ -340,11 +336,9 @@ def _split_counts(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     preconditions of `perm_to_part` hold."""
     if not is_list(l):
         raise PreconditionError("perm_to_part: first argument must be a list")
-    items = elems(l)
-    firsts = elems(g1)
-    if multiset(items) != multiset(firsts + elems(g2)):
+    if multiset_of(l) != multiset(elems(g1) + elems(g2)):
         raise PreconditionError("perm_to_part: list is not a permutation of the combined split")
-    return items, Counter(firsts)
+    return elems(l), dict(multiset_of(g1))
 
 
 def perm_to_part_mask(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:

@@ -29,6 +29,7 @@ from .ctx import (
     member,
     mem_transport,
     multiset,
+    multiset_of,
     perm,
     perm_to_part_mask,
     print_ctx,
@@ -1116,7 +1117,7 @@ def verify_lemma_cases(
     cases = 0
     for contexts in instances:
         cases += 1
-        key = tuple(multiset(elems(g)) for g in contexts)
+        key = tuple(multiset_of(g) for g in contexts)
         if key in passed:
             continue
         counterexample = _lemma_counterexample(stmt, sorts, contexts)
@@ -1203,7 +1204,7 @@ def _align_instance(
     is none or one of its rows does not hold exactly its context's entries."""
     aligned = align_mset(spec, contexts, enforce_freshness, _memo=memo)
     if aligned is None or any(
-        multiset(row) != multiset(elems(g)) for row, g in zip(aligned, contexts)
+        multiset(row) != multiset_of(g) for row, g in zip(aligned, contexts)
     ):
         return None
     return aligned
@@ -1282,10 +1283,10 @@ def check_distr_instances(
     cases = 0
     for contexts in instances:
         aligned = _align_instance(spec, contexts, enforce_freshness, memo)
-        instance_key = tuple(multiset(elems(g)) for g in contexts)
+        instance_key = tuple(multiset_of(g) for g in contexts)
         for first, second in splits(contexts[index0]):
             cases += 1
-            key = (instance_key, multiset(elems(first)))
+            key = (instance_key, multiset_of(first))
             # An instance that does not align fails whatever its class.
             if aligned is not None and key in passed:
                 continue

@@ -23,6 +23,7 @@ from .ctx import (
     gen_ctxs,
     member,
     multiset,
+    multiset_of,
     no_elems,
     part_to_perm,
     partition_list,
@@ -74,7 +75,7 @@ _FOREIGN = "z"
 def _buckets(universe: list) -> dict:
     out: dict = {}
     for g in universe:
-        out.setdefault(multiset(elems(g)), []).append(g)
+        out.setdefault(multiset_of(g), []).append(g)
     return out
 
 
@@ -130,7 +131,7 @@ def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
     """
     cases, cex = _constant_on_buckets(
         gen_ctxs(_POOL, max_elems, max_depth),
-        lambda g: tuple(frozenset(multiset(elems(r)) for r in select(x, g)) for x in _POOL),
+        lambda g: tuple(frozenset(multiset_of(r) for r in select(x, g)) for x in _POOL),
         "selection residual classes differ",
     )
     if cex is not None:
@@ -851,7 +852,7 @@ def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
     typed: dict = {}
     cases = 0
     for l1, l2, l3 in gen_trans_triples(bounds):
-        key = multiset(elems(l1))
+        key = multiset_of(l1)
         confirm = key not in typed
         if confirm:
             typed[key] = gen_linear_terms(elems(l1), xs, term_bound, _TRANS_TYPES, True)

@@ -40,8 +40,8 @@ class _InternMeta(type):
 
 
 class Interned(metaclass=_InternMeta):
-    """Base of the hash-consed node classes, each one declared with
-    `node_dataclass`."""
+    """Base of the hash-consed node classes: the term classes, each one
+    declared with `node_dataclass`, and the context classes of `ctx`."""
 
     __slots__ = ()
 

@@ -1,6 +1,8 @@
 """Core multiset-context operations: frozen examples and small oracles."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from linctx.ctx import (
     mem_transport,
     member,
     multiset,
+    multiset_of,
     no_elems,
     parse_ctx,
     part_to_perm,
@@ -138,8 +141,10 @@ class TestEquality:
             assert (g1 == g2) == (repr(g1) == repr(g2))
 
     def test_distinct_equal_deep_lists(self):
+        # Building the same 5,000-entry list twice gives the same node,
+        # and the lookup needs no recursion.
         g1, g2 = from_list(range(5000)), from_list(range(5000))
-        assert g1 is not g2 and g1 == g2
+        assert g1 is g2
         assert g1 != from_list(list(range(4999)) + [5000])
         assert select(4999, g1) == (from_list(range(4999)),)
 
@@ -148,8 +153,63 @@ class TestEquality:
         for k in range(5000):
             g1, g2 = Union(g1, lst(k)), Union(g2, lst(k))
             g3 = Union(g3, lst(k if k else "x"))
-        assert g1 is not g2 and g1 == g2
-        assert g1 != g3
+        assert g1 is g2
+        assert g1 != g3 and g1 is not g3
+
+
+class TestInterning:
+    """Every context node is hash-consed: building it twice gives the same
+    object, and each node keeps its flattening and multiset class."""
+
+    def test_operation_outputs_are_interned(self):
+        assert from_list(["a", "b"]) is Cons("a", Cons("b", EMPTY))
+        g = Union(lst("a", "b"), lst("a"))
+        expected = (Union(lst("b"), lst("a")), Union(lst("a", "b"), EMPTY))
+        assert all(r is e for r, e in zip(select("a", g), expected, strict=True))
+        for l1, l2 in partition_list(lst("a", "b")):
+            assert l1 is from_list(elems(l1)) and l2 is from_list(elems(l2))
+        for g1, g2 in splits(g):
+            assert g1 is from_list(elems(g1)) and g2 is from_list(elems(g2))
+        l1, l2 = perm_to_part(lst("b", "a", "a"), lst("a"), lst("a", "b"))
+        assert l1 is lst("a") and l2 is lst("b", "a")
+
+    def test_pickle_and_copy_reintern(self):
+        nodes = [
+            EMPTY,
+            Union(Cons("a", EMPTY), lst("b", "c")),
+            from_list([TyAssoc(Name("x", 2), TYPES[0]), TyAssoc(Name("y"), TYPES[1])]),
+        ]
+        for node in nodes:
+            assert pickle.loads(pickle.dumps(node)) is node
+            assert copy.deepcopy(node) is node
+            assert copy.copy(node) is node
+
+    def test_cached_flattening_and_class(self):
+        def flatten(g):
+            if isinstance(g, Cons):
+                return (g.head,) + flatten(g.tail)
+            if isinstance(g, Union):
+                return flatten(g.left) + flatten(g.right)
+            return ()
+
+        for g in gen_ctxs(("a", "b", "c"), 4, 3):
+            expected = flatten(g)
+            for _ in range(2):
+                assert elems(g) == expected
+                assert multiset_of(g) == multiset(expected)
+
+    def test_repr(self):
+        assert repr(Union(Cons("a", EMPTY), EMPTY)) == "Union(Cons('a', Empty()), Empty())"
+        deep_list = repr(from_list(range(5000)))
+        assert deep_list.startswith("Cons(0, Cons(1, ") and deep_list.endswith(
+            "Cons(4999, Empty())" + ")" * 4999
+        )
+        g = EMPTY
+        for k in range(3000):
+            g = Union(g, lst(k))
+        deep_union = repr(g)
+        assert deep_union.startswith("Union(" * 3000 + "Empty(), Cons(0, Empty()))")
+        assert deep_union.endswith(", Cons(2999, Empty()))")
 
 
 class TestPerm:
