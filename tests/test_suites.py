@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linctx import suites
-from linctx.ctx import Union, elems, from_list, gen_ctxs, multiset, perm_rel
+from linctx.ctx import Union, elems, from_list, gen_ctxs, multiset, partition_list, perm_rel, splits
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
     check_linear_equivalence,
@@ -21,9 +21,19 @@ from linctx.suites import (
     translation_lemma_suite,
     typing_lemma_suite,
 )
-from linctx.terms import TYPE_UNIVERSE, Arrow, Base, Let, Name, free_counts, name_pool, term_size
+from linctx.terms import (
+    TYPE_UNIVERSE,
+    App,
+    Arrow,
+    Base,
+    Let,
+    Name,
+    free_counts,
+    name_pool,
+    term_size,
+)
 from linctx.translate import trans_rel_list
-from linctx.typecheck import linear_type, ml_type
+from linctx.typecheck import TyAssoc, VarAssoc, linear_type, ml_type, ty_ctx_list, ty_ctx_mset
 from strategies import judgments, linear_judgments
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -392,3 +402,260 @@ class TestPermToPartPinned:
         assert suites.check_part_to_perm(3) == (7, "failed on L=[a, a]")
         assert suites.check_part_to_perm(4) == (7, "failed on L=[a, a]")
         assert suites.check_perm_to_part(3, 3) == (94_591, None)
+
+
+def _sometimes(real, broken, when):
+    """A mutant of `real` that answers `broken` where `when` holds."""
+    return lambda *args: broken if when(*args) else real(*args)
+
+
+class TestCoreFailuresPinned:
+    """The first counterexample, and the cases counted up to and including
+    it, of each remaining core check under a mutant of what it checks."""
+
+    def test_mem_replace(self, monkeypatch):
+        monkeypatch.setattr(
+            suites,
+            "member",
+            _sometimes(suites.member, False, lambda x, g: x == "b" and isinstance(g, Union)),
+        )
+        assert suites.check_mem_replace(3, 2) == (
+            9,
+            "membership differs across a permutation: [b] vs nil ++ [b]",
+        )
+
+    def test_sel_replace_residual_classes(self, monkeypatch):
+        monkeypatch.setattr(
+            suites,
+            "select",
+            _sometimes(
+                suites.select,
+                (),
+                lambda x, g: x == "b" and isinstance(g, Union) and len(elems(g)) == 3,
+            ),
+        )
+        assert suites.check_sel_replace(3, 2) == (
+            71,
+            "selection residual classes differ across a permutation: "
+            "[a, a, b] vs nil ++ [a, a, b]",
+        )
+
+    def test_sel_replace_transport(self, monkeypatch):
+        real = suites.sel_transport
+
+        def mutant(x, g1, residual, g2):
+            return g2 if isinstance(g2, Union) else real(x, g1, residual, g2)
+
+        monkeypatch.setattr(suites, "sel_transport", mutant)
+        assert suites.check_sel_replace(3, 2) == (
+            129,
+            "transported residual is not a permutation: [a] / nil ++ [a]",
+        )
+
+    def test_sel_implies_mem(self, monkeypatch):
+        monkeypatch.setattr(
+            suites,
+            "member",
+            _sometimes(suites.member, False, lambda x, g: x == "b" and len(elems(g)) == 3),
+        )
+        assert suites.check_sel_implies_mem(3, 2) == (
+            119,
+            "select without member: b in [a, a, b]",
+        )
+
+    def test_partition_count(self, monkeypatch):
+        real = suites.partition_list
+        monkeypatch.setattr(
+            suites,
+            "partition_list",
+            lambda l: real(l)[:-1] if elems(l) == ("a", "b", "a") else real(l),
+        )
+        assert suites.check_partition_count(4) == (10, "wrong count for ['a', 'b', 'a']")
+
+
+def _no_lone_o(holds):
+    """A typing-context predicate that also rejects one-entry contexts of type o."""
+    return lambda g: holds(g) and not (len(elems(g)) == 1 and elems(g)[0].ty == Base("o"))
+
+
+class TestTypingFailuresPinned:
+    """The typing and equivalence checks under a mutant predicate or checker."""
+
+    def test_ty_ctx_mem(self):
+        def holds(g):
+            return ty_ctx_mset(g) or elems(g)[-1:] == ("junk",)
+
+        assert suites.check_ty_ctx_mem(SMALL, suites._ty_msets, holds) == (
+            19,
+            "bad member 'junk' in [junk]",
+        )
+
+    def test_ty_ctx_uniq(self):
+        def holds(g):
+            return all(isinstance(e, TyAssoc) for e in elems(g))
+
+        assert suites.check_ty_ctx_uniq(SMALL, suites._ty_lists, holds) == (
+            24,
+            "two types for c1 in [ty_of c1 i, ty_of c1 o]",
+        )
+
+    def test_ty_uniq(self, monkeypatch):
+        real = suites.type_of_enum
+
+        def mutant(l, e):
+            found = real(l, e)
+            return found | {Base("o")} if len(elems(l)) == 2 and isinstance(e, App) else found
+
+        monkeypatch.setattr(suites, "type_of_enum", mutant)
+        assert suites.check_ty_uniq(SMALL) == (
+            875,
+            "2 types for App(fn=Free(name=Name(text='c', index=2)), "
+            "arg=Free(name=Name(text='c', index=1))) under [ty_of c1 i, ty_of c2 (i -> i)]",
+        )
+
+    @pytest.mark.parametrize(
+        "universe, holds, split, expected",
+        [
+            (suites._ty_lists, ty_ctx_list, partition_list, 37),
+            (suites._ty_msets, ty_ctx_mset, splits, 128),
+        ],
+        ids=["list", "mset"],
+    )
+    def test_ty_ctx_distr(self, universe, holds, split, expected):
+        assert suites.check_ty_ctx_distr(SMALL, universe, _no_lone_o(holds), split) == (
+            expected,
+            "split of [ty_of c1 i, ty_of c2 o] failed",
+        )
+
+    def test_linear_equivalence(self, monkeypatch):
+        monkeypatch.setattr(
+            suites,
+            "linear_type",
+            _sometimes(
+                suites.linear_type, None, lambda g, e: isinstance(e, App) and len(elems(g)) == 2
+            ),
+        )
+        assert check_linear_equivalence(SMALL, False) == (
+            2687,
+            "disagreement on App(fn=Free(name=Name(text='c', index=2)), "
+            "arg=Free(name=Name(text='c', index=1))) under [ty_of c1 i, ty_of c2 (i -> i)]: "
+            "relational [\"Base(label='i')\"], checker None",
+        )
+
+
+TWO = GenBounds(ctx_elems=2)
+
+
+def _perturbed_triples(monkeypatch, perturb):
+    """Follow each generated multiset triple by its perturbation, where
+    `perturb` gives one, and let the relation hold on every triple."""
+    real = suites.gen_trans_triples_mset
+
+    def mutant(bounds):
+        out = []
+        for triple in real(bounds):
+            out.append(triple)
+            perturbed = perturb(*triple)
+            if perturbed is not None:
+                out.append(perturbed)
+        return out
+
+    monkeypatch.setattr(suites, "gen_trans_triples_mset", mutant)
+    monkeypatch.setattr(suites, "trans_rel_mset", lambda g1, g2, g3, _memo=None: True)
+
+
+def _one_source(g1, g2, g3):
+    entries = elems(g2)
+    if len(entries) == 2:
+        return g1, from_list([VarAssoc(entries[0].src, e.dst) for e in entries]), g3
+    return None
+
+
+def _typing_entry_in_middle(g1, g2, g3):
+    if len(elems(g2)) == 2:
+        return g1, from_list(elems(g2)[:1] + elems(g1)[1:]), g3
+    return None
+
+
+def _last_target_retyped(g1, g2, g3):
+    entries = elems(g3)
+    if len(entries) == 2 and entries[1].ty == Base("i"):
+        return g1, g2, from_list(entries[:1] + (TyAssoc(entries[1].name, Base("o")),))
+    return None
+
+
+class TestTranslationFailuresPinned:
+    """The translation checks at ctx_elems=2 under a mutant relation,
+    membership test or triple generator."""
+
+    def test_trans_rel_uniq(self, monkeypatch):
+        _perturbed_triples(monkeypatch, _one_source)
+        assert suites.check_trans_rel_uniq(TWO) == (
+            139,
+            "two targets for x1: G1 = [ty_of x1 i, ty_of x2 i]; "
+            "G2 = [trans_to x1 y1, trans_to x1 y2]; G3 = [ty_of y1 i, ty_of y2 i]",
+        )
+
+    @pytest.mark.parametrize(
+        "perturb, expected",
+        [
+            (
+                _typing_entry_in_middle,
+                "non-association member: G1 = [ty_of x1 i, ty_of x2 i]; "
+                "G2 = [trans_to x1 y1, ty_of x2 i]; G3 = [ty_of y1 i, ty_of y2 i]",
+            ),
+            (
+                _last_target_retyped,
+                "no coordinated type for trans_to x2 y2: G1 = [ty_of x1 i, ty_of x2 i]; "
+                "G2 = [trans_to x1 y1, trans_to x2 y2]; G3 = [ty_of y1 i, ty_of y2 o]",
+            ),
+        ],
+        ids=["non-association", "no-coordinated-type"],
+    )
+    def test_trans_rel_mem(self, monkeypatch, perturb, expected):
+        _perturbed_triples(monkeypatch, perturb)
+        assert suites.check_trans_rel_mem(TWO) == (139, expected)
+
+    def test_trans_rel_sel(self, monkeypatch):
+        real = suites.trans_rel_mset
+        arrow = Arrow(I, I)
+
+        def mutant(g1, g2, g3, _memo=None):
+            lone = elems(g1)
+            return real(g1, g2, g3, _memo=_memo) and not (len(lone) == 1 and lone[0].ty == arrow)
+
+        monkeypatch.setattr(suites, "trans_rel_mset", mutant)
+        assert suites.check_trans_rel_sel(TWO) == (
+            115,
+            "no coordinated selection for trans_to x1 y1: "
+            "G1 = [ty_of x1 i, ty_of x2 (i -> i)]; G2 = [trans_to x1 y1, trans_to x2 y2]; "
+            "G3 = [ty_of y1 i, ty_of y2 (i -> i)]",
+        )
+
+    def test_trans_rel_list_distr(self, monkeypatch):
+        real = suites.trans_rel_list
+
+        def mutant(l1, l2, l3):
+            lone = elems(l1)
+            return real(l1, l2, l3) and not (len(lone) == 1 and lone[0].ty == Base("o"))
+
+        monkeypatch.setattr(suites, "trans_rel_list", mutant)
+        assert suites.check_trans_rel_list_distr(TWO) == (
+            43,
+            "partition failed: G1 = [ty_of x1 i, ty_of x2 o]; "
+            "G2 = [trans_to x1 y1, trans_to x2 y2]; G3 = [ty_of y1 i, ty_of y2 o]",
+        )
+
+    def test_sel_implies_mem(self, monkeypatch):
+        monkeypatch.setattr(
+            suites,
+            "member",
+            _sometimes(
+                suites.member, False, lambda x, g: isinstance(g, Union) and len(elems(g)) == 2
+            ),
+        )
+        assert suites.check_trans_sel_implies_mem(TWO) == (
+            418,
+            "select without member in G1 = [ty_of x1 i] ++ [ty_of x2 i]; "
+            "G2 = [trans_to x1 y1] ++ [trans_to x2 y2]; G3 = [ty_of y1 i] ++ [ty_of y2 i]",
+        )
