@@ -142,6 +142,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except SyntaxError_ as e:
             print(f"{args.specfile}: parse error: {e}")
             return 2
+        if not specs:
+            print(f"{args.specfile}: no Context command")
+            return 2
         for spec in specs:
             for warning in spec.warnings:
                 print(f"warning: {warning}")

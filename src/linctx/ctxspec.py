@@ -37,7 +37,7 @@ from .ctx import (
 )
 from .errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
 from .lex import Token, TokenStream
-from .report import CheckReport, GenBounds, run_check
+from .report import CheckReport, GenBounds, counted, run_check
 from .terms import TYPE_UNIVERSE, Arrow, Base, Name, fresh, name_pool, print_type
 from .typecheck import TyAssoc, VarAssoc
 
@@ -1095,12 +1095,13 @@ def _lemma_counterexample(
     return None
 
 
+@counted
 def verify_lemma_cases(
     spec: ContextSpec,
     stmt: LemmaStmt,
     bounds: GenBounds = GenBounds(),
     enforce_freshness: bool = True,
-) -> tuple:
+):
     """Case-level body of verify_lemma: (cases run, counterexample or None).
 
     Each instance is one case, decided once per multiset class."""
@@ -1114,17 +1115,10 @@ def verify_lemma_cases(
         )
     sorts = _lemma_var_sorts(spec, stmt)
     passed: set = set()
-    cases = 0
     for contexts in instances:
-        cases += 1
         key = tuple(multiset_of(g) for g in contexts)
-        if key in passed:
-            continue
-        counterexample = _lemma_counterexample(stmt, sorts, contexts)
-        if counterexample is not None:
-            return cases, counterexample
+        yield key not in passed and _lemma_counterexample(stmt, sorts, contexts)
         passed.add(key)
-    return cases, None
 
 
 def verify_lemma(
@@ -1264,12 +1258,13 @@ def check_distr_cases(
     return check_distr_instances(spec, index, instances, enforce_freshness)
 
 
+@counted
 def check_distr_instances(
     spec: ContextSpec,
     index: int,
     instances: Iterable[Sequence[Ctx]],
     enforce_freshness: bool = True,
-) -> tuple:
+):
     """Distributivity over the given context tuples: (cases run,
     counterexample or None), one case per split of context `index`.
 
@@ -1280,17 +1275,14 @@ def check_distr_instances(
     index0 = index - 1
     memo: dict = {}
     passed: set = set()
-    cases = 0
     for contexts in instances:
         aligned = _align_instance(spec, contexts, enforce_freshness, memo)
         instance_key = tuple(multiset_of(g) for g in contexts)
         for first, second in splits(contexts[index0]):
-            cases += 1
             key = (instance_key, multiset_of(first))
-            # An instance that does not align fails whatever its class.
-            if aligned is not None and key in passed:
-                continue
-            if aligned is None or _distr_witnesses(
+            # An instance that does not align fails whatever its class; one
+            # that aligns is decided once per class.
+            if aligned is None or key not in passed and _distr_witnesses(
                 spec, aligned, index0, first, second, enforce_freshness, memo
             ) is None:
                 gvars = [f"G{j}" for j in range(1, spec.arity + 1)]
@@ -1298,9 +1290,9 @@ def check_distr_instances(
                     f"G{index} ~ {print_ctx(first, render_value)}"
                     f" ++ {print_ctx(second, render_value)}"
                 )
-                return cases, f"{render_contexts(gvars, contexts)}; {split_desc}"
+                yield f"{render_contexts(gvars, contexts)}; {split_desc}"
             passed.add(key)
-    return cases, None
+            yield None
 
 
 def check_distr(
@@ -1350,38 +1342,34 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
 
     sorts = _lemma_var_sorts(spec, stmt)
 
-    def checker(contexts: Sequence[Ctx]) -> tuple:
+    @counted
+    def checker(contexts: Sequence[Ctx]):
         """(cases, counterexample) for one multiset context tuple."""
         aligned = align_mset(spec, contexts)
         if aligned is None:
-            return 0, None  # hypothesis fails; nothing to check
+            return  # hypothesis fails; nothing to check
         lists = tuple(from_list(row) for row in aligned)
         candidates = _lemma_candidates(sorts, contexts)
-        cases = 0
         for binding in _universal_bindings(stmt, contexts, candidates):
-            cases += 1
             for hyp in stmt.hyps:
                 value = instantiate(hyp.term, binding)
                 if not mem_transport(value, contexts[hyp.index], lists[hyp.index]):
-                    return cases, (
+                    yield (
                         f"hypothesis transport failed for {render_value(value)}"
                         f" in {render_contexts(lifted.ctx_vars, contexts)}"
                     )
             witness = _lemma_witness(stmt, lists, binding, candidates)
             if witness is None:
-                return cases, (
-                    f"list-level conclusion has no witness under {_render_binding(binding)}"
-                )
+                yield f"list-level conclusion has no witness under {_render_binding(binding)}"
             for f in stmt.concl:
-                if not isinstance(f, FMember):
-                    continue
-                value = instantiate(f.term, witness)
-                if not mem_transport(value, lists[f.index], contexts[f.index]):
-                    return cases, (
-                        f"conclusion transport failed for {render_value(value)}"
-                        f" in {render_contexts(lifted.ctx_vars, contexts)}"
-                    )
-        return cases, None
+                if isinstance(f, FMember):
+                    value = instantiate(f.term, witness)
+                    if not mem_transport(value, lists[f.index], contexts[f.index]):
+                        yield (
+                            f"conclusion transport failed for {render_value(value)}"
+                            f" in {render_contexts(lifted.ctx_vars, contexts)}"
+                        )
+            yield None
 
     return lifted, checker
 

@@ -1,7 +1,8 @@
 """Bounded-verification reports and the check runner.
 
 Every lemma check reduces to a named callable returning a case count and
-an optional counterexample.  The runner times each check, optionally
+an optional counterexample; `counted` derives that callable from a
+generator of per-case outcomes.  The runner times each check, optionally
 fans independent checks out to worker processes, and always emits
 reports in canonical order (by name) so output is deterministic
 regardless of the parallelism degree.
@@ -9,11 +10,12 @@ regardless of the parallelism degree.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,28 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+
+def counted(check: Callable[..., Iterator]) -> Callable[..., tuple]:
+    """Turn a generator of per-case outcomes into a check returning
+    (cases, counterexample_or_None).
+
+    The generator yields once per case: a false value when the case
+    holds, the counterexample string when it fails.  The count includes
+    the failing case, and the generator is not resumed after it, so a
+    case may yield its failure before the outcome that ends a passing
+    case.
+    """
+
+    @functools.wraps(check)
+    def run(*args, **kwargs) -> tuple:
+        cases = 0
+        for cases, outcome in enumerate(check(*args, **kwargs), 1):
+            if outcome:
+                return cases, outcome
+        return cases, None
+
+    return run
 
 
 def run_check(name: str, fn: Callable[[], tuple]) -> CheckReport:

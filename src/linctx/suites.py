@@ -36,7 +36,7 @@ from .ctx import (
     splits,
 )
 from .ctxspec import check_distr_instances, render_contexts, render_value
-from .report import GenBounds, run_checks
+from .report import GenBounds, counted, run_checks
 from .terms import (
     Abs,
     App,
@@ -79,22 +79,18 @@ def _buckets(universe: list) -> dict:
     return out
 
 
-def _constant_on_buckets(universe: list, profile: Callable, what: str) -> tuple:
-    """Check that `profile` is constant on each permutation bucket of the
-    universe.  A counterexample names the first context that differs from
-    the first context of its bucket."""
-    cases = 0
+def _constant_on_buckets(universe: list, profile: Callable, what: str):
+    """Cases checking that `profile` is constant on each permutation
+    bucket of the universe, one per context.  A counterexample names the
+    first context that differs from the first context of its bucket."""
     for bucket in _buckets(universe).values():
         witness = bucket[0]
         expected = profile(witness)
-        cases += 1
+        yield None
         for g in bucket[1:]:
-            cases += 1
-            if profile(g) != expected:
-                return cases, (
-                    f"{what} across a permutation: {print_ctx(witness)} vs {print_ctx(g)}"
-                )
-    return cases, None
+            yield profile(g) != expected and (
+                f"{what} across a permutation: {print_ctx(witness)} vs {print_ctx(g)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +98,8 @@ def _constant_on_buckets(universe: list, profile: Callable, what: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def check_mem_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
+@counted
+def check_mem_replace(max_elems: int = 4, max_depth: int = 3):
     """Membership is invariant across permutations.
 
     For all G, G2 in the universe with perm(G, G2) and all probe
@@ -112,14 +109,15 @@ def check_mem_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
     which is what is checked.
     """
     probes = list(_POOL) + [_FOREIGN]
-    return _constant_on_buckets(
+    yield from _constant_on_buckets(
         gen_ctxs(_POOL, max_elems, max_depth),
         lambda g: tuple(member(x, g) for x in probes),
         "membership differs",
     )
 
 
-def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
+@counted
+def check_sel_replace(max_elems: int = 4, max_depth: int = 3):
     """Selection residuals are matched across permutations.
 
     For all permutation-related G1, G2 and every residual of selecting x
@@ -129,27 +127,22 @@ def check_sel_replace(max_elems: int = 4, max_depth: int = 3) -> tuple:
     function itself is exercised on all within-bucket pairs of a smaller
     universe.
     """
-    cases, cex = _constant_on_buckets(
+    yield from _constant_on_buckets(
         gen_ctxs(_POOL, max_elems, max_depth),
         lambda g: tuple(frozenset(multiset_of(r) for r in select(x, g)) for x in _POOL),
         "selection residual classes differ",
     )
-    if cex is not None:
-        return cases, cex
     small = gen_ctxs(_POOL, 3, 2)
     for bucket in _buckets(small).values():
         for g1 in bucket:
             for g2 in bucket:
                 for x in _POOL:
                     for residual in select(x, g1):
-                        cases += 1
                         transported = sel_transport(x, g1, residual, g2)
-                        if not perm(residual, transported):
-                            return cases, (
-                                f"transported residual is not a permutation: "
-                                f"{print_ctx(g1)} / {print_ctx(g2)}"
-                            )
-    return cases, None
+                        yield not perm(residual, transported) and (
+                            f"transported residual is not a permutation: "
+                            f"{print_ctx(g1)} / {print_ctx(g2)}"
+                        )
 
 
 def _perm_rel_fast_table(universe: list) -> tuple:
@@ -232,6 +225,11 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
     case per pair; on a mismatch the lowest differing bit is the first
     failing pair in row-major order, so counts and counterexamples are
     those of a pair-by-pair sweep.
+
+    This is the one check that keeps its own case counter rather than
+    being a `counted` generator: a row decides a whole row of pairs at
+    once and counts them in one step, where a generator would have to
+    resume once per pair (2,797,385 times at (4, 3)).
     """
     cases = 0
     small = gen_ctxs(_POOL, 2, 2)
@@ -277,7 +275,8 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
     return cases, None
 
 
-def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
+@counted
+def check_perm_to_part(max_elems: int = 4, max_depth: int = 3):
     """Flattening a split of a list's elements into an ordered partition.
 
     For all context pairs (G1, G2) from the universe with at most
@@ -298,7 +297,6 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
         by_count.setdefault(len(key), []).append((g, key))
     # combined sorted entries -> [(L, {ordered partition of L: sorted entries of each side})]
     tables: dict = {}
-    cases = 0
     for k1 in range(max_elems + 1):
         for k2 in range(max_elems + 1 - k1):
             for g1, key1 in by_count.get(k1, ()):
@@ -315,52 +313,43 @@ def check_perm_to_part(max_elems: int = 4, max_depth: int = 3) -> tuple:
                             for l in map(from_list, arrangements)
                         ]
                     for l, table in tables[combined]:
-                        cases += 1
                         found = table.get(perm_to_part(l, g1, g2))
-                        if found != (key1, key2):
-                            what = "an ordered partition" if found is None else "permutations"
-                            return cases, (
-                                f"perm_to_part output not {what}: L={print_ctx(l)}, "
-                                f"G1={print_ctx(g1)}, G2={print_ctx(g2)}"
-                            )
-    return cases, None
+                        yield found != (key1, key2) and (
+                            f"perm_to_part output not "
+                            f"{'an ordered partition' if found is None else 'permutations'}: "
+                            f"L={print_ctx(l)}, G1={print_ctx(g1)}, G2={print_ctx(g2)}"
+                        )
 
 
-def check_part_to_perm(max_elems: int = 4) -> tuple:
+@counted
+def check_part_to_perm(max_elems: int = 4):
     """Every ordered partition of a list recombines to a permutation of it."""
-    cases = 0
     for k in range(max_elems + 1):
         for items in itertools.product(_POOL, repeat=k):
             l = from_list(items)
             for l1, l2 in partition_list(l):
-                cases += 1
-                if not part_to_perm(l, l1, l2):
-                    return cases, f"failed on L={print_ctx(l)}"
-    return cases, None
+                yield not part_to_perm(l, l1, l2) and f"failed on L={print_ctx(l)}"
 
 
-def check_sel_implies_mem(max_elems: int = 4, max_depth: int = 3) -> tuple:
+@counted
+def check_sel_implies_mem(max_elems: int = 4, max_depth: int = 3):
     """A selectable element is a member."""
-    universe = gen_ctxs(_POOL, max_elems, max_depth)
     probes = list(_POOL) + [_FOREIGN]
-    cases = 0
-    for g in universe:
+    for g in gen_ctxs(_POOL, max_elems, max_depth):
         for x in probes:
-            cases += 1
-            if select(x, g) and not member(x, g):
-                return cases, f"select without member: {x} in {print_ctx(g)}"
-    return cases, None
+            yield select(x, g) and not member(x, g) and (
+                f"select without member: {x} in {print_ctx(g)}"
+            )
 
 
-def check_partition_count(max_elems: int = 4) -> tuple:
+@counted
+def check_partition_count(max_elems: int = 4):
     """A list of n elements has exactly 2**n ordered partitions."""
-    cases = 0
     for k in range(max_elems + 1):
         for items in itertools.product(_POOL, repeat=k):
-            cases += 1
-            if len(partition_list(from_list(items))) != 2 ** k:
-                return cases, f"wrong count for {list(items)}"
-    return cases, None
+            yield len(partition_list(from_list(items))) != 2 ** k and (
+                f"wrong count for {list(items)}"
+            )
 
 
 def core_lemma_suite(max_elems: int = 4, max_depth: int = 3, jobs: int = 1) -> list:
@@ -393,41 +382,33 @@ def _ty_msets(bounds: GenBounds) -> list:
     return gen_ctxs(_ASSOC_POOL, bounds.ctx_elems, bounds.union_depth)
 
 
-def check_ty_ctx_mem(bounds: GenBounds, universe: Callable, holds: Callable) -> tuple:
+@counted
+def check_ty_ctx_mem(bounds: GenBounds, universe: Callable, holds: Callable):
     """Members of a typing context are type associations keyed by names.
 
     `universe` builds the candidate contexts and `holds` is the typing
     context predicate: `_ty_lists` with `ty_ctx_list` for the list form,
     `_ty_msets` with `ty_ctx_mset` for the multiset form.
     """
-    cases = 0
-    for g in universe(bounds):
-        if not holds(g):
-            continue
+    for g in filter(holds, universe(bounds)):
         for entry in elems(g):
-            cases += 1
-            if not (isinstance(entry, TyAssoc) and isinstance(entry.name, Name)):
-                return cases, f"bad member {entry!r} in {print_ctx(g, render_value)}"
-    return cases, None
+            yield not (isinstance(entry, TyAssoc) and isinstance(entry.name, Name)) and (
+                f"bad member {entry!r} in {print_ctx(g, render_value)}"
+            )
 
 
-def check_ty_ctx_uniq(bounds: GenBounds, universe: Callable, holds: Callable) -> tuple:
+@counted
+def check_ty_ctx_uniq(bounds: GenBounds, universe: Callable, holds: Callable):
     """At most one association per name in a typing context; the form is
     chosen as for `check_ty_ctx_mem`."""
-    cases = 0
-    for g in universe(bounds):
-        if not holds(g):
-            continue
+    for g in filter(holds, universe(bounds)):
         entries = elems(g)
         for a in entries:
             for b in entries:
                 if a.name == b.name:
-                    cases += 1
-                    if a.ty != b.ty:
-                        return cases, (
-                            f"two types for {a.name} in {print_ctx(g, render_value)}"
-                        )
-    return cases, None
+                    yield a.ty != b.ty and (
+                        f"two types for {a.name} in {print_ctx(g, render_value)}"
+                    )
 
 
 def gen_terms(
@@ -566,41 +547,30 @@ def _typed_lists(names: list, max_k: int) -> list:
     ]
 
 
-def check_ty_uniq(bounds: GenBounds) -> tuple:
+@counted
+def check_ty_uniq(bounds: GenBounds):
     """Typing contexts assign at most one type to any term."""
     names = name_pool(3)
-    lists = _typed_lists(names, bounds.ctx_elems)
     terms = gen_terms(tuple(names), 3, (Base("i"), TYPE_UNIVERSE[-1]), False)
-    cases = 0
-    for l in lists:
+    for l in _typed_lists(names, bounds.ctx_elems):
         for e in terms:
-            cases += 1
             derivable = type_of_enum(l, e)
-            if len(derivable) > 1:
-                return cases, (
-                    f"{len(derivable)} types for {e!r} under {print_ctx(l, render_value)}"
-                )
-    return cases, None
+            yield len(derivable) > 1 and (
+                f"{len(derivable)} types for {e!r} under {print_ctx(l, render_value)}"
+            )
 
 
-def check_ty_ctx_distr(
-    bounds: GenBounds, universe: Callable, holds: Callable, split: Callable
-) -> tuple:
+@counted
+def check_ty_ctx_distr(bounds: GenBounds, universe: Callable, holds: Callable, split: Callable):
     """Typing contexts distribute over their splits.
 
     The form is chosen as for `check_ty_ctx_mem`; `split` enumerates the
     two-way splits of a context: `partition_list` (ordered partitions)
     for the list form, `splits` for the multiset form.
     """
-    cases = 0
-    for g in universe(bounds):
-        if not holds(g):
-            continue
+    for g in filter(holds, universe(bounds)):
         for g1, g2 in split(g):
-            cases += 1
-            if not (holds(g1) and holds(g2)):
-                return cases, f"split of {print_ctx(g, render_value)} failed"
-    return cases, None
+            yield not (holds(g1) and holds(g2)) and f"split of {print_ctx(g, render_value)} failed"
 
 
 def typing_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
@@ -625,7 +595,8 @@ def typing_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
 # ---------------------------------------------------------------------------
 
 
-def check_linear_equivalence(bounds: GenBounds, with_let: bool) -> tuple:
+@counted
+def check_linear_equivalence(bounds: GenBounds, with_let: bool):
     """Top-level agreement of the relational and leftover-threading readings.
 
     For every list context with up to two distinctly-named associations
@@ -636,20 +607,15 @@ def check_linear_equivalence(bounds: GenBounds, with_let: bool) -> tuple:
     contexts = _typed_lists(name_pool(2), min(bounds.ctx_elems, 2))
     terms = gen_terms(tuple(name_pool(2)), bounds.term_size, TYPE_UNIVERSE, with_let)
     checker = ml_type if with_let else linear_type
-    cases = 0
     cache: dict = {}
     for g in contexts:
         for e in terms:
-            cases += 1
             relational = _linear_types(g, e, with_let, cache)
             algo = checker(g, e)
-            algo_set = frozenset(() if algo is None else (algo,))
-            if relational != algo_set:
-                return cases, (
-                    f"disagreement on {e!r} under {print_ctx(g, render_value)}: "
-                    f"relational {sorted(map(str, relational))}, checker {algo}"
-                )
-    return cases, None
+            yield relational != frozenset(() if algo is None else (algo,)) and (
+                f"disagreement on {e!r} under {print_ctx(g, render_value)}: "
+                f"relational {sorted(map(str, relational))}, checker {algo}"
+            )
 
 
 def equivalence_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
@@ -712,35 +678,33 @@ def gen_trans_triples_mset(bounds: GenBounds) -> list:
 _render_triple = partial(render_contexts, ("G1", "G2", "G3"))
 
 
-def check_trans_rel_uniq(bounds: GenBounds) -> tuple:
-    """Translation associations are unique per source name."""
-    cases = 0
-    memo: dict = {}
+def _related_triples(bounds: GenBounds, memo: dict):
+    """The generated multiset triples that trans_rel relates, in order;
+    the relation is decided through `memo`."""
     for triple in gen_trans_triples_mset(bounds):
-        if not trans_rel_mset(*triple, _memo=memo):
-            continue
+        if trans_rel_mset(*triple, _memo=memo):
+            yield triple
+
+
+@counted
+def check_trans_rel_uniq(bounds: GenBounds):
+    """Translation associations are unique per source name."""
+    for triple in _related_triples(bounds, {}):
         entries = elems(triple[1])
         for a in entries:
             for b in entries:
                 if a.src == b.src:
-                    cases += 1
-                    if a.dst != b.dst:
-                        return cases, f"two targets for {a.src}: {_render_triple(triple)}"
-    return cases, None
+                    yield a.dst != b.dst and f"two targets for {a.src}: {_render_triple(triple)}"
 
 
-def check_trans_rel_mem(bounds: GenBounds) -> tuple:
+@counted
+def check_trans_rel_mem(bounds: GenBounds):
     """Members of the translation context coordinate with both typing contexts."""
-    cases = 0
-    memo: dict = {}
-    for triple in gen_trans_triples_mset(bounds):
+    for triple in _related_triples(bounds, {}):
         g1, g2, g3 = triple
-        if not trans_rel_mset(g1, g2, g3, _memo=memo):
-            continue
         for entry in elems(g2):
-            cases += 1
             if not isinstance(entry, VarAssoc):
-                return cases, f"non-association member: {_render_triple(triple)}"
+                yield f"non-association member: {_render_triple(triple)}"
             x, y = entry.src, entry.dst
             shared = [
                 a.ty
@@ -752,23 +716,20 @@ def check_trans_rel_mem(bounds: GenBounds) -> tuple:
                     if isinstance(b, TyAssoc)
                 )
             ]
-            if not (isinstance(x, Name) and isinstance(y, Name) and shared):
-                return cases, f"no coordinated type for {entry}: {_render_triple(triple)}"
-    return cases, None
+            yield not (isinstance(x, Name) and isinstance(y, Name) and shared) and (
+                f"no coordinated type for {entry}: {_render_triple(triple)}"
+            )
 
 
-def check_trans_rel_sel(bounds: GenBounds) -> tuple:
+@counted
+def check_trans_rel_sel(bounds: GenBounds):
     """Selection from the translation context coordinates with selections
     from both typing contexts, leaving a residual triple in the relation."""
-    cases = 0
     memo: dict = {}
-    for triple in gen_trans_triples_mset(bounds):
+    for triple in _related_triples(bounds, memo):
         g1, g2, g3 = triple
-        if not trans_rel_mset(g1, g2, g3, _memo=memo):
-            continue
         for entry in dict.fromkeys(elems(g2)):
             for g2r in select(entry, g2):
-                cases += 1
                 x, y = entry.src, entry.dst
                 found = any(
                     trans_rel_mset(g1r, g2r, g3r, _memo=memo)
@@ -779,30 +740,25 @@ def check_trans_rel_sel(bounds: GenBounds) -> tuple:
                     if isinstance(a3, TyAssoc) and a3.name == y and a3.ty == a1.ty
                     for g3r in select(a3, g3)
                 )
-                if not found:
-                    return cases, (
-                        f"no coordinated selection for {entry}: {_render_triple(triple)}"
-                    )
-    return cases, None
+                yield not found and (
+                    f"no coordinated selection for {entry}: {_render_triple(triple)}"
+                )
 
 
-def check_trans_rel_list_distr(bounds: GenBounds) -> tuple:
+@counted
+def check_trans_rel_list_distr(bounds: GenBounds):
     """Coordinated position-wise partitions preserve the list relation.
 
     The three lists of a triple have equal lengths, and `partition_list`
     lists the partitions of equal-length lists in the same mask order, so
     zipping their partitions applies one mask to all three lists.
     """
-    cases = 0
-    for triple in gen_trans_triples(bounds):
-        if not trans_rel_list(*triple):
-            continue
+    for triple in filter(lambda t: trans_rel_list(*t), gen_trans_triples(bounds)):
         for parts in zip(*(partition_list(l) for l in triple)):
-            cases += 1
             firsts, seconds = zip(*parts)
-            if not (trans_rel_list(*firsts) and trans_rel_list(*seconds)):
-                return cases, f"partition failed: {_render_triple(triple)}"
-    return cases, None
+            yield not (trans_rel_list(*firsts) and trans_rel_list(*seconds)) and (
+                f"partition failed: {_render_triple(triple)}"
+            )
 
 
 def check_trans_rel_distr(bounds: GenBounds) -> tuple:
@@ -810,19 +766,19 @@ def check_trans_rel_distr(bounds: GenBounds) -> tuple:
     return check_distr_instances(TRANS_REL, 1, gen_trans_triples_mset(bounds))
 
 
-def check_trans_sel_implies_mem(bounds: GenBounds) -> tuple:
+@counted
+def check_trans_sel_implies_mem(bounds: GenBounds):
     """Selectable associations are members (translation contexts)."""
-    cases = 0
     for triple in gen_trans_triples_mset(bounds):
         for g in triple:
             for entry in dict.fromkeys(elems(g)):
-                cases += 1
-                if select(entry, g) and not member(entry, g):
-                    return cases, f"select without member in {_render_triple(triple)}"
-    return cases, None
+                yield select(entry, g) and not member(entry, g) and (
+                    f"select without member in {_render_triple(triple)}"
+                )
 
 
-def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
+@counted
+def check_ltrans_pres_ty(bounds: GenBounds):
     """Translation preserves types.
 
     For every coordinated triple and every source term within the size
@@ -850,29 +806,27 @@ def check_ltrans_pres_ty(bounds: GenBounds) -> tuple:
     # ML typing over distinct names does not depend on the context's order
     # (exchange): every arrangement in a class types the same terms alike.
     typed: dict = {}
-    cases = 0
     for l1, l2, l3 in gen_trans_triples(bounds):
         key = multiset_of(l1)
         confirm = key not in typed
         if confirm:
             typed[key] = gen_linear_terms(elems(l1), xs, term_bound, _TRANS_TYPES, True)
         for e, src_ty in typed[key]:
-            cases += 1
             if confirm and (checked := ml_type(l1, e)) != src_ty:
-                return cases, (
+                yield (
                     f"source type not confirmed for {e!r}: enumerated {src_ty}, "
                     f"checker {checked}; {_render_triple((l1, l2, l3))}"
                 )
             translated = translate(l2, e)
             dst_ty = linear_type(l3, translated)
             if dst_ty != src_ty:
-                return cases, (
+                yield (
                     f"type not preserved for {e!r}: source {src_ty}, target {dst_ty}; "
                     f"{_render_triple((l1, l2, l3))}"
                 )
-            if term_size(e) <= 3 and not ltrans_rel(l2, e, translated):
-                return cases, f"function output not in the relation for {e!r}"
-    return cases, None
+            yield term_size(e) <= 3 and not ltrans_rel(l2, e, translated) and (
+                f"function output not in the relation for {e!r}"
+            )
 
 
 def translation_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:

@@ -285,11 +285,28 @@ def parse_type(text: str) -> Ty:
 
 
 def parse_type_tokens(ts: TokenStream) -> Ty:
-    left = _parse_type_atom(ts)
-    if ts.at_sym("->"):
+    # `->` is right-associative.  The domains of the arrow chain being
+    # read are kept in a list, and those of each enclosing "(" on a stack,
+    # so long chains and deep nesting need no recursion.
+    enclosing = []  # the domains of each open "("
+    doms = []
+    while True:
+        if ts.at_sym("("):
+            ts.next()
+            enclosing.append(doms)
+            doms = []
+            continue
+        ty = Base(ts.eat_ident().text)
+        # Close the arrow chain that ty ends, and each "(" chain that ends with it.
+        while not ts.at_sym("->"):
+            for dom in reversed(doms):
+                ty = Arrow(dom, ty)
+            if not enclosing:
+                return ty
+            ts.eat_sym(")")
+            doms = enclosing.pop()
         ts.next()
-        return Arrow(left, parse_type_tokens(ts))
-    return left
+        doms.append(ty)
 
 
 def _parse_type_atom(ts: TokenStream) -> Ty:
@@ -302,12 +319,21 @@ def _parse_type_atom(ts: TokenStream) -> Ty:
 
 
 def print_type(ty: Ty) -> str:
-    if isinstance(ty, Base):
-        return ty.label
-    dom = print_type(ty.dom)
-    if isinstance(ty.dom, Arrow):
-        dom = f"({dom})"
-    return f"{dom} -> {print_type(ty.cod)}"
+    # An arrow's domain is parenthesized when it is an arrow.  The stack
+    # holds the types and the literal text still to print, last first, so
+    # deep types need no recursion.
+    out = []
+    pending: list = [ty]
+    while pending:
+        ty = pending.pop()
+        if isinstance(ty, str):
+            out.append(ty)
+        elif isinstance(ty, Base):
+            out.append(ty.label)
+        else:
+            pending += (ty.cod, " -> ")
+            pending += (")", ty.dom, "(") if isinstance(ty.dom, Arrow) else (ty.dom,)
+    return "".join(out)
 
 
 def _print_type_atom(ty: Ty) -> str:

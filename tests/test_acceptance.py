@@ -6,10 +6,13 @@ the pair-quantified permutation-oracle agreement documents the domain it
 sweeps in `check_perm_equiv`.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import linctx
 from linctx.ctx import EMPTY, gen_ctxs
 from linctx.ctxspec import (
     check_distr,
@@ -220,8 +223,12 @@ def test_criterion_8_determinism_across_jobs():
         "--bound-ctx",
         "2",
     ]
-    run1 = subprocess.run(argv + ["--jobs", "1"], capture_output=True)
-    run2 = subprocess.run(argv + ["--jobs", "2"], capture_output=True)
+    # The package the tests import, for the child interpreters too.
+    src = str(Path(linctx.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run1 = subprocess.run(argv + ["--jobs", "1"], capture_output=True, env=env)
+    run2 = subprocess.run(argv + ["--jobs", "2"], capture_output=True, env=env)
     ok = (
         run1.returncode == 0
         and run2.returncode == 0

@@ -75,6 +75,14 @@ class TestCheck:
         assert code == 0
         assert out == f"{deep}:1: ok\n"
 
+    def test_deep_arrow_type_gives_verdict(self, capsys, tmp_path):
+        arrows = " -> ".join(["i"] * 3001)
+        deep = tmp_path / "deep.judg"
+        deep.write_text(f"nil |- abs i (x\\ x) : {arrows} ; reject\n")
+        code, out = run(capsys, "check", "--system", "ml", deep)
+        assert code == 0
+        assert out == f"{deep}:1: ok\n"
+
     def test_parse_error_gives_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.judg"
         bad.write_text("# comment\nnil |- : ; accept\n")
@@ -90,6 +98,21 @@ class TestTranslate:
         lines = [l for l in out.splitlines() if l]
         assert lines[0] == "abs i (x\\ x)"  # let-free terms are unchanged
         assert "app (abs (i -> i) (x\\ x)) (abs i (x\\ x))" in lines
+
+    @pytest.mark.parametrize(
+        "annotation, printed",
+        [
+            ("(" * 3000 + "i" + ")" * 3000, "i"),
+            ("(" + " -> ".join(["i"] * 3001) + ")", "(" + " -> ".join(["i"] * 3001) + ")"),
+        ],
+        ids=["3000-parentheses", "3000-arrows"],
+    )
+    def test_deep_type_annotation(self, capsys, tmp_path, annotation, printed):
+        deep = tmp_path / "deep.tm"
+        deep.write_text(f"abs {annotation} (x\\ x)\n")
+        code, out = run(capsys, "translate", deep)
+        assert code == 0
+        assert out == f"abs {printed} (x\\ x)\n"
 
     def test_nonlinear_term_fails(self, capsys, tmp_path):
         f = tmp_path / "t.tm"
@@ -200,8 +223,9 @@ class TestVerify:
         assert json.loads(out.strip().splitlines()[0])["elapsed_ms"] is not None
 
 
-# Each lemma file is rejected before any check runs.
-BAD_LEMMAS = {
+# Each lemma file, and the specification file without a Context command,
+# is rejected before any check runs.
+BAD_INPUTS = {
     "unknown.lem": "Lemma u : forall L X, nope_list L -> member X L -> true.",
     "arity.lem": "Lemma arity : forall L M X, ty_ctx'_list L M -> member X L -> true.",
     "few.lem": "Lemma few : forall L X, trans_rel_list L -> member X L -> true.",
@@ -212,6 +236,7 @@ BAD_LEMMAS = {
     ),
     "ctx_term.lem": "Lemma m2 : forall L X, ty_ctx'_list L -> member X L -> X = L.",
     "ctx_term_mset.lem": "Lemma m : forall G X, ty_ctx' G -> member X G -> X = G.",
+    "empty.ctx": "# a specification file without a Context command",
 }
 
 
@@ -277,6 +302,11 @@ class TestBadInput:
                 "ctx_term_mset.lem: parse error: context variable 'G' is used as a term "
                 "(at position 53)",
             ),
+            (["verify", "empty.ctx"], "empty.ctx: no Context command"),
+            (
+                ["verify", "empty.ctx", "--lemmas", FIXTURES / "lemmas.lem"],
+                "empty.ctx: no Context command",
+            ),
         ],
         ids=[
             "missing-lemmas",
@@ -289,6 +319,8 @@ class TestBadInput:
             "undeclared-variable",
             "context-variable-term",
             "context-variable-term-mset",
+            "no-context-command",
+            "no-context-command-with-lemmas",
         ],
     )
     def test_inputs_checked_before_any_check_runs(
@@ -300,7 +332,7 @@ class TestBadInput:
         monkeypatch.setattr("linctx.cli.run_checks", no_checks)
         monkeypatch.setattr("linctx.suites.run_checks", no_checks)
         monkeypatch.chdir(tmp_path)
-        for name, text in BAD_LEMMAS.items():
+        for name, text in BAD_INPUTS.items():
             (tmp_path / name).write_text(text + "\n")
         code, out = run(capsys, *argv)
         assert code == 2

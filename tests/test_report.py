@@ -11,6 +11,7 @@ from linctx.report import (
     CheckReport,
     GenBounds,
     all_passed,
+    counted,
     render_structured,
     render_text,
     run_check,
@@ -26,6 +27,13 @@ def _passing(n):
 
 def _failing(n):
     return n, "broken"
+
+
+@counted
+def _fails_at(n, limit):
+    """Case k fails when k is n; the cases run from 1 to limit."""
+    for k in range(1, limit + 1):
+        yield k == n and f"case {k}"
 
 
 def _typed_where_built(g, t, ty):
@@ -96,6 +104,47 @@ class TestRunner:
         assert [r.name for r in run_checks(checks, jobs=5000)] == ["a", "b", "c"]
         run_checks(checks, jobs=2)
         assert sizes == [3, 2]
+
+
+class TestCounted:
+    def test_count_includes_the_failing_case(self):
+        assert _fails_at(3, 5) == (3, "case 3")
+        assert _fails_at(1, 5) == (1, "case 1")
+
+    def test_all_cases_counted_when_none_fails(self):
+        assert _fails_at(0, 5) == (5, None)
+
+    def test_not_resumed_after_a_failure(self):
+        @counted
+        def check():
+            yield None
+            yield "broken"
+            raise AssertionError("resumed after its failing case")
+
+        assert check() == (2, "broken")
+
+    def test_empty_generator(self):
+        @counted
+        def check():
+            yield from ()
+
+        assert check() == (0, None)
+
+    def test_false_values_hold(self):
+        @counted
+        def check():
+            yield from (None, False, ())
+
+        assert check() == (3, None)
+
+    def test_keeps_name_and_doc_and_runs_in_workers(self):
+        assert _fails_at.__name__ == "_fails_at"
+        assert _fails_at.__doc__ == "Case k fails when k is n; the cases run from 1 to limit."
+        checks = [("a", _fails_at, (0, 4)), ("b", _fails_at, (2, 4)), ("c", _fails_at, (9, 0))]
+        strip = lambda rs: [(r.name, r.cases, r.verdict, r.counterexample) for r in rs]
+        expected = [("a", 4, "pass", None), ("b", 2, "fail", "case 2"), ("c", 0, "pass", None)]
+        assert strip(run_checks(checks, jobs=1)) == expected
+        assert strip(run_checks(checks, jobs=2)) == expected
 
 
 class TestRendering:

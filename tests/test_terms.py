@@ -188,6 +188,19 @@ class TestTypes:
         for ty in type_universe(("i", "o"), 3):
             assert parse_type(print_type(ty)) == ty
 
+    def test_deep_types_round_trip(self):
+        right = left = I
+        for _ in range(3000):
+            right, left = Arrow(I, right), Arrow(left, I)
+        assert parse_type(print_type(right)) is right
+        assert parse_type(print_type(left)) is left
+        assert parse_type("(" * 3000 + "i" + ")" * 3000) is I
+
+    @pytest.mark.parametrize("text", ["i ->", "(i -> o", "(i))", "-> i", "()"])
+    def test_malformed_types_rejected(self, text):
+        with pytest.raises(SyntaxError_):
+            parse_type(text)
+
     def test_universe_sizes(self):
         assert len(type_universe(("i", "o"), 1)) == 2
         assert len(type_universe(("i", "o"), 2)) == 6
