@@ -40,16 +40,12 @@ from .ctx import (
 from .ctxspec import (
     Clause,
     ContextSpec,
-    DerivationStore,
     DistrLemma,
     LemmaStmt,
     align_mset,
     check_distr,
     check_list_pred,
     check_mset_pred,
-    derive_distr,
-    derive_lift,
-    derive_subst,
     gen_distr_lemma,
     lift_lemma,
     parse_lemma,
@@ -68,7 +64,6 @@ from .errors import (
     SyntaxError_,
     UnboundIdentifierError,
     UnmappedVariableError,
-    VerificationError,
 )
 from .report import CheckReport, GenBounds, render_structured, render_text
 from .suites import (

@@ -30,12 +30,11 @@ from .ctx import (
     mem_transport,
     multiset,
     multiset_of,
-    perm,
     perm_to_part_mask,
     print_ctx,
     splits,
 )
-from .errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
+from .errors import PreconditionError, ShapeError, SyntaxError_
 from .lex import Token, TokenStream
 from .report import CheckReport, GenBounds, counted, run_check
 from .terms import TYPE_UNIVERSE, Arrow, Base, Name, fresh, name_pool, print_type
@@ -1326,7 +1325,7 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
 
     The checker is the oracle for the transport argument: the tests run
     it on generated multiset instances.  Reports on the lifted statement
-    (`verify_lemma`, `derive_lift`, the CLI) check it by enumerating
+    (`verify_lemma`, the CLI) check it by enumerating
     multiset instances directly, independently of the transport.
     """
     if stmt.pred_name != spec.list_name:
@@ -1372,163 +1371,3 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
             yield None
 
     return lifted, checker
-
-
-# ---------------------------------------------------------------------------
-# Derivation store and tactic-like steps over checked facts.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PermFact:
-    left: Ctx
-    right: Ctx
-
-
-@dataclass(frozen=True)
-class MemberFact:
-    elem: Any
-    ctx: Ctx
-
-
-@dataclass(frozen=True)
-class PredFact:
-    spec_name: str
-    contexts: tuple
-
-
-@dataclass(frozen=True)
-class LemmaFact:
-    stmt: LemmaStmt
-    report: CheckReport
-
-
-def derive_subst(perm_fact: PermFact, member_fact: MemberFact) -> MemberFact:
-    """Transport a membership fact through a permutation fact."""
-    if member_fact.ctx != perm_fact.left:
-        raise ShapeError("member fact is not about the permutation's left context")
-    if not mem_transport(member_fact.elem, perm_fact.left, perm_fact.right):
-        raise VerificationError("membership was not preserved by the permutation")
-    return MemberFact(member_fact.elem, perm_fact.right)
-
-
-def derive_distr(
-    spec: ContextSpec, pred_fact: PredFact, perm_fact: PermFact
-) -> list:
-    """Apply distributivity: a predicate fact plus a split of one context.
-
-    The permutation fact must have the form Gi ~ A ++ B where Gi is one
-    of the predicate fact's contexts.  Returns the two predicate facts on
-    the constructed witnesses plus the split facts for the other indices.
-    """
-    if pred_fact.spec_name != spec.name:
-        raise ShapeError("predicate fact is not about this specification")
-    if not isinstance(perm_fact.right, Union):
-        raise ShapeError("permutation fact is not a two-way split")
-    index0 = None
-    for j, g in enumerate(pred_fact.contexts):
-        if g == perm_fact.left:
-            index0 = j
-            break
-    if index0 is None:
-        raise ShapeError("split context does not occur in the predicate fact")
-    first, second = perm_fact.right.left, perm_fact.right.right
-    memo: dict = {}
-    aligned = _align_instance(spec, pred_fact.contexts, True, memo)
-    result = None if aligned is None else _distr_witnesses(
-        spec, aligned, index0, first, second, True, memo
-    )
-    if result is None:
-        raise VerificationError("no coordinated split witnesses exist")
-    primes, doubles, firsts, seconds = result
-    facts: list = [
-        PredFact(spec.name, primes),
-        PredFact(spec.name, doubles),
-    ]
-    for j in range(spec.arity):
-        if j != index0:
-            facts.append(
-                PermFact(pred_fact.contexts[j], Union(firsts[j], seconds[j]))
-            )
-    facts.append(PermFact(first, firsts[index0]))
-    facts.append(PermFact(second, seconds[index0]))
-    return facts
-
-
-def derive_lift(
-    spec: ContextSpec, stmt: LemmaStmt, bounds: GenBounds = GenBounds()
-) -> LemmaFact:
-    """Lift a verified list-form lemma and verify the lifted statement."""
-    list_report = verify_lemma(spec, stmt, bounds)
-    if not list_report.passed:
-        raise VerificationError(
-            f"list-level lemma {stmt.name!r} fails", list_report.counterexample
-        )
-    lifted, _checker = lift_lemma(spec, stmt)
-    report = verify_lemma(spec, lifted, bounds)
-    if not report.passed:
-        raise VerificationError(
-            f"lifted lemma {lifted.name!r} fails", report.counterexample
-        )
-    return LemmaFact(lifted, report)
-
-
-class DerivationStore:
-    """Append-only store of checked facts, with the tactic steps as methods.
-
-    Base facts are validated by running the corresponding decision
-    procedure when added; derived facts carry their construction with
-    them.  Single writer; reads are safe from any thread.
-    """
-
-    def __init__(self, specs: Iterable[ContextSpec] = (), bounds: GenBounds = GenBounds()):
-        self.specs = {s.name: s for s in specs}
-        self.bounds = bounds
-        self.facts: list = []
-
-    def _add(self, fact: Any) -> Any:
-        self.facts.append(fact)
-        return fact
-
-    def assert_perm(self, g1: Ctx, g2: Ctx) -> PermFact:
-        if not perm(g1, g2):
-            raise VerificationError("contexts are not permutations of each other")
-        return self._add(PermFact(g1, g2))
-
-    def assert_member(self, x: Any, g: Ctx) -> MemberFact:
-        if not member(x, g):
-            raise VerificationError("element is not a member of the context")
-        return self._add(MemberFact(x, g))
-
-    def assert_pred(self, spec_name: str, contexts: Sequence[Ctx]) -> PredFact:
-        spec = self._spec(spec_name)
-        if not check_mset_pred(spec, contexts):
-            raise VerificationError("contexts do not satisfy the predicate")
-        return self._add(PredFact(spec_name, tuple(contexts)))
-
-    def _spec(self, name: str) -> ContextSpec:
-        if name not in self.specs:
-            raise ShapeError(f"unknown context specification {name!r}")
-        return self.specs[name]
-
-    def subst(self, perm_fact: PermFact, member_fact: MemberFact) -> MemberFact:
-        self._require(perm_fact)
-        self._require(member_fact)
-        return self._add(derive_subst(perm_fact, member_fact))
-
-    def distr(self, pred_fact: PredFact, perm_fact: PermFact) -> list:
-        self._require(pred_fact)
-        self._require(perm_fact)
-        spec = self._spec(pred_fact.spec_name)
-        new_facts = derive_distr(spec, pred_fact, perm_fact)
-        for f in new_facts:
-            self._add(f)
-        return new_facts
-
-    def lift(self, spec_name: str, stmt: LemmaStmt) -> LemmaFact:
-        spec = self._spec(spec_name)
-        return self._add(derive_lift(spec, stmt, self.bounds))
-
-    def _require(self, fact: Any) -> None:
-        if fact not in self.facts:
-            raise ShapeError("fact is not in the derivation store")

@@ -34,12 +34,5 @@ class UnmappedVariableError(LinctxError):
 
 
 class ShapeError(LinctxError):
-    """A statement or fact does not have the shape a procedure requires."""
+    """A statement or specification does not have the shape a procedure requires."""
 
-
-class VerificationError(LinctxError):
-    """A derivation step failed because bounded verification found a counterexample."""
-
-    def __init__(self, message: str, counterexample: str | None = None):
-        super().__init__(message)
-        self.counterexample = counterexample

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from linctx import ctxspec
 from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, is_list, multiset, perm, splits
 from linctx.ctxspec import (
-    DerivationStore,
     FAnd,
     FEq,
     FIsName,
@@ -21,17 +20,12 @@ from linctx.ctxspec import (
     MetaVar,
     NablaVar,
     PatApp,
-    MemberFact,
-    PermFact,
-    PredFact,
     align_mset,
     check_distr,
     check_distr_cases,
     check_distr_instances,
     check_list_pred,
     check_mset_pred,
-    derive_distr,
-    derive_subst,
     gen_distr_lemma,
     generate_list_instances,
     generate_mset_instances,
@@ -45,7 +39,7 @@ from linctx.ctxspec import (
     verify_lemma,
     verify_lemma_cases,
 )
-from linctx.errors import PreconditionError, ShapeError, SyntaxError_, VerificationError
+from linctx.errors import PreconditionError, ShapeError, SyntaxError_
 from linctx.report import GenBounds
 from linctx.terms import Arrow, Base, Name
 from linctx.translate import (
@@ -532,6 +526,25 @@ class TestDistributivity:
             "G3 ~ [ty_of m1 o] ++ nil",
         )
 
+    def test_split_witnesses(self, tr_spec):
+        # The halves of one split: the split context's halves as given, the
+        # other contexts' halves cut from the alignment by the same mask.
+        g1 = from_list([TyAssoc(N1, I), TyAssoc(N2, O)])
+        g2 = from_list([VarAssoc(N1, M1), VarAssoc(N2, M2)])
+        g3 = from_list([TyAssoc(M1, I), TyAssoc(M2, O)])
+        first, second = from_list([TyAssoc(N2, O)]), from_list([TyAssoc(N1, I)])
+        half1 = (first, from_list([VarAssoc(N2, M2)]), from_list([TyAssoc(M2, O)]))
+        half2 = (second, from_list([VarAssoc(N1, M1)]), from_list([TyAssoc(M1, I)]))
+        memo: dict = {}
+        aligned = ctxspec._align_instance(tr_spec, (g1, g2, g3), True, memo)
+        assert ctxspec._distr_witnesses(tr_spec, aligned, 0, first, second, True, memo) == (
+            half1,
+            half2,
+            half1,
+            half2,
+        )
+        assert ctxspec._align_instance(tr_spec, (g1, g2, EMPTY), True, memo) is None
+
     def test_checks_pass_every_index(self, ty_spec, tr_spec):
         assert check_distr(ty_spec, 1, BOUNDS).passed
         for i in (1, 2, 3):
@@ -987,89 +1000,3 @@ class TestTransportFailures:
             "G2 = [trans_to x y]; G3 = [ty_of y i]",
         )
 
-
-class TestDerivation:
-    def test_subst(self):
-        pf = PermFact(from_list(["a", "b"]), Union(from_list(["b"]), from_list(["a"])))
-        mf = MemberFact("a", from_list(["a", "b"]))
-        out = derive_subst(pf, mf)
-        assert out.ctx == pf.right
-
-    def test_subst_shape_mismatch(self):
-        pf = PermFact(from_list(["a"]), from_list(["a"]))
-        mf = MemberFact("a", from_list(["a", "b"]))
-        with pytest.raises(ShapeError):
-            derive_subst(pf, mf)
-
-    def test_distr_produces_six_facts(self, tr_spec):
-        g1 = from_list([TyAssoc(N1, I), TyAssoc(N2, O)])
-        g2 = from_list([VarAssoc(N1, M1), VarAssoc(N2, M2)])
-        g3 = from_list([TyAssoc(M1, I), TyAssoc(M2, O)])
-        store = DerivationStore([tr_spec], BOUNDS)
-        pred_fact = store.assert_pred("trans_rel", (g1, g2, g3))
-        split = Union(from_list([TyAssoc(N2, O)]), from_list([TyAssoc(N1, I)]))
-        perm_fact = store.assert_perm(g1, split)
-        new_facts = store.distr(pred_fact, perm_fact)
-        half1 = (
-            from_list([TyAssoc(N2, O)]),
-            from_list([VarAssoc(N2, M2)]),
-            from_list([TyAssoc(M2, O)]),
-        )
-        half2 = (
-            from_list([TyAssoc(N1, I)]),
-            from_list([VarAssoc(N1, M1)]),
-            from_list([TyAssoc(M1, I)]),
-        )
-        assert new_facts == [
-            PredFact("trans_rel", half1),
-            PredFact("trans_rel", half2),
-            PermFact(g2, Union(half1[1], half2[1])),
-            PermFact(g3, Union(half1[2], half2[2])),
-            PermFact(half1[0], half1[0]),
-            PermFact(half2[0], half2[0]),
-        ]
-        assert store.facts[-6:] == new_facts
-        unaligned = PredFact("trans_rel", (g1, g2, EMPTY))
-        with pytest.raises(VerificationError, match="no coordinated split witnesses"):
-            derive_distr(tr_spec, unaligned, perm_fact)
-
-    def test_store_validates_base_facts(self, ty_spec):
-        store = DerivationStore([ty_spec], BOUNDS)
-        with pytest.raises(VerificationError):
-            store.assert_perm(from_list(["a"]), from_list(["b"]))
-        with pytest.raises(VerificationError):
-            store.assert_member("a", EMPTY)
-        with pytest.raises(VerificationError):
-            store.assert_pred("ty_ctx'", [from_list(["junk"])])
-
-    def test_store_member_and_subst(self, ty_spec):
-        store = DerivationStore([ty_spec], BOUNDS)
-        g = from_list(["a", "b"])
-        member_fact = store.assert_member("a", g)
-        perm_fact = store.assert_perm(g, Union(from_list(["b"]), from_list(["a"])))
-        out = store.subst(perm_fact, member_fact)
-        assert out == MemberFact("a", perm_fact.right)
-        assert store.facts == [member_fact, perm_fact, out]
-
-    def test_store_requires_known_facts(self, ty_spec):
-        store = DerivationStore([ty_spec], BOUNDS)
-        foreign_perm = PermFact(EMPTY, EMPTY)
-        foreign_member = MemberFact("a", from_list(["a"]))
-        with pytest.raises(ShapeError):
-            store.subst(foreign_perm, foreign_member)
-
-    def test_store_lift(self, ty_spec):
-        store = DerivationStore([ty_spec], BOUNDS)
-        fact = store.lift("ty_ctx'", parse_lemma(MEM_LEMMA))
-        assert fact.stmt.name == "ty_ctx_mem_mset"
-        assert fact.report.passed
-
-    def test_lift_of_false_lemma_raises(self, ty_spec):
-        store = DerivationStore([ty_spec], BOUNDS)
-        false_stmt = parse_lemma(
-            "Lemma bogus : forall L X Y T1 T2, ty_ctx'_list L -> "
-            "member (ty_of X T1) L -> member (ty_of Y T2) L -> T1 = T2."
-        )
-        with pytest.raises(VerificationError) as err:
-            store.lift("ty_ctx'", false_stmt)
-        assert err.value.counterexample
