@@ -24,7 +24,7 @@ from .ctxspec import (
     parse_spec_file,
     verify_lemma_cases,
 )
-from .errors import LinctxError, SyntaxError_
+from .errors import LinctxError, ShapeError, SyntaxError_
 from .report import GenBounds, all_passed, render_structured, render_text, run_checks
 from .terms import parse_term, print_term
 from .translate import ltrans_rel, translate
@@ -142,6 +142,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except SyntaxError_ as e:
             print(f"{args.specfile}: parse error: {e}")
             return 2
+        except ShapeError as e:
+            print(f"{args.specfile}: ShapeError: {e}")
+            return 2
         if not specs:
             print(f"{args.specfile}: no Context command")
             return 2
@@ -162,6 +165,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             stmts = parse_lemma_file(_read_text(args.lemmas))
         except SyntaxError_ as e:
             print(f"{args.lemmas}: parse error: {e}")
+            return 2
+        if not stmts:
+            print(f"{args.lemmas}: no Lemma command")
             return 2
         by_pred = {}
         for spec in specs:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cache, partial
+from operator import attrgetter
 from typing import Any, Callable, Container, Iterable, Optional, Sequence
 
 from .ctx import (
@@ -45,39 +46,34 @@ from .typecheck import TyAssoc, VarAssoc
 # Element terms: first-order constructor applications over names and types.
 # ---------------------------------------------------------------------------
 
-_CTOR_SIGS = {
-    "ty_of": ("name", "ty"),
-    "trans_to": ("name", "name"),
-    "arrow": ("ty", "ty"),
+# Each constructor of element terms: its node class, the sorts of its
+# arguments and the sort of its result.  A bare lowercase constant is a
+# base type and has no entry.
+_SIGNATURE = {
+    "ty_of": (TyAssoc, ("name", "ty"), "ty_assoc"),
+    "trans_to": (VarAssoc, ("name", "name"), "var_assoc"),
+    "arrow": (Arrow, ("ty", "ty"), "ty"),
 }
 
-_CTOR_RESULT = {
-    "ty_of": "ty_assoc",
-    "trans_to": "var_assoc",
-    "arrow": "ty",
+# The same table keyed by node class: constructor, argument getter, result
+# sort.  Every constructor takes two or more arguments, so the getter gives a tuple.
+_BY_CLASS = {
+    cls: (ctor, attrgetter(*cls.__match_args__), result)
+    for ctor, (cls, _, result) in _SIGNATURE.items()
 }
 
 
 def decompose(value: Any) -> Optional[tuple]:
     """View a value as a constructor applied to arguments, if it is one."""
-    if isinstance(value, TyAssoc):
-        return ("ty_of", (value.name, value.ty))
-    if isinstance(value, VarAssoc):
-        return ("trans_to", (value.src, value.dst))
-    if isinstance(value, Arrow):
-        return ("arrow", (value.dom, value.cod))
-    if isinstance(value, Base):
-        return (value.label, ())
-    return None
+    view = _BY_CLASS.get(type(value))
+    if view is not None:
+        return view[0], view[1](value)
+    return (value.label, ()) if isinstance(value, Base) else None
 
 
 def construct(ctor: str, args: tuple) -> Any:
-    if ctor == "ty_of":
-        return TyAssoc(*args)
-    if ctor == "trans_to":
-        return VarAssoc(*args)
-    if ctor == "arrow":
-        return Arrow(*args)
+    if ctor in _SIGNATURE:
+        return _SIGNATURE[ctor][0](*args)
     if not args:
         return Base(ctor)
     raise ShapeError(f"unknown constructor {ctor!r}")
@@ -350,8 +346,8 @@ def _parse_pattern_atom(ts: TokenStream, classify: Classifier) -> PatTerm:
 
 def _parse_pattern(ts: TokenStream, classify: Classifier) -> PatTerm:
     head = ts.eat_ident()
-    if head.text in _CTOR_SIGS:
-        arity = len(_CTOR_SIGS[head.text])
+    if head.text in _SIGNATURE:
+        arity = len(_SIGNATURE[head.text][1])
         args = tuple(_parse_pattern_atom(ts, classify) for _ in range(arity))
         return PatApp(head.text, args)
     if ts.at_ident() or ts.at_sym("("):
@@ -437,10 +433,18 @@ def parse_spec(text: str) -> ContextSpec:
 
 
 def parse_spec_file(text: str) -> list:
+    """The file's `Context` commands; each defines a predicate NAME and its
+    list form NAME_list, and no predicate may be defined twice."""
     ts = TokenStream.of(text)
     specs = []
+    defined: set = set()
     while ts.at_ident("Context"):
-        specs.append(parse_spec_tokens(ts))
+        spec = parse_spec_tokens(ts)
+        for pred in (spec.name, spec.list_name):
+            if pred in defined:
+                raise ShapeError(f"predicate {pred!r} is defined twice")
+            defined.add(pred)
+        specs.append(spec)
     ts.expect_eof()
     return specs
 
@@ -745,13 +749,9 @@ def _index_elem_sort(spec: ContextSpec, idx: int) -> Optional[str]:
     sorts = set()
     for clause in spec.clauses:
         p = clause.patterns[idx]
-        if isinstance(p, PatApp):
-            result = _CTOR_RESULT.get(p.ctor)
-            if result is not None:
-                sorts.add(result)
-    if len(sorts) == 1:
-        return sorts.pop()
-    return None
+        if isinstance(p, PatApp) and p.ctor in _SIGNATURE:
+            sorts.add(_SIGNATURE[p.ctor][2])
+    return sorts.pop() if len(sorts) == 1 else None
 
 
 def _record_sorts(pat: PatTerm, sort: Optional[str], sorts: dict) -> None:
@@ -764,9 +764,8 @@ def _record_sorts(pat: PatTerm, sort: Optional[str], sorts: dict) -> None:
         if sort is not None:
             sorts.setdefault(pat.name, sort)
         return
-    sig = _CTOR_SIGS.get(pat.ctor)
-    if sig is not None:
-        for a, s in zip(pat.args, sig):
+    if pat.ctor in _SIGNATURE:
+        for a, s in zip(pat.args, _SIGNATURE[pat.ctor][1]):
             _record_sorts(a, s, sorts)
 
 
@@ -800,9 +799,8 @@ def _lemma_var_sorts(spec: ContextSpec, stmt: LemmaStmt) -> dict:
 def _pattern_sort(pat: PatTerm, sorts: dict) -> Optional[str]:
     if isinstance(pat, (MetaVar, NablaVar)):
         return sorts.get(pat.name)
-    result = _CTOR_RESULT.get(pat.ctor)
-    if result is not None:
-        return result
+    if pat.ctor in _SIGNATURE:
+        return _SIGNATURE[pat.ctor][2]
     if not pat.args:
         return "ty"  # bare lowercase constants denote base types
     return None
@@ -811,12 +809,10 @@ def _pattern_sort(pat: PatTerm, sorts: dict) -> Optional[str]:
 def _value_sort(value: Any) -> str:
     if isinstance(value, Name):
         return "name"
-    if isinstance(value, (Base, Arrow)):
+    if isinstance(value, Base):
         return "ty"
-    dec = decompose(value)
-    if dec is not None:
-        return _CTOR_RESULT.get(dec[0], "elem")
-    return "elem"
+    view = _BY_CLASS.get(type(value))
+    return "elem" if view is None else view[2]
 
 
 def _collect_by_sort(contexts: Sequence[Ctx]) -> dict:

@@ -223,8 +223,8 @@ class TestVerify:
         assert json.loads(out.strip().splitlines()[0])["elapsed_ms"] is not None
 
 
-# Each lemma file, and the specification file without a Context command,
-# is rejected before any check runs.
+# Each of these lemma and specification files is rejected before any
+# check runs.
 BAD_INPUTS = {
     "unknown.lem": "Lemma u : forall L X, nope_list L -> member X L -> true.",
     "arity.lem": "Lemma arity : forall L M X, ty_ctx'_list L M -> member X L -> true.",
@@ -237,6 +237,14 @@ BAD_INPUTS = {
     "ctx_term.lem": "Lemma m2 : forall L X, ty_ctx'_list L -> member X L -> X = L.",
     "ctx_term_mset.lem": "Lemma m : forall G X, ty_ctx' G -> member X G -> X = G.",
     "empty.ctx": "# a specification file without a Context command",
+    "empty.lem": "# a lemma file without a Lemma command",
+    "arity.ctx": "Context bad with elems as (ty_of X T) \\/ (ty_of X T _|_ ty_of X T).",
+    "nabla.ctx": "Context bad with elems as nabla x (ty_of y T).",
+    "formula.ctx": "Context bad with elems as (ty_of X T -| T = U).",
+    "twice.ctx": (
+        "Context ty_ctx' with elems as nabla x (ty_of x T).\n"
+        "Context ty_ctx' with elems as nabla x (ty_of x T) \\/ (ty_of X T)."
+    ),
 }
 
 
@@ -307,6 +315,26 @@ class TestBadInput:
                 ["verify", "empty.ctx", "--lemmas", FIXTURES / "lemmas.lem"],
                 "empty.ctx: no Context command",
             ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "empty.lem"],
+                "empty.lem: no Lemma command",
+            ),
+            (
+                ["verify", "arity.ctx"],
+                "arity.ctx: ShapeError: arity mismatch: clause has 2 patterns, expected 1",
+            ),
+            (
+                ["verify", "nabla.ctx"],
+                "nabla.ctx: ShapeError: nabla variable 'x' occurs in no pattern",
+            ),
+            (
+                ["verify", "formula.ctx"],
+                "formula.ctx: ShapeError: unbound variable(s) in formula: ['U']",
+            ),
+            (
+                ["verify", "twice.ctx", "--lemmas", FIXTURES / "lemmas.lem"],
+                "twice.ctx: ShapeError: predicate \"ty_ctx'\" is defined twice",
+            ),
         ],
         ids=[
             "missing-lemmas",
@@ -321,6 +349,11 @@ class TestBadInput:
             "context-variable-term-mset",
             "no-context-command",
             "no-context-command-with-lemmas",
+            "no-lemma-command",
+            "spec-arity-mismatch",
+            "spec-nabla-in-no-pattern",
+            "spec-unbound-formula-variable",
+            "spec-predicate-defined-twice",
         ],
     )
     def test_inputs_checked_before_any_check_runs(

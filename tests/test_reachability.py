@@ -1,0 +1,84 @@
+"""Every top-level function and class of the package is reached from code
+outside the tests.
+
+A definition in `src/linctx` counts as reached when its name occurs
+outside its own definition: in a module of the package, in `perfbench/`
+or in `tools/`.  An occurrence is a name or an attribute in the code, or
+a string that is a dotted path such as perfbench's `"ctxspec.align_mset"`;
+comments, docstrings and import lines do not count.  `__init__.py` is left
+out on both sides, since re-exporting a name reaches nothing.  A name that
+only the tests reach stays only with its reason on `TEST_ONLY`.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "linctx").glob("*.py") if p.name != "__init__.py")
+USERS = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+TEST_ONLY = {
+    "trans_rel_mset_exhaustive": "the independent oracle that the tests hold "
+    "trans_rel_mset and align_mset against",
+    "verify_lemma": "the CheckReport form of verify_lemma_cases, for library callers",
+    "check_distr": "the CheckReport form of check_distr_cases, for library callers",
+    "check_mset_pred": "the multiset-form predicate as a boolean, the library's "
+    "reading of align_mset",
+    "parse_ctx": "the entry point of the context literal syntax",
+    "parse_type": "the entry point of the type syntax",
+    "parse_lemma": "the entry point for one Lemma command",
+    "render_lemma": "prints a lemma in the syntax that parse_lemma reads back",
+}
+
+
+def _names(node: ast.AST) -> set:
+    found = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                found.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _top_level(path: Path) -> list:
+    """(definition name or None, names the statement uses) per top-level statement."""
+    out = []
+    for stmt in ast.parse(path.read_text()).body:
+        defined = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        out.append((defined, _names(stmt)))
+    return out
+
+
+def _unreached() -> list:
+    statements = {path: _top_level(path) for path in USERS}
+    unreached = []
+    for module in MODULES:
+        elsewhere = set().union(
+            *(names for path in USERS if path != module for _, names in statements[path])
+        )
+        own = statements[module]
+        for k, (defined, _) in enumerate(own):
+            if defined is None:
+                continue
+            named = elsewhere.union(*(names for j, (_, names) in enumerate(own) if j != k))
+            if defined not in named:
+                unreached.append(defined)
+    return unreached
+
+
+def test_every_definition_is_reached():
+    assert [name for name in _unreached() if name not in TEST_ONLY] == []
+
+
+def test_every_allowlisted_name_is_unreached():
+    # An entry whose name code now reaches, or that no longer exists, goes.
+    assert sorted(name for name in _unreached() if name in TEST_ONLY) == sorted(TEST_ONLY)
