@@ -56,7 +56,8 @@ _SIGNATURE = {
 }
 
 # The same table keyed by node class: constructor, argument getter, result
-# sort.  Every constructor takes two or more arguments, so the getter gives a tuple.
+# sort.  Every constructor takes two or more arguments, so that the getter
+# gives a tuple.
 _BY_CLASS = {
     cls: (ctor, attrgetter(*cls.__match_args__), result)
     for ctor, (cls, _, result) in _SIGNATURE.items()
