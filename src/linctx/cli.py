@@ -173,6 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for spec in specs:
             by_pred[spec.name] = spec
             by_pred[spec.list_name] = spec
+        taken = {name for name, _, _ in entries}  # one name per report
         for stmt in stmts:
             spec = by_pred.get(stmt.pred_name)
             if spec is None:
@@ -184,9 +185,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             except LinctxError as e:
                 print(f"lemma {stmt.name!r}: {type(e).__name__}: {e}")
                 return 2
-            entries.append((stmt.name, verify_lemma_cases, (spec, stmt, bounds)))
-            if lifted is not None:
-                entries.append((lifted.name, verify_lemma_cases, (spec, lifted, bounds)))
+            for checked in (stmt,) if lifted is None else (stmt, lifted):
+                if checked.name in taken:
+                    print(f"lemma {stmt.name!r}: report name {checked.name!r} is used twice")
+                    return 2
+                taken.add(checked.name)
+                entries.append((checked.name, verify_lemma_cases, (spec, checked, bounds)))
 
     reports = []
     for suite_name in suite_names:

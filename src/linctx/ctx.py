@@ -331,31 +331,31 @@ def sel_transport(x: Any, g1: Ctx, g1r: Ctx, g2: Ctx) -> Ctx:
     raise AssertionError("selection transport found no matching residual")
 
 
-def _split_counts(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
-    """The entries of list l and the counts of g1's entries, once the
-    preconditions of `perm_to_part` hold."""
-    if not is_list(l):
-        raise PreconditionError("perm_to_part: first argument must be a list")
-    if multiset_of(l) != multiset(elems(g1) + elems(g2)):
-        raise PreconditionError("perm_to_part: list is not a permutation of the combined split")
-    return elems(l), dict(multiset_of(g1))
-
-
 def perm_to_part_mask(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     """Assignment of the elements of list l to the two sides of a split.
 
     Requires is_list(l) and perm(l, g1 ++ g2).  Walks l front to back,
     pulling each element from whichever of g1/g2 still contains it
     (preferring g1 on ties) and recording True for g1, False for g2.
-    Only the copies left in g1 decide, so they are the only ones counted.
+    The same walk checks the permutation: no element may be missing from
+    both sides, and none may be left over at the end.
     """
-    items, left = _split_counts(l, g1, g2)
+    if not is_list(l):
+        raise PreconditionError("perm_to_part: first argument must be a list")
+    items = elems(l)
+    left1, left2 = dict(multiset_of(g1)), dict(multiset_of(g2))
     mask = []
     for e in items:
-        n = left.get(e)
-        if n:
-            left[e] = n - 1
-        mask.append(bool(n))
+        if left1.get(e):
+            left1[e] -= 1
+            mask.append(True)
+        elif left2.get(e):
+            left2[e] -= 1
+            mask.append(False)
+        else:
+            break  # neither side still holds e
+    if len(mask) < len(items) or any(left1.values()) or any(left2.values()):
+        raise PreconditionError("perm_to_part: list is not a permutation of the combined split")
     return tuple(mask)
 
 
@@ -364,18 +364,10 @@ def perm_to_part(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
 
     Returns list-form (l1, l2) with perm(g1, l1), perm(g2, l2), and
     (l1, l2) an ordered partition of l: the sides `perm_to_part_mask`
-    assigns, built in the same walk.
+    assigns.
     """
-    items, left = _split_counts(l, g1, g2)
-    part1, part2 = [], []
-    for e in items:
-        n = left.get(e)
-        if n:
-            left[e] = n - 1
-            part1.append(e)
-        else:
-            part2.append(e)
-    return from_list(part1), from_list(part2)
+    pairs = tuple(zip(elems(l), perm_to_part_mask(l, g1, g2)))
+    return from_list([e for e, m in pairs if m]), from_list([e for e, m in pairs if not m])
 
 
 def part_to_perm(l: Ctx, l1: Ctx, l2: Ctx) -> bool:

@@ -38,7 +38,7 @@ from .ctx import (
 from .errors import PreconditionError, ShapeError, SyntaxError_
 from .lex import Token, TokenStream
 from .report import CheckReport, GenBounds, counted, run_check
-from .terms import TYPE_UNIVERSE, Arrow, Base, Name, fresh, name_pool, print_type
+from .terms import TYPE_UNIVERSE, Arrow, Base, Interned, Name, fresh, name_pool, node_dataclass, print_type
 from .typecheck import TyAssoc, VarAssoc
 
 
@@ -48,36 +48,29 @@ from .typecheck import TyAssoc, VarAssoc
 
 # Each constructor of element terms: its node class, the sorts of its
 # arguments and the sort of its result.  A bare lowercase constant is a
-# base type and has no entry.
+# base type and has no entry.  Patterns are built from the same node
+# classes, with `NablaVar` and `MetaVar` leaves.
 _SIGNATURE = {
     "ty_of": (TyAssoc, ("name", "ty"), "ty_assoc"),
     "trans_to": (VarAssoc, ("name", "name"), "var_assoc"),
     "arrow": (Arrow, ("ty", "ty"), "ty"),
 }
 
-# The same table keyed by node class: constructor, argument getter, result
-# sort.  Every constructor takes two or more arguments, so that the getter
-# gives a tuple.
+# The same table keyed by node class: constructor, argument getter,
+# argument sorts, result sort.  Every constructor takes two or more
+# arguments, so that the getter gives a tuple.
 _BY_CLASS = {
-    cls: (ctor, attrgetter(*cls.__match_args__), result)
-    for ctor, (cls, _, result) in _SIGNATURE.items()
+    cls: (ctor, attrgetter(*cls.__match_args__), arg_sorts, result)
+    for ctor, (cls, arg_sorts, result) in _SIGNATURE.items()
 }
 
 
 def decompose(value: Any) -> Optional[tuple]:
-    """View a value as a constructor applied to arguments, if it is one."""
+    """View a value or pattern as a constructor applied to arguments, if it is one."""
     view = _BY_CLASS.get(type(value))
     if view is not None:
         return view[0], view[1](value)
     return (value.label, ()) if isinstance(value, Base) else None
-
-
-def construct(ctor: str, args: tuple) -> Any:
-    if ctor in _SIGNATURE:
-        return _SIGNATURE[ctor][0](*args)
-    if not args:
-        return Base(ctor)
-    raise ShapeError(f"unknown constructor {ctor!r}")
 
 
 def value_names(value: Any) -> frozenset:
@@ -95,8 +88,6 @@ def value_names(value: Any) -> frozenset:
 
 def render_value(value: Any) -> str:
     """Surface rendering, replayable by the corresponding parsers."""
-    if isinstance(value, (TyAssoc, VarAssoc, Name)):
-        return str(value)
     if isinstance(value, (Base, Arrow)):
         return print_type(value)
     return str(value)
@@ -107,23 +98,17 @@ def render_value(value: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NablaVar:
+@node_dataclass
+class NablaVar(Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class MetaVar:
+@node_dataclass
+class MetaVar(Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class PatApp:
-    ctor: str
-    args: tuple
-
-
-PatTerm = Any  # NablaVar | MetaVar | PatApp
+PatTerm = Any  # NablaVar | MetaVar | a `_SIGNATURE` node or `Base` over patterns
 
 
 def match_pattern(pat: PatTerm, value: Any, binding: dict) -> Optional[dict]:
@@ -136,10 +121,10 @@ def match_pattern(pat: PatTerm, value: Any, binding: dict) -> Optional[dict]:
         extended = dict(binding)
         extended[pat] = value
         return extended
-    dec = decompose(value)
-    if dec is None or dec[0] != pat.ctor or len(dec[1]) != len(pat.args):
-        return None
-    for sub_pat, sub_val in zip(pat.args, dec[1]):
+    view = _BY_CLASS.get(type(pat))
+    if view is None or type(value) is not type(pat):
+        return binding if pat is value else None  # a base type matches itself
+    for sub_pat, sub_val in zip(view[1](pat), view[1](value)):
         binding = match_pattern(sub_pat, sub_val, binding)
         if binding is None:
             return None
@@ -151,14 +136,17 @@ def instantiate(pat: PatTerm, binding: dict) -> Any:
         if pat not in binding:
             raise ShapeError(f"unbound variable {pat.name!r}")
         return binding[pat]
-    return construct(pat.ctor, tuple(instantiate(a, binding) for a in pat.args))
+    view = _BY_CLASS.get(type(pat))
+    if view is None:
+        return pat  # a base type
+    return type(pat)(*(instantiate(a, binding) for a in view[1](pat)))
 
 
 def pattern_vars(pat: PatTerm) -> frozenset:
     if isinstance(pat, (NablaVar, MetaVar)):
         return frozenset((pat.name,))
     out = frozenset()
-    for a in pat.args:
+    for a in decompose(pat)[1]:
         out |= pattern_vars(a)
     return out
 
@@ -166,15 +154,16 @@ def pattern_vars(pat: PatTerm) -> frozenset:
 def render_pattern(pat: PatTerm) -> str:
     if isinstance(pat, (NablaVar, MetaVar)):
         return pat.name
-    if not pat.args:
-        return pat.ctor
-    return f"{pat.ctor} " + " ".join(_render_pattern_atom(a) for a in pat.args)
+    ctor, args = decompose(pat)
+    if not args:
+        return ctor
+    return f"{ctor} " + " ".join(_render_pattern_atom(a) for a in args)
 
 
 def _render_pattern_atom(pat: PatTerm) -> str:
     """A pattern in argument position: a compound one is parenthesised."""
     rendered = render_pattern(pat)
-    return f"({rendered})" if isinstance(pat, PatApp) and pat.args else rendered
+    return f"({rendered})" if type(pat) in _BY_CLASS else rendered
 
 
 @dataclass(frozen=True)
@@ -277,9 +266,8 @@ class ContextSpec:
 def _patterns_may_overlap(p: PatTerm, q: PatTerm) -> bool:
     if isinstance(p, (NablaVar, MetaVar)) or isinstance(q, (NablaVar, MetaVar)):
         return True
-    if p.ctor != q.ctor or len(p.args) != len(q.args):
-        return False
-    return all(_patterns_may_overlap(a, b) for a, b in zip(p.args, q.args))
+    (p_ctor, p_args), (q_ctor, q_args) = decompose(p), decompose(q)
+    return p_ctor == q_ctor and all(map(_patterns_may_overlap, p_args, q_args))
 
 
 def _validate_spec(name: str, clauses: Sequence[Clause]) -> ContextSpec:
@@ -333,7 +321,7 @@ def _classify_ident(tok: Token, nabla_vars: Sequence[str]) -> PatTerm:
         return NablaVar(tok.text)
     if tok.text[0].isupper():
         return MetaVar(tok.text)
-    return PatApp(tok.text, ())
+    return Base(tok.text)
 
 
 def _parse_pattern_atom(ts: TokenStream, classify: Classifier) -> PatTerm:
@@ -342,15 +330,19 @@ def _parse_pattern_atom(ts: TokenStream, classify: Classifier) -> PatTerm:
         inner = _parse_pattern(ts, classify)
         ts.eat_sym(")")
         return inner
-    return classify(ts.eat_ident())
+    tok = ts.eat_ident()
+    pat = classify(tok)
+    if isinstance(pat, Base) and tok.text in _SIGNATURE:
+        arity = len(_SIGNATURE[tok.text][1])
+        raise SyntaxError_(f"constructor {tok.text!r} takes {arity} arguments", tok.pos)
+    return pat
 
 
 def _parse_pattern(ts: TokenStream, classify: Classifier) -> PatTerm:
     head = ts.eat_ident()
     if head.text in _SIGNATURE:
-        arity = len(_SIGNATURE[head.text][1])
-        args = tuple(_parse_pattern_atom(ts, classify) for _ in range(arity))
-        return PatApp(head.text, args)
+        cls, arg_sorts, _ = _SIGNATURE[head.text]
+        return cls(*(_parse_pattern_atom(ts, classify) for _ in arg_sorts))
     if ts.at_ident() or ts.at_sym("("):
         raise SyntaxError_(f"unknown constructor {head.text!r}", head.pos)
     return classify(head)
@@ -639,7 +631,7 @@ def _classify_lemma_ident(tok: Token, declared: Sequence[str], ctx_vars: Sequenc
         return MetaVar(tok.text)
     if tok.text[0].isupper():
         raise SyntaxError_(f"undeclared variable {tok.text!r}", tok.pos)
-    return PatApp(tok.text, ())
+    return Base(tok.text)
 
 
 def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
@@ -749,9 +741,9 @@ def render_lemma(stmt: LemmaStmt) -> str:
 def _index_elem_sort(spec: ContextSpec, idx: int) -> Optional[str]:
     sorts = set()
     for clause in spec.clauses:
-        p = clause.patterns[idx]
-        if isinstance(p, PatApp) and p.ctor in _SIGNATURE:
-            sorts.add(_SIGNATURE[p.ctor][2])
+        view = _BY_CLASS.get(type(clause.patterns[idx]))
+        if view is not None:
+            sorts.add(view[3])
     return sorts.pop() if len(sorts) == 1 else None
 
 
@@ -765,8 +757,9 @@ def _record_sorts(pat: PatTerm, sort: Optional[str], sorts: dict) -> None:
         if sort is not None:
             sorts.setdefault(pat.name, sort)
         return
-    if pat.ctor in _SIGNATURE:
-        for a, s in zip(pat.args, _SIGNATURE[pat.ctor][1]):
+    view = _BY_CLASS.get(type(pat))
+    if view is not None:
+        for a, s in zip(view[1](pat), view[2]):
             _record_sorts(a, s, sorts)
 
 
@@ -800,11 +793,7 @@ def _lemma_var_sorts(spec: ContextSpec, stmt: LemmaStmt) -> dict:
 def _pattern_sort(pat: PatTerm, sorts: dict) -> Optional[str]:
     if isinstance(pat, (MetaVar, NablaVar)):
         return sorts.get(pat.name)
-    if pat.ctor in _SIGNATURE:
-        return _SIGNATURE[pat.ctor][2]
-    if not pat.args:
-        return "ty"  # bare lowercase constants denote base types
-    return None
+    return _value_sort(pat)  # bare lowercase constants denote base types
 
 
 def _value_sort(value: Any) -> str:
@@ -813,7 +802,7 @@ def _value_sort(value: Any) -> str:
     if isinstance(value, Base):
         return "ty"
     view = _BY_CLASS.get(type(value))
-    return "elem" if view is None else view[2]
+    return "elem" if view is None else view[3]
 
 
 def _collect_by_sort(contexts: Sequence[Ctx]) -> dict:

@@ -245,6 +245,20 @@ BAD_INPUTS = {
         "Context ty_ctx' with elems as nabla x (ty_of x T).\n"
         "Context ty_ctx' with elems as nabla x (ty_of x T) \\/ (ty_of X T)."
     ),
+    "ctor.ctx": "Context c with elems as nabla x (ty_of x arrow).",
+    "ctor.lem": (
+        "Lemma l : forall L X, ty_ctx'_list L -> member X L -> "
+        "exists N, member (ty_of N arrow) L."
+    ),
+    "names.lem": (
+        "Lemma a : forall L X, ty_ctx'_list L -> member X L -> true.\n"
+        "Lemma a : forall L X, ty_ctx'_list L -> member X L -> true."
+    ),
+    "distr_name.lem": "Lemma ty_ctx'_distr1 : forall L X, ty_ctx'_list L -> member X L -> true.",
+    "lift_name.lem": (
+        "Lemma a : forall L X, ty_ctx'_list L -> member X L -> true.\n"
+        "Lemma a_mset : forall G X, ty_ctx' G -> member X G -> true."
+    ),
 }
 
 
@@ -335,6 +349,26 @@ class TestBadInput:
                 ["verify", "twice.ctx", "--lemmas", FIXTURES / "lemmas.lem"],
                 "twice.ctx: ShapeError: predicate \"ty_ctx'\" is defined twice",
             ),
+            (
+                ["verify", "ctor.ctx", "--bound-ctx", "1"],
+                "ctor.ctx: parse error: constructor 'arrow' takes 2 arguments (at position 41)",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "ctor.lem"],
+                "ctor.lem: parse error: constructor 'arrow' takes 2 arguments (at position 80)",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "names.lem"],
+                "lemma 'a': report name 'a' is used twice",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "distr_name.lem"],
+                "lemma \"ty_ctx'_distr1\": report name \"ty_ctx'_distr1\" is used twice",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "lift_name.lem"],
+                "lemma 'a_mset': report name 'a_mset' is used twice",
+            ),
         ],
         ids=[
             "missing-lemmas",
@@ -354,6 +388,11 @@ class TestBadInput:
             "spec-nabla-in-no-pattern",
             "spec-unbound-formula-variable",
             "spec-predicate-defined-twice",
+            "spec-constructor-without-arguments",
+            "lemma-constructor-without-arguments",
+            "lemma-name-twice",
+            "lemma-name-of-distributivity-check",
+            "lemma-name-of-lift",
         ],
     )
     def test_inputs_checked_before_any_check_runs(

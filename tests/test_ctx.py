@@ -400,10 +400,19 @@ class TestPermToPart:
         assert (elems(l1), elems(l2)) == (("a",), ("a",))
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^perm_to_part: first argument must be a list$"):
             perm_to_part(Union(EMPTY, EMPTY), EMPTY, EMPTY)
-        with pytest.raises(PreconditionError):
+        not_perm = "^perm_to_part: list is not a permutation of the combined split$"
+        with pytest.raises(PreconditionError, match=not_perm):
             perm_to_part(lst("a"), lst("b"), EMPTY)
+        mismatches = [
+            (lst("a", "b", "a"), lst("a"), lst("b")),  # l has an extra entry
+            (lst("a"), lst("a"), lst("b")),  # l misses an entry
+            (lst("b", "a", "b"), lst("a"), lst("b")),  # one b more than g2 holds
+        ]
+        for l, g1, g2 in mismatches:
+            with pytest.raises(PreconditionError, match=not_perm):
+                perm_to_part(l, g1, g2)
 
     def test_deep_list(self):
         l = from_list(range(3000))

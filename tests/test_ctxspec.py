@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,6 @@ from linctx.ctxspec import (
     FOr,
     MetaVar,
     NablaVar,
-    PatApp,
     align_mset,
     check_distr,
     check_distr_cases,
@@ -147,6 +147,25 @@ class TestParsing:
             "Context over with elems as (ty_of X T) \\/ nabla x (ty_of x T)."
         )
         assert spec.warnings
+        # two base-type constants overlap only when they are the same
+        distinct = parse_spec("Context c with elems as (ty_of X i) \\/ (ty_of Y o).")
+        assert distinct.warnings == ()
+        same = parse_spec("Context c with elems as (ty_of X i) \\/ (ty_of Y i).")
+        assert len(same.warnings) == 1
+
+    def test_patterns_are_interned_nodes(self):
+        spec = parse_spec("Context c with elems as nabla x (ty_of x T).")
+        assert spec.clauses[0].patterns[0] is TyAssoc(NablaVar("x"), MetaVar("T"))
+        # a variable may have a constructor's name; a constant may not (see test_cli)
+        spec = parse_spec("Context c with elems as nabla arrow (ty_of arrow T).")
+        assert spec.clauses[0].patterns[0] is TyAssoc(NablaVar("arrow"), MetaVar("T"))
+
+    def test_pickled_spec_keeps_its_nodes(self, tr_spec):
+        # `--jobs` sends specifications to worker processes this way.
+        loaded = pickle.loads(pickle.dumps(tr_spec))
+        assert loaded == tr_spec
+        for before, after in zip(tr_spec.clauses, loaded.clauses, strict=True):
+            assert all(p is q for p, q in zip(before.patterns, after.patterns, strict=True))
 
     def test_spec_file_with_both_commands(self):
         specs = parse_spec_file(TY_CTX_CMD + "\n" + TRANS_REL_CMD)
@@ -180,7 +199,7 @@ class TestSideFormulaSyntax:
         return parse_spec(self.SMALL_CMD)
 
     def test_parsed_formula(self, spec):
-        is_i, is_o = (FEq(MetaVar("T"), PatApp(ty, ())) for ty in ("i", "o"))
+        is_i, is_o = (FEq(MetaVar("T"), Base(ty)) for ty in ("i", "o"))
         assert spec.clauses[0].formula == FAnd(FOr(is_i, is_o), FIsName(NablaVar("x")))
 
     def test_list_pred(self, spec):
