@@ -43,9 +43,8 @@ from .ctxspec import (
     DistrLemma,
     LemmaStmt,
     align_mset,
-    check_distr,
+    check_distr_cases,
     check_list_pred,
-    check_mset_pred,
     gen_distr_lemma,
     lift_lemma,
     parse_lemma,
@@ -53,7 +52,7 @@ from .ctxspec import (
     parse_spec,
     parse_spec_file,
     render_lemma,
-    verify_lemma,
+    verify_lemma_cases,
 )
 from .errors import (
     LinctxError,

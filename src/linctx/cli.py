@@ -19,6 +19,7 @@ from .ctx import EMPTY
 from .ctxspec import (
     check_distr_cases,
     check_lemma_arity,
+    gen_distr_lemma,
     lift_lemma,
     parse_lemma_file,
     parse_spec_file,
@@ -152,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for warning in spec.warnings:
                 print(f"warning: {warning}")
     entries = [
-        (f"{spec.name}_distr{index}", check_distr_cases, (spec, index, bounds))
+        (gen_distr_lemma(spec, index).name, check_distr_cases, (spec, index, bounds))
         for spec in specs
         for index in range(1, spec.arity + 1)
     ]

@@ -31,13 +31,14 @@ from .ctx import (
     mem_transport,
     multiset,
     multiset_of,
+    perm,
     perm_to_part_mask,
     print_ctx,
     splits,
 )
 from .errors import PreconditionError, ShapeError, SyntaxError_
 from .lex import Token, TokenStream
-from .report import CheckReport, GenBounds, counted, run_check
+from .report import GenBounds, counted
 from .terms import TYPE_UNIVERSE, Arrow, Base, Interned, Name, fresh, name_pool, node_dataclass, print_type
 from .typecheck import TyAssoc, VarAssoc
 
@@ -342,7 +343,13 @@ def _parse_pattern(ts: TokenStream, classify: Classifier) -> PatTerm:
     head = ts.eat_ident()
     if head.text in _SIGNATURE:
         cls, arg_sorts, _ = _SIGNATURE[head.text]
-        return cls(*(_parse_pattern_atom(ts, classify) for _ in arg_sorts))
+        args = []
+        for _ in arg_sorts:
+            if not (ts.at_ident() or ts.at_sym("(")):
+                arity = len(arg_sorts)
+                raise SyntaxError_(f"constructor {head.text!r} takes {arity} arguments", head.pos)
+            args.append(_parse_pattern_atom(ts, classify))
+        return cls(*args)
     if ts.at_ident() or ts.at_sym("("):
         raise SyntaxError_(f"unknown constructor {head.text!r}", head.pos)
     return classify(head)
@@ -591,13 +598,6 @@ def _align_rows(spec: ContextSpec, rows: tuple, enforce: bool, memo: dict) -> Op
             return found
     memo[rows] = None
     return None
-
-
-def check_mset_pred(
-    spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool = True
-) -> bool:
-    """The multiset-form predicate: some list permutations satisfy the list form."""
-    return align_mset(spec, contexts, enforce_freshness) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1087,8 +1087,9 @@ def verify_lemma_cases(
     bounds: GenBounds = GenBounds(),
     enforce_freshness: bool = True,
 ):
-    """Case-level body of verify_lemma: (cases run, counterexample or None).
-
+    """A member-based lemma over the generated instances of its predicate:
+    (cases run, counterexample or None).  Member hypotheses range over the
+    elements, existential witnesses over the contexts and the type universe.
     Each instance is one case, decided once per multiset class."""
     if stmt.pred_name == spec.list_name:
         instances = generate_list_instances(spec, bounds, enforce_freshness)
@@ -1104,24 +1105,6 @@ def verify_lemma_cases(
         key = tuple(multiset_of(g) for g in contexts)
         yield key not in passed and _lemma_counterexample(stmt, sorts, contexts)
         passed.add(key)
-
-
-def verify_lemma(
-    spec: ContextSpec,
-    stmt: LemmaStmt,
-    bounds: GenBounds = GenBounds(),
-    enforce_freshness: bool = True,
-) -> CheckReport:
-    """Bounded-exhaustive verification of a member-based lemma statement.
-
-    Context tuples satisfying the predicate are generated constructively
-    from the clauses; member hypotheses are instantiated over all
-    elements; existential conclusions are searched over a finite witness
-    universe drawn from the contexts and the type universe.
-    """
-    return run_check(
-        stmt.name, lambda: verify_lemma_cases(spec, stmt, bounds, enforce_freshness)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1180,7 +1163,8 @@ def _align_instance(
     spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool, memo: dict
 ) -> Optional[tuple]:
     """`align_mset`'s alignment of one predicate instance, or None when there
-    is none or one of its rows does not hold exactly its context's entries."""
+    is none or one of its rows does not hold exactly its context's entries:
+    that check is the lemma's `Gj ~ Gj' ++ Gj''` for each unsplit position j."""
     aligned = align_mset(spec, contexts, enforce_freshness, _memo=memo)
     if aligned is None or any(
         multiset(row) != multiset_of(g) for row, g in zip(aligned, contexts)
@@ -1196,7 +1180,6 @@ def _distr_witnesses(
     first: Ctx,
     second: Ctx,
     enforce_freshness: bool,
-    memo: dict,
 ) -> Optional[tuple]:
     """Coordinated split witnesses for one predicate instance.
 
@@ -1204,11 +1187,10 @@ def _distr_witnesses(
     computed once per instance by the caller rather than once per split.
     Flattens the given split of the chosen context into an ordered
     partition of its aligned list, applies the same position mask to
-    every other list, and returns the halves.  Each row is a permutation
-    of its context, so the halves of every other row recombine to a
-    permutation of theirs.  Returns None when any step or the final
-    predicate checks fail.  The two multiset checks on the halves align
-    through `memo`, which lives only for the caller's one check.
+    every other list, and returns the halves, or None when a check fails.
+    No alignment is searched: the halves satisfy the list form and differ
+    from the multiset-form witnesses only at the split position, where
+    they must be permutations of `first` and `second`.
     """
     mask = perm_to_part_mask(from_list(aligned[index0]), first, second)
     firsts = []
@@ -1219,14 +1201,12 @@ def _distr_witnesses(
     if not (
         check_list_pred(spec, firsts, enforce_freshness)
         and check_list_pred(spec, seconds, enforce_freshness)
+        and perm(first, firsts[index0])
+        and perm(second, seconds[index0])
     ):
         return None
     primes = tuple(first if j == index0 else firsts[j] for j in range(spec.arity))
     doubles = tuple(second if j == index0 else seconds[j] for j in range(spec.arity))
-    if align_mset(spec, primes, enforce_freshness, _memo=memo) is None:
-        return None
-    if align_mset(spec, doubles, enforce_freshness, _memo=memo) is None:
-        return None
     return primes, doubles, tuple(firsts), tuple(seconds)
 
 
@@ -1236,8 +1216,9 @@ def check_distr_cases(
     bounds: GenBounds = GenBounds(),
     enforce_freshness: bool = True,
 ) -> tuple:
-    """Case-level body of check_distr over the generated multiset
-    instances; an index outside the arity raises before generation."""
+    """The distributivity lemma for one index (1-based) over the generated
+    multiset instances: (cases run, counterexample or None).  An index
+    outside the arity raises before generation."""
     gen_distr_lemma(spec, index)
     instances = generate_mset_instances(spec, bounds, enforce_freshness)
     return check_distr_instances(spec, index, instances, enforce_freshness)
@@ -1254,8 +1235,8 @@ def check_distr_instances(
     counterexample or None), one case per split of context `index`.
 
     A tuple outside the predicate fails at its first split.  Each tuple is
-    aligned once, and every alignment shares one memo that is dropped when
-    the check returns.  Each split is decided once per multiset class.
+    aligned once, the check's only alignment search, through one memo
+    dropped when the check returns.  Each split is decided once per class.
     """
     index0 = index - 1
     memo: dict = {}
@@ -1268,7 +1249,7 @@ def check_distr_instances(
             # An instance that does not align fails whatever its class; one
             # that aligns is decided once per class.
             if aligned is None or key not in passed and _distr_witnesses(
-                spec, aligned, index0, first, second, enforce_freshness, memo
+                spec, aligned, index0, first, second, enforce_freshness
             ) is None:
                 gvars = [f"G{j}" for j in range(1, spec.arity + 1)]
                 split_desc = (
@@ -1278,19 +1259,6 @@ def check_distr_instances(
                 yield f"{render_contexts(gvars, contexts)}; {split_desc}"
             passed.add(key)
             yield None
-
-
-def check_distr(
-    spec: ContextSpec,
-    index: int,
-    bounds: GenBounds = GenBounds(),
-    enforce_freshness: bool = True,
-) -> CheckReport:
-    """Verify the distributivity lemma for one index over generated instances."""
-    lemma = gen_distr_lemma(spec, index)
-    return run_check(
-        lemma.name, lambda: check_distr_cases(spec, index, bounds, enforce_freshness)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1311,7 +1279,7 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
 
     The checker is the oracle for the transport argument: the tests run
     it on generated multiset instances.  Reports on the lifted statement
-    (`verify_lemma`, the CLI) check it by enumerating
+    (`verify_lemma_cases`, the CLI) check it by enumerating
     multiset instances directly, independently of the transport.
     """
     if stmt.pred_name != spec.list_name:

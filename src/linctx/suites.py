@@ -661,7 +661,8 @@ def _restructure(row: tuple, variant: int) -> Ctx:
 
 
 def gen_trans_triples_mset(bounds: GenBounds) -> list:
-    """List triples plus bounded union/permutation restructurings."""
+    """List triples plus bounded union/permutation restructurings; trans_rel
+    relates every one."""
     out = []
     seen = set()
     for l1, l2, l3 in gen_trans_triples(bounds):
@@ -678,18 +679,10 @@ def gen_trans_triples_mset(bounds: GenBounds) -> list:
 _render_triple = partial(render_contexts, ("G1", "G2", "G3"))
 
 
-def _related_triples(bounds: GenBounds, memo: dict):
-    """The generated multiset triples that trans_rel relates, in order;
-    the relation is decided through `memo`."""
-    for triple in gen_trans_triples_mset(bounds):
-        if trans_rel_mset(*triple, _memo=memo):
-            yield triple
-
-
 @counted
 def check_trans_rel_uniq(bounds: GenBounds):
     """Translation associations are unique per source name."""
-    for triple in _related_triples(bounds, {}):
+    for triple in gen_trans_triples_mset(bounds):
         entries = elems(triple[1])
         for a in entries:
             for b in entries:
@@ -700,7 +693,7 @@ def check_trans_rel_uniq(bounds: GenBounds):
 @counted
 def check_trans_rel_mem(bounds: GenBounds):
     """Members of the translation context coordinate with both typing contexts."""
-    for triple in _related_triples(bounds, {}):
+    for triple in gen_trans_triples_mset(bounds):
         g1, g2, g3 = triple
         for entry in elems(g2):
             if not isinstance(entry, VarAssoc):
@@ -726,7 +719,7 @@ def check_trans_rel_sel(bounds: GenBounds):
     """Selection from the translation context coordinates with selections
     from both typing contexts, leaving a residual triple in the relation."""
     memo: dict = {}
-    for triple in _related_triples(bounds, memo):
+    for triple in filter(lambda t: trans_rel_mset(*t, _memo=memo), gen_trans_triples_mset(bounds)):
         g1, g2, g3 = triple
         for entry in dict.fromkeys(elems(g2)):
             for g2r in select(entry, g2):

@@ -15,13 +15,13 @@ from pathlib import Path
 import linctx
 from linctx.ctx import EMPTY, gen_ctxs
 from linctx.ctxspec import (
-    check_distr,
+    align_mset,
+    check_distr_cases,
     check_list_pred,
-    check_mset_pred,
     lift_lemma,
     parse_lemma,
     parse_spec,
-    verify_lemma,
+    verify_lemma_cases,
 )
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
@@ -141,7 +141,7 @@ def test_criterion_6_schematic_engine():
         check_list_pred(ty_spec, [l]) == ty_ctx_list(l)
         for l in gen_ctxs(pool, 3, 1)
     ) and all(
-        check_mset_pred(ty_spec, [g]) == ty_ctx_mset(g)
+        (align_mset(ty_spec, [g]) is not None) == ty_ctx_mset(g)
         for g in gen_ctxs(pool, 3, 2)
     )
     fidelity = fidelity and all(
@@ -149,15 +149,15 @@ def test_criterion_6_schematic_engine():
         for triple in gen_trans_triples(bounds)
     )
     fidelity = fidelity and all(
-        check_mset_pred(tr_spec, triple)
+        (align_mset(tr_spec, triple) is not None)
         == trans_rel_mset(*triple)
         == trans_rel_mset_exhaustive(*triple)
         for triple in gen_trans_triples_mset(bounds)
     )
 
     # generated distributivity checks, every index of both specifications
-    distr_ok = check_distr(ty_spec, 1, bounds).passed and all(
-        check_distr(tr_spec, i, bounds).passed for i in (1, 2, 3)
+    distr_ok = check_distr_cases(ty_spec, 1, bounds)[1] is None and all(
+        check_distr_cases(tr_spec, i, bounds)[1] is None for i in (1, 2, 3)
     )
 
     # lifting reproduces the multiset statements and they verify
@@ -185,10 +185,10 @@ def test_criterion_6_schematic_engine():
     lift_ok = True
     for spec, list_text, expected_text in expectations:
         stmt = parse_lemma(list_text)
-        lift_ok = lift_ok and verify_lemma(spec, stmt, bounds).passed
+        lift_ok = lift_ok and verify_lemma_cases(spec, stmt, bounds)[1] is None
         lifted, _checker = lift_lemma(spec, stmt)
         lift_ok = lift_ok and lifted == parse_lemma(expected_text)
-        lift_ok = lift_ok and verify_lemma(spec, lifted, bounds).passed
+        lift_ok = lift_ok and verify_lemma_cases(spec, lifted, bounds)[1] is None
 
     ok = fidelity and distr_ok and lift_ok
     _verdict(6, "schematic engine fidelity", ok, time.perf_counter() - start, 120.0)
@@ -199,13 +199,9 @@ def test_criterion_7_mutation_sensitivity():
     bounds = GenBounds(ctx_elems=2)
     ty_spec = parse_spec(TY_CTX_CMD)
     uniq = parse_lemma(UNIQ_LEMMA)
-    mutated = verify_lemma(ty_spec, uniq, bounds, enforce_freshness=False)
-    restored = verify_lemma(ty_spec, uniq, bounds, enforce_freshness=True)
-    ok = (
-        not mutated.passed
-        and mutated.counterexample is not None
-        and restored.passed
-    )
+    mutated = verify_lemma_cases(ty_spec, uniq, bounds, enforce_freshness=False)
+    restored = verify_lemma_cases(ty_spec, uniq, bounds, enforce_freshness=True)
+    ok = mutated[1] is not None and restored[1] is None
     _verdict(7, "mutation sensitivity", ok, time.perf_counter() - start, 120.0)
 
 

@@ -250,6 +250,9 @@ BAD_INPUTS = {
         "Lemma l : forall L X, ty_ctx'_list L -> member X L -> "
         "exists N, member (ty_of N arrow) L."
     ),
+    "ctor_eq.ctx": "Context c with elems as nabla x (ty_of x T -| T = arrow).",
+    "ctor_arg.ctx": "Context c with elems as nabla x (ty_of x (arrow i)).",
+    "ctor_eq.lem": "Lemma l : forall L X, ty_ctx'_list L -> member X L -> X = arrow.",
     "names.lem": (
         "Lemma a : forall L X, ty_ctx'_list L -> member X L -> true.\n"
         "Lemma a : forall L X, ty_ctx'_list L -> member X L -> true."
@@ -358,6 +361,18 @@ class TestBadInput:
                 "ctor.lem: parse error: constructor 'arrow' takes 2 arguments (at position 80)",
             ),
             (
+                ["verify", "ctor_eq.ctx"],
+                "ctor_eq.ctx: parse error: constructor 'arrow' takes 2 arguments (at position 50)",
+            ),
+            (
+                ["verify", "ctor_arg.ctx"],
+                "ctor_arg.ctx: parse error: constructor 'arrow' takes 2 arguments (at position 42)",
+            ),
+            (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "ctor_eq.lem"],
+                "ctor_eq.lem: parse error: constructor 'arrow' takes 2 arguments (at position 58)",
+            ),
+            (
                 ["verify", FIXTURES / "specs.ctx", "--lemmas", "names.lem"],
                 "lemma 'a': report name 'a' is used twice",
             ),
@@ -390,6 +405,9 @@ class TestBadInput:
             "spec-predicate-defined-twice",
             "spec-constructor-without-arguments",
             "lemma-constructor-without-arguments",
+            "spec-constructor-in-formula-without-arguments",
+            "spec-constructor-missing-an-argument",
+            "lemma-constructor-in-equation-without-arguments",
             "lemma-name-twice",
             "lemma-name-of-distributivity-check",
             "lemma-name-of-lift",

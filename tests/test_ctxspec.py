@@ -21,11 +21,9 @@ from linctx.ctxspec import (
     MetaVar,
     NablaVar,
     align_mset,
-    check_distr,
     check_distr_cases,
     check_distr_instances,
     check_list_pred,
-    check_mset_pred,
     gen_distr_lemma,
     generate_list_instances,
     generate_mset_instances,
@@ -36,7 +34,6 @@ from linctx.ctxspec import (
     parse_spec_file,
     render_lemma,
     render_value,
-    verify_lemma,
     verify_lemma_cases,
 )
 from linctx.errors import PreconditionError, ShapeError, SyntaxError_
@@ -125,7 +122,7 @@ class TestParsing:
             from_list([VarAssoc(N1, M1)]),
             from_list([TyAssoc(M1, O)]),
         )
-        assert check_mset_pred(spec, crossed)
+        assert align_mset(spec, crossed) is not None
         assert not trans_rel_mset_exhaustive(*crossed)
 
     def test_arity_mismatch(self):
@@ -234,7 +231,7 @@ class TestElaborationFidelity:
     def test_unary_mset_form(self, ty_spec):
         pool = [TyAssoc(n, t) for n in (N1, N2) for t in (I, O)] + ["junk"]
         for g in gen_ctxs(pool, 3, 2):
-            assert check_mset_pred(ty_spec, [g]) == ty_ctx_mset(g)
+            assert (align_mset(ty_spec, [g]) is not None) == ty_ctx_mset(g)
 
     def test_ternary_against_hand_coded(self, tr_spec):
         # trans_rel_mset is the engine on the same clause, so both are
@@ -250,7 +247,7 @@ class TestElaborationFidelity:
                 triples.append((g1, g2, from_list([TyAssoc(a.name, Arrow(O, O))] + rest)))
             for triple in triples:
                 expected = trans_rel_mset_exhaustive(*triple)
-                assert check_mset_pred(tr_spec, triple) == expected
+                assert (align_mset(tr_spec, triple) is not None) == expected
                 assert trans_rel_mset(*triple) == expected
                 verdicts.add(expected)
         assert verdicts == {True, False}
@@ -287,7 +284,7 @@ class TestElaborationFidelity:
         # no frame, or this depth raises RecursionError.
         entries = tuple(TyAssoc(Name("n", k), I) for k in range(800))
         g = from_list(entries)
-        assert check_mset_pred(ty_spec, [g])
+        assert align_mset(ty_spec, [g]) is not None
         assert align_mset(ty_spec, [g]) == (entries,)
 
     def test_unary_clash_stays_linear(self, ty_spec):
@@ -304,12 +301,12 @@ class TestElaborationFidelity:
 
     def test_base_clause_all_empty(self, tr_spec):
         assert check_list_pred(tr_spec, [EMPTY, EMPTY, EMPTY])
-        assert check_mset_pred(tr_spec, [Union(EMPTY, EMPTY), EMPTY, EMPTY])
+        assert align_mset(tr_spec, [Union(EMPTY, EMPTY), EMPTY, EMPTY]) is not None
 
     def test_unequal_counts_rejected(self, tr_spec):
-        assert not check_mset_pred(
+        assert align_mset(
             tr_spec, [from_list([TyAssoc(N1, I)]), EMPTY, EMPTY]
-        )
+        ) is None
 
 
 class TestMsetSemantics:
@@ -321,13 +318,13 @@ class TestMsetSemantics:
                 check_list_pred(ty_spec, [from_list(order)])
                 for order in set(itertools.permutations(elems(g)))
             )
-            assert check_mset_pred(ty_spec, [g]) == brute
+            assert (align_mset(ty_spec, [g]) is not None) == brute
 
     def test_permutation_and_reassociation_invariance(self, tr_spec):
         l1 = from_list([TyAssoc(N1, I), TyAssoc(N2, O)])
         l2 = from_list([VarAssoc(N1, M1), VarAssoc(N2, M2)])
         l3 = from_list([TyAssoc(M1, I), TyAssoc(M2, O)])
-        assert check_mset_pred(tr_spec, (l1, l2, l3))
+        assert align_mset(tr_spec, (l1, l2, l3)) is not None
         e1 = elems(l1)
         variants1 = [
             from_list(reversed(e1)),
@@ -336,7 +333,7 @@ class TestMsetSemantics:
             Union(EMPTY, Union(from_list(e1[1:]), from_list(e1[:1]))),
         ]
         for v in variants1:
-            assert check_mset_pred(tr_spec, (v, l2, l3))
+            assert align_mset(tr_spec, (v, l2, l3)) is not None
 
     def test_binary_step_after_a_dead_end(self):
         # Pairing a with c holds but leaves b with d, which fails; only the
@@ -442,7 +439,7 @@ class TestAlignmentDifferential:
     def test_trans_rel_against_exhaustive(self, triple):
         expected = trans_rel_mset_exhaustive(*triple)
         assert trans_rel_mset(*triple) == expected
-        assert check_mset_pred(TRANS_REL, triple) == expected
+        assert (align_mset(TRANS_REL, triple) is not None) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -488,7 +485,7 @@ class TestGeneration:
 
     def test_generated_msets_satisfy_pred(self, ty_spec):
         for contexts in generate_mset_instances(ty_spec, BOUNDS):
-            assert check_mset_pred(ty_spec, contexts)
+            assert align_mset(ty_spec, contexts) is not None
 
     def test_nested_union_variant(self, ty_spec):
         deep = GenBounds(ctx_elems=2, union_depth=3)
@@ -496,7 +493,7 @@ class TestGeneration:
         nested = [g for (g,) in instances if isinstance(g, Union) and isinstance(g.left, Union)]
         assert nested
         for contexts in instances:
-            assert check_mset_pred(ty_spec, contexts)
+            assert align_mset(ty_spec, contexts) is not None
         cases, counterexample = check_distr_cases(ty_spec, 1, deep)
         assert counterexample is None
         assert cases > check_distr_cases(ty_spec, 1, GenBounds(ctx_elems=2))[0]
@@ -505,6 +502,13 @@ class TestGeneration:
         first = generate_mset_instances(ty_spec, BOUNDS)
         second = generate_mset_instances(ty_spec, BOUNDS)
         assert first == second
+
+
+# The instance that a reversed split mask fails on in every position.
+_REVERSED_TRIPLE = (
+    "G1 = [ty_of n2 i, ty_of n i]; G2 = [trans_to n2 n3, trans_to n n1]; "
+    "G3 = [ty_of n3 i, ty_of n1 i]"
+)
 
 
 class TestDistributivity:
@@ -562,7 +566,7 @@ class TestDistributivity:
         half2 = (second, from_list([VarAssoc(N1, M1)]), from_list([TyAssoc(M1, I)]))
         memo: dict = {}
         aligned = ctxspec._align_instance(tr_spec, (g1, g2, g3), True, memo)
-        assert ctxspec._distr_witnesses(tr_spec, aligned, 0, first, second, True, memo) == (
+        assert ctxspec._distr_witnesses(tr_spec, aligned, 0, first, second, True) == (
             half1,
             half2,
             half1,
@@ -571,9 +575,9 @@ class TestDistributivity:
         assert ctxspec._align_instance(tr_spec, (g1, g2, EMPTY), True, memo) is None
 
     def test_checks_pass_every_index(self, ty_spec, tr_spec):
-        assert check_distr(ty_spec, 1, BOUNDS).passed
+        assert check_distr_cases(ty_spec, 1, BOUNDS)[1] is None
         for i in (1, 2, 3):
-            assert check_distr(tr_spec, i, BOUNDS).passed
+            assert check_distr_cases(tr_spec, i, BOUNDS)[1] is None
 
     def test_cases_golden(self):
         # (cases, counterexample) of every spec and index in the fixtures,
@@ -614,24 +618,29 @@ class TestDistributivity:
         assert memo and all(m is memo for m in memos)
         assert all(v is None or isinstance(v, tuple) for v in memo.values())
 
-    @pytest.mark.parametrize("index", [1, 2, 3])
-    def test_reversed_mask_counterexample(self, tr_spec, monkeypatch, index):
+    @pytest.mark.parametrize(
+        "spec, index, cases, counterexample",
+        [
+            ("tr_spec", 1, 63, f"{_REVERSED_TRIPLE}; G1 ~ [ty_of n2 i] ++ [ty_of n i]"),
+            ("tr_spec", 2, 63, f"{_REVERSED_TRIPLE}; G2 ~ [trans_to n2 n3] ++ [trans_to n n1]"),
+            ("tr_spec", 3, 63, f"{_REVERSED_TRIPLE}; G3 ~ [ty_of n3 i] ++ [ty_of n1 i]"),
+            ("ty_spec", 1, 27, "G1 = [ty_of n1 i, ty_of n i]; G1 ~ [ty_of n1 i] ++ [ty_of n i]"),
+        ],
+        ids=["1", "2", "3", "ty_ctx'"],
+    )
+    def test_reversed_mask_counterexample(
+        self, request, monkeypatch, spec, index, cases, counterexample
+    ):
         # A split mask applied in reverse pairs each half of the split
-        # context with the wrong entries of the others.
+        # context with the wrong entries of the others.  With one context,
+        # only the split context's halves show it: they are not
+        # permutations of the split's halves.
         real = ctxspec.perm_to_part_mask
         monkeypatch.setattr(
             ctxspec, "perm_to_part_mask", lambda l, first, second: real(l, first, second)[::-1]
         )
-        halves = (
-            "[ty_of n2 i] ++ [ty_of n i]",
-            "[trans_to n2 n3] ++ [trans_to n n1]",
-            "[ty_of n3 i] ++ [ty_of n1 i]",
-        )
-        assert check_distr_cases(tr_spec, index, BOUNDS) == (
-            63,
-            "G1 = [ty_of n2 i, ty_of n i]; G2 = [trans_to n2 n3, trans_to n n1]; "
-            f"G3 = [ty_of n3 i, ty_of n1 i]; G{index} ~ {halves[index - 1]}",
-        )
+        spec = request.getfixturevalue(spec)
+        assert check_distr_cases(spec, index, BOUNDS) == (cases, counterexample)
 
 
 def _fixture_specs() -> list:
@@ -683,7 +692,7 @@ class TestClassVerdicts:
         holds_of: dict = {}
         asked = []
 
-        def decide(spec_, rows, index0, first, second, enforce_, memo_):
+        def decide(spec_, rows, index0, first, second, enforce_):
             # each aligned row holds exactly its context's entries
             key = (
                 tuple(multiset(row) for row in rows),
@@ -711,9 +720,12 @@ class TestClassVerdicts:
                         key = (instance_key, multiset(elems(first)))
                         call = (rows, index - 1, first, second)
                         if rows is not None and call not in decided:
-                            decided[call] = witnesses(
-                                spec, rows, index - 1, first, second, enforce, memo
-                            ) is not None
+                            found = witnesses(spec, rows, index - 1, first, second, enforce)
+                            decided[call] = found is not None
+                            # Witnesses read off the alignment, with no
+                            # search of their own, are in the multiset form.
+                            for witness in found[:2] if found else ():
+                                assert align_mset(spec, witness, enforce, _memo=memo) is not None
                         holds = rows is not None and decided[call]
                         holds_of.setdefault(key, holds)
                         # an instance that does not align fails undecided
@@ -783,32 +795,30 @@ class TestClassVerdicts:
 class TestVerifyLemma:
     def test_membership_and_uniqueness(self, ty_spec):
         for text in (MEM_LEMMA, UNIQ_LEMMA):
-            report = verify_lemma(ty_spec, parse_lemma(text), BOUNDS)
-            assert report.passed and report.cases > 0
+            cases, counterexample = verify_lemma_cases(ty_spec, parse_lemma(text), BOUNDS)
+            assert counterexample is None and cases > 0
 
     def test_false_statement_fails_with_counterexample(self, ty_spec):
         false_stmt = parse_lemma(
             "Lemma bogus : forall L X Y T1 T2, ty_ctx'_list L -> "
             "member (ty_of X T1) L -> member (ty_of Y T2) L -> T1 = T2."
         )
-        report = verify_lemma(ty_spec, false_stmt, BOUNDS)
-        assert not report.passed
-        assert report.counterexample
+        _, counterexample = verify_lemma_cases(ty_spec, false_stmt, BOUNDS)
+        assert counterexample
 
     def test_mutation_sensitivity(self, ty_spec):
         uniq = parse_lemma(UNIQ_LEMMA)
-        mutated = verify_lemma(ty_spec, uniq, BOUNDS, enforce_freshness=False)
-        assert not mutated.passed
-        assert mutated.counterexample
-        restored = verify_lemma(ty_spec, uniq, BOUNDS, enforce_freshness=True)
-        assert restored.passed
+        _, mutated = verify_lemma_cases(ty_spec, uniq, BOUNDS, enforce_freshness=False)
+        assert mutated
+        _, restored = verify_lemma_cases(ty_spec, uniq, BOUNDS, enforce_freshness=True)
+        assert restored is None
 
     def test_wrong_predicate_name(self, ty_spec):
         stmt = parse_lemma(
             "Lemma other : forall L X, other_list L -> member X L -> true."
         )
         with pytest.raises(ShapeError):
-            verify_lemma(ty_spec, stmt, BOUNDS)
+            verify_lemma_cases(ty_spec, stmt, BOUNDS)
 
     @pytest.mark.parametrize(
         "application", ["trans_rel_list L", "trans_rel_list L M K N", "trans_rel L"]
@@ -892,7 +902,7 @@ class TestLifting:
             (tr_spec, TRANS_MEM_LEMMA),
         ):
             lifted, _ = lift_lemma(spec, parse_lemma(text))
-            assert verify_lemma(spec, lifted, BOUNDS).passed
+            assert verify_lemma_cases(spec, lifted, BOUNDS)[1] is None
 
     def test_checker_never_fails_after_list_level_passes(self, ty_spec, tr_spec):
         for spec, text in (
@@ -901,7 +911,7 @@ class TestLifting:
             (ty_spec, UNBOUND_FORALL_LEMMA),
         ):
             stmt = parse_lemma(text)
-            assert verify_lemma(spec, stmt, BOUNDS).passed
+            assert verify_lemma_cases(spec, stmt, BOUNDS)[1] is None
             _, checker = lift_lemma(spec, stmt)
             for contexts in generate_mset_instances(spec, BOUNDS):
                 _cases, counterexample = checker(contexts)

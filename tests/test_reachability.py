@@ -22,10 +22,6 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 TEST_ONLY = {
     "trans_rel_mset_exhaustive": "the independent oracle that the tests hold "
     "trans_rel_mset and align_mset against",
-    "verify_lemma": "the CheckReport form of verify_lemma_cases, for library callers",
-    "check_distr": "the CheckReport form of check_distr_cases, for library callers",
-    "check_mset_pred": "the multiset-form predicate as a boolean, the library's "
-    "reading of align_mset",
     "parse_ctx": "the entry point of the context literal syntax",
     "parse_type": "the entry point of the type syntax",
     "parse_lemma": "the entry point for one Lemma command",

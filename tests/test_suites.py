@@ -32,7 +32,7 @@ from linctx.terms import (
     name_pool,
     term_size,
 )
-from linctx.translate import trans_rel_list
+from linctx.translate import trans_rel_list, trans_rel_mset
 from linctx.typecheck import TyAssoc, VarAssoc, linear_type, ml_type, ty_ctx_list, ty_ctx_mset
 from strategies import judgments, linear_judgments
 
@@ -129,6 +129,12 @@ class TestTripleGenerator:
     def test_all_list_triples_satisfy_relation(self):
         for triple in gen_trans_triples(SMALL):
             assert trans_rel_list(*triple)
+
+    def test_all_mset_triples_satisfy_relation(self):
+        # The uniqueness and membership checks read every triple as related.
+        for ctx_elems in range(4):
+            for triple in gen_trans_triples_mset(GenBounds(ctx_elems=ctx_elems)):
+                assert trans_rel_mset(*triple)
 
     def test_mset_variants_deduplicated(self):
         triples = gen_trans_triples_mset(SMALL)
