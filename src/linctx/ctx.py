@@ -366,8 +366,10 @@ def perm_to_part(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     (l1, l2) an ordered partition of l: the sides `perm_to_part_mask`
     assigns.
     """
-    pairs = tuple(zip(elems(l), perm_to_part_mask(l, g1, g2)))
-    return from_list([e for e, m in pairs if m]), from_list([e for e, m in pairs if not m])
+    sides = [EMPTY, EMPTY]  # indexed by mask bit: sides[True] is l1
+    for e, m in zip(reversed(elems(l)), reversed(perm_to_part_mask(l, g1, g2))):
+        sides[m] = Cons(e, sides[m])
+    return sides[True], sides[False]
 
 
 def part_to_perm(l: Ctx, l1: Ctx, l2: Ctx) -> bool:

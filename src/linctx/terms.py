@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Union as TyUnion
+from typing import Collection, Iterable, Union as TyUnion
 
 from .errors import MalformedTermError, SyntaxError_, UnboundIdentifierError
 from .lex import TokenStream
@@ -67,12 +67,11 @@ class Name(Interned):
         return self.text if self.index == 0 else f"{self.text}{self.index}"
 
 
-def fresh(avoid: Iterable[Name]) -> Name:
+def fresh(avoid: Collection[Name]) -> Name:
     """First name of the canonical chain (n, n1, n2, ...) not in avoid.
 
     Deterministic in its arguments; the result is never a member of avoid.
     """
-    avoid = set(avoid)
     k = 0
     while True:
         candidate = Name("n", k)
@@ -127,17 +126,30 @@ class Let(Interned):
 Tm = TyUnion[Free, Bound, App, Abs, Let]
 
 
+def closed_free_names(t: Tm, depth: int = 0) -> frozenset | None:
+    """The free names of t, or None when a bound index escapes its binders
+    and `depth` enclosing ones.  One walk, from an explicit stack."""
+    names = set()
+    pending = [(t, depth)]
+    while pending:
+        t, depth = pending.pop()
+        if isinstance(t, Free):
+            names.add(t.name)
+        elif isinstance(t, Bound):
+            if t.index >= depth:
+                return None
+        elif isinstance(t, App):
+            pending += ((t.arg, depth), (t.fn, depth))
+        elif isinstance(t, Abs):
+            pending.append((t.body, depth + 1))
+        elif isinstance(t, Let):
+            pending += ((t.body, depth + 1), (t.val, depth))
+    return frozenset(names)
+
+
 def locally_closed(t: Tm, depth: int = 0) -> bool:
     """Whether every bound index is under at least that many binders."""
-    if isinstance(t, Bound):
-        return t.index < depth
-    if isinstance(t, App):
-        return locally_closed(t.fn, depth) and locally_closed(t.arg, depth)
-    if isinstance(t, Abs):
-        return locally_closed(t.body, depth + 1)
-    if isinstance(t, Let):
-        return locally_closed(t.val, depth) and locally_closed(t.body, depth + 1)
-    return True
+    return closed_free_names(t, depth) is not None
 
 
 # open_term's results, keyed on (body, name); it lives as long as the
@@ -197,15 +209,19 @@ def close_term(t: Tm, n: Name) -> Tm:
 
 def free_names(t: Tm) -> frozenset:
     """The set of names occurring free in a term."""
-    if isinstance(t, Free):
-        return frozenset((t.name,))
-    if isinstance(t, App):
-        return free_names(t.fn) | free_names(t.arg)
-    if isinstance(t, Abs):
-        return free_names(t.body)
-    if isinstance(t, Let):
-        return free_names(t.val) | free_names(t.body)
-    return frozenset()
+    names = set()
+    pending = [t]
+    while pending:
+        t = pending.pop()
+        if isinstance(t, Free):
+            names.add(t.name)
+        elif isinstance(t, App):
+            pending += (t.arg, t.fn)
+        elif isinstance(t, Abs):
+            pending.append(t.body)
+        elif isinstance(t, Let):
+            pending += (t.body, t.val)
+    return frozenset(names)
 
 
 def free_counts(t: Tm) -> Counter:
@@ -227,13 +243,18 @@ def free_counts(t: Tm) -> Counter:
 
 def term_size(t: Tm) -> int:
     """Number of term constructors."""
-    if isinstance(t, App):
-        return 1 + term_size(t.fn) + term_size(t.arg)
-    if isinstance(t, Abs):
-        return 1 + term_size(t.body)
-    if isinstance(t, Let):
-        return 1 + term_size(t.val) + term_size(t.body)
-    return 1
+    size = 0
+    pending = [t]
+    while pending:
+        t = pending.pop()
+        size += 1
+        if isinstance(t, App):
+            pending += (t.arg, t.fn)
+        elif isinstance(t, Abs):
+            pending.append(t.body)
+        elif isinstance(t, Let):
+            pending += (t.body, t.val)
+    return size
 
 
 def type_universe(base_labels: Iterable[str] = ("i", "o"), depth: int = 2) -> list:

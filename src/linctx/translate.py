@@ -41,10 +41,10 @@ from .terms import (
     Let,
     Tm,
     close_term,
+    closed_free_names,
     fresh,
     free_counts,
     free_names,
-    locally_closed,
     open_term,
 )
 from .typecheck import TyAssoc, VarAssoc
@@ -115,9 +115,10 @@ def translate(g: Ctx, e: Tm) -> Tm:
     srcs = [a.src for a in assocs]
     if len(set(srcs)) != len(srcs):
         raise PreconditionError("translate requires distinct source names")
-    if not locally_closed(e):
+    frees = closed_free_names(e)
+    if frees is None:
         raise MalformedTermError("term is not locally closed")
-    for n in free_names(e):
+    for n in frees:
         if n not in srcs:
             raise UnmappedVariableError(f"free variable {n} has no association")
     counts = free_counts(e)
@@ -126,7 +127,7 @@ def translate(g: Ctx, e: Tm) -> Tm:
         if count != 1:
             raise LinearityError(f"source name {n} is used {count} times, expected 1")
 
-    avoid = free_names(e).union(*map(value_names, elems(g)))
+    avoid = frees.union(*map(value_names, elems(g)))
 
     def go(t: Tm, mapping: dict) -> Tm:
         if isinstance(t, Free):

@@ -44,9 +44,9 @@ from .terms import (
     Ty,
     _parse_type_atom,
     _print_type_atom,
+    closed_free_names,
     fresh,
     free_names,
-    locally_closed,
     node_dataclass,
     open_term,
     parse_term_tokens,
@@ -108,6 +108,12 @@ def ty_ctx_mset(g: Ctx) -> bool:
     return True
 
 
+def _under(g: Ctx, t: Abs | Let, avoid: frozenset) -> tuple:
+    """Context, opened body and avoid set under t's binder, named outside avoid."""
+    x = fresh(avoid)
+    return Cons(TyAssoc(x, t.ann), g), open_term(t.body, x), avoid | {x}
+
+
 # ---------------------------------------------------------------------------
 # Simply typed lambda calculus.
 # ---------------------------------------------------------------------------
@@ -122,23 +128,26 @@ def type_of_infer(l: Ctx, e: Tm) -> Optional[Ty]:
     """
     if not is_list(l):
         raise PreconditionError("type_of_infer requires a list-form context")
-    if isinstance(e, Free):
-        for a in elems(l):
-            if isinstance(a, TyAssoc) and a.name == e.name:
-                return a.ty
-        return None
-    if isinstance(e, Bound):
-        raise MalformedTermError("term is not locally closed")
-    if isinstance(e, App):
-        fn_ty = type_of_infer(l, e.fn)
-        if isinstance(fn_ty, Arrow) and type_of_infer(l, e.arg) == fn_ty.dom:
-            return fn_ty.cod
-        return None
-    if isinstance(e, Abs):
-        x = fresh(ctx_names(l) | free_names(e))
-        body_ty = type_of_infer(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
-        return None if body_ty is None else Arrow(e.ann, body_ty)
-    return None  # no rule for let in this system
+
+    def go(l: Ctx, e: Tm, avoid: frozenset) -> Optional[Ty]:
+        if isinstance(e, Free):
+            for a in elems(l):
+                if isinstance(a, TyAssoc) and a.name == e.name:
+                    return a.ty
+            return None
+        if isinstance(e, Bound):
+            raise MalformedTermError("term is not locally closed")
+        if isinstance(e, App):
+            fn_ty = go(l, e.fn, avoid)
+            if isinstance(fn_ty, Arrow) and go(l, e.arg, avoid) == fn_ty.dom:
+                return fn_ty.cod
+            return None
+        if isinstance(e, Abs):
+            body_ty = go(*_under(l, e, avoid))
+            return None if body_ty is None else Arrow(e.ann, body_ty)
+        return None  # no rule for let in this system
+
+    return go(l, e, ctx_names(l) | free_names(e))
 
 
 def type_of_enum(l: Ctx, e: Tm) -> frozenset:
@@ -149,23 +158,25 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
     """
     if not is_list(l):
         raise PreconditionError("type_of_enum requires a list-form context")
-    if isinstance(e, Free):
-        return frozenset(
-            a.ty for a in elems(l) if isinstance(a, TyAssoc) and a.name == e.name
-        )
-    if isinstance(e, Bound):
-        raise MalformedTermError("term is not locally closed")
-    if isinstance(e, App):
-        fn_tys = type_of_enum(l, e.fn)
-        arg_tys = type_of_enum(l, e.arg)
-        return frozenset(
-            t.cod for t in fn_tys if isinstance(t, Arrow) and t.dom in arg_tys
-        )
-    if isinstance(e, Abs):
-        x = fresh(ctx_names(l) | free_names(e))
-        body_tys = type_of_enum(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
-        return frozenset(Arrow(e.ann, t) for t in body_tys)
-    return frozenset()
+
+    def go(l: Ctx, e: Tm, avoid: frozenset) -> frozenset:
+        if isinstance(e, Free):
+            return frozenset(
+                a.ty for a in elems(l) if isinstance(a, TyAssoc) and a.name == e.name
+            )
+        if isinstance(e, Bound):
+            raise MalformedTermError("term is not locally closed")
+        if isinstance(e, App):
+            fn_tys = go(l, e.fn, avoid)
+            arg_tys = go(l, e.arg, avoid)
+            return frozenset(
+                t.cod for t in fn_tys if isinstance(t, Arrow) and t.dom in arg_tys
+            )
+        if isinstance(e, Abs):
+            return frozenset(Arrow(e.ann, t) for t in go(*_under(l, e, avoid)))
+        return frozenset()
+
+    return go(l, e, ctx_names(l) | free_names(e))
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +184,28 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def _cached_splits(g: Ctx, cache: dict) -> tuple:
-    key = ("splits", g)
-    parts = cache.get(key)
-    if parts is None:
-        parts = cache[key] = splits(g)
-    return parts
+def _memo(cache: dict, fn, arg):
+    # Keyed on (fn, arg): a function is never a context, so these keys
+    # cannot collide with `_linear_types`'s (g, e) result keys.
+    key = (fn, arg)
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = fn(arg)
+    return out
 
 
-def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict) -> frozenset:
+# `avoid` covers the names of g and e: built from cached parts at the first
+# binder, kept for App and Let children (splits of g, subterms of e), and
+# extended by `_under` for a binder's body.  The result for (g, e) does not
+# depend on which fresh name a binder takes (typing is equivariant), so the
+# cache stays keyed on (g, e) though nested binders may get other names.
+def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict, avoid=None) -> frozenset:
     key = (g, e)
     cached = cache.get(key)
     if cached is not None:
         return cached
+    if avoid is None and isinstance(e, (Abs, Let)):
+        avoid = _memo(cache, ctx_names, g) | _memo(cache, free_names, e)
     result: frozenset
     if isinstance(e, Free):
         found = []
@@ -198,26 +218,22 @@ def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict) -> frozenset:
         raise MalformedTermError("term is not locally closed")
     elif isinstance(e, App):
         out = set()
-        for g1, g2 in _cached_splits(g, cache):
-            for fn_ty in _linear_types(g1, e.fn, with_let, cache):
+        for g1, g2 in _memo(cache, splits, g):
+            for fn_ty in _linear_types(g1, e.fn, with_let, cache, avoid):
                 if isinstance(fn_ty, Arrow):
-                    if fn_ty.dom in _linear_types(g2, e.arg, with_let, cache):
+                    if fn_ty.dom in _linear_types(g2, e.arg, with_let, cache, avoid):
                         out.add(fn_ty.cod)
         result = frozenset(out)
     elif isinstance(e, Abs):
-        x = fresh(ctx_names(g) | free_names(e))
-        body_tys = _linear_types(
-            Cons(TyAssoc(x, e.ann), g), open_term(e.body, x), with_let, cache
-        )
+        g1, body, body_avoid = _under(g, e, avoid)
+        body_tys = _linear_types(g1, body, with_let, cache, body_avoid)
         result = frozenset(Arrow(e.ann, t) for t in body_tys)
     elif isinstance(e, Let) and with_let:
         out = set()
-        for g1, g2 in _cached_splits(g, cache):
-            if e.ann in _linear_types(g1, e.val, with_let, cache):
-                x = fresh(ctx_names(g) | free_names(e))
-                out |= _linear_types(
-                    Cons(TyAssoc(x, e.ann), g2), open_term(e.body, x), with_let, cache
-                )
+        for g1, g2 in _memo(cache, splits, g):
+            if e.ann in _linear_types(g1, e.val, with_let, cache, avoid):
+                g3, body, body_avoid = _under(g2, e, avoid)
+                out |= _linear_types(g3, body, with_let, cache, body_avoid)
         result = frozenset(out)
     else:
         result = frozenset()
@@ -273,9 +289,11 @@ def _check_linear(g_in: Ctx, e: Tm, with_let: bool) -> Optional[tuple]:
     names = [a.name for a in assocs]
     if len(set(names)) != len(names):
         raise PreconditionError("leftover checking requires distinct names")
-    if not locally_closed(e):
+    frees = closed_free_names(e)
+    if frees is None:
         raise MalformedTermError("term is not locally closed")
-    avoid_base = set(names) | free_names(e)
+    avoid_base = frees.union(names)
+    k = 0  # the next index of the name chain (n, n1, n2, ...) to try
 
     def go(t: Tm, remaining: tuple, used: frozenset) -> Optional[tuple]:
         if isinstance(t, Free):
@@ -308,8 +326,18 @@ def _check_linear(g_in: Ctx, e: Tm, with_let: bool) -> Optional[tuple]:
         return None
 
     def binder(t: Abs | Let, remaining: tuple, used: frozenset) -> Optional[tuple]:
-        # Types t's body under a fresh association of its annotation.
-        x = fresh(avoid_base | used | {a.name for a in remaining})
+        # Types t's body under a fresh association of its annotation, named
+        # outside avoid_base, used and remaining.  Each binder name handed
+        # out so far is in remaining or used (a binder whose name is left
+        # over fails the call), so that union is avoid_base plus those
+        # names, and its first chain name outside is the first from k on
+        # that avoid_base lacks.
+        nonlocal k
+        x = Name("n", k)
+        while x in avoid_base:
+            k += 1
+            x = Name("n", k)
+        k += 1
         res = go(open_term(t.body, x), (TyAssoc(x, t.ann),) + remaining, used)
         if res is None or any(a.name == x for a in res[1]):
             return None  # ill-typed, or the bound variable was never used

@@ -17,6 +17,7 @@ from linctx.terms import (
     Let,
     Name,
     close_term,
+    closed_free_names,
     free_counts,
     free_names,
     fresh,
@@ -113,6 +114,35 @@ class TestFreeNames:
         assert free_counts(t) == {n1: 2, n2: 1}
         assert free_counts(Abs(I, Bound(0))) == {}
         assert set(free_counts(t)) == free_names(t)
+
+    def test_closed_free_names(self):
+        n1 = Name("n", 1)
+        t = Let(I, Free(n1), Abs(I, App(Bound(0), Bound(1))))
+        assert closed_free_names(t) == {n1}
+        assert closed_free_names(Abs(I, Bound(1))) is None
+        assert closed_free_names(Bound(0), depth=1) == frozenset()
+        for t in gen_terms(FREES, 4, (I,), True):
+            assert closed_free_names(t) == free_names(t)
+
+    def test_walkers_deep_binder_chain(self):
+        # 5,000 nested binders, alternately let and abs, built without the
+        # parser.  The innermost index reaches the outermost binder or,
+        # one higher, escapes it.
+        c = Name("c", 1)
+        closed, escaping = App(Bound(4999), Free(c)), Bound(5000)
+        for k in range(5000):
+            if k % 2:
+                closed, escaping = Abs(I, closed), Abs(I, escaping)
+            else:
+                closed, escaping = Let(I, Free(c), closed), Let(I, Free(c), escaping)
+        assert closed_free_names(closed) == free_names(closed) == {c}
+        assert locally_closed(closed)
+        assert closed_free_names(escaping) is None
+        assert not locally_closed(escaping)
+        assert free_names(escaping) == {c}
+        assert free_counts(closed) == {c: 2501}
+        assert term_size(closed) == 7503
+        assert term_size(escaping) == 7501
 
     def test_counts_deep(self):
         n = Name("n")

@@ -1,5 +1,6 @@
 """The three type systems and the typing-context predicates."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -20,6 +21,7 @@ from linctx.terms import (
     TYPE_UNIVERSE,
     name_pool,
     parse_term,
+    print_type,
     type_universe,
 )
 from linctx.typecheck import (
@@ -233,6 +235,73 @@ class TestBeyondUniverse:
         g, e = judgment
         assert mltype_types(g, e) == {ml_type(g, e)} - {None}
         assert ltype_types(g, e) == {linear_type(g, e)} - {None}
+
+
+class TestBinderNames:
+    # A binder takes a name outside the context and the term.  A free n or
+    # n1 that the context does not declare must not be captured: each term
+    # below would type if its binder took that name.
+    N, N_1, C1 = Name("n"), Name("n", 1), Name("c", 1)
+    CAPTURABLE = (
+        (EMPTY, parse_term("abs i (x\\ n)", [N])),
+        (EMPTY, parse_term("abs i (x\\ abs (i -> i) (y\\ app n1 x))", [N_1])),
+        (assoc_list((C1, I)), parse_term("abs (i -> i) (x\\ app n c1)", [N, C1])),
+    )
+
+    @pytest.mark.parametrize("g, e", CAPTURABLE)
+    def test_no_reading_captures(self, g, e):
+        assert type_of_infer(g, e) is None
+        assert type_of_enum(g, e) == frozenset()
+        assert ltype_types(g, e) == frozenset()
+        assert ltype_check(g, e) is None
+        assert mltype_types(g, e) == frozenset()
+        assert mltype_check(g, e) is None
+
+    def test_declared_name_is_avoided(self):
+        # With n declared, the binder is named past it and n resolves to
+        # the context's association.
+        g = assoc_list((self.N, I))
+        e = parse_term("abs (i -> i) (x\\ app x n)", [self.N])
+        ty = Arrow(Arrow(I, I), I)
+        assert type_of_infer(g, e) == ty
+        assert ltype_types(g, e) == mltype_types(g, e) == {ty}
+        assert ltype_check(g, e) == (ty, Leftover(EMPTY, frozenset({self.N, self.N_1})))
+
+    def test_pinned_digest(self):
+        # Checker results (type, leftover, sorted used names) and the
+        # relational type sets of every term up to size 4 over the free
+        # names c1, n and n1, under every list of up to two of them, so
+        # that binders must skip n and n1.  Pinned from the readings that
+        # recomputed the names to avoid at every binder.
+        frees = (self.C1, self.N, self.N_1)
+        types = (I, Arrow(I, I))
+        terms = gen_terms(frees, 4, types, True)
+        digest = hashlib.sha256()
+        count = 0
+        for k in range(3):
+            for names in itertools.permutations(frees, k):
+                for tys in itertools.product(types, repeat=k):
+                    g = assoc_list(*zip(names, tys))
+                    for e in terms:
+                        for check, types_of in (
+                            (ltype_check, ltype_types),
+                            (mltype_check, mltype_types),
+                        ):
+                            res = check(g, e)
+                            if res is None:
+                                line = "-"
+                            else:
+                                ty, left = res
+                                remaining = " ".join(map(str, elems(left.remaining)))
+                                used = " ".join(sorted(map(str, left.used)))
+                                line = f"{print_type(ty)}|{remaining}|{used}"
+                            derivable = ",".join(sorted(map(print_type, types_of(g, e))))
+                            digest.update(f"{line}\n{derivable}\n".encode())
+                            count += 2
+        assert count == 49104
+        assert digest.hexdigest() == (
+            "a979cd12a4d94094958d2d9354b072003b3452d7a3a445e3abf6d22244c1bd5c"
+        )
 
 
 class TestJudgments:
