@@ -85,7 +85,6 @@ from .terms import (
     close_term,
     free_names,
     fresh,
-    locally_closed,
     open_term,
     parse_term,
     parse_type,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Union as TyUnion
+from typing import Iterable, Union as TyUnion
 
 from .errors import MalformedTermError, SyntaxError_, UnboundIdentifierError
 from .lex import TokenStream
@@ -67,11 +67,13 @@ class Name(Interned):
         return self.text if self.index == 0 else f"{self.text}{self.index}"
 
 
-def fresh(avoid: Collection[Name]) -> Name:
+def fresh(avoid: Iterable[Name]) -> Name:
     """First name of the canonical chain (n, n1, n2, ...) not in avoid.
 
     Deterministic in its arguments; the result is never a member of avoid.
     """
+    if not isinstance(avoid, (set, frozenset)):
+        avoid = set(avoid)
     k = 0
     while True:
         candidate = Name("n", k)
@@ -145,11 +147,6 @@ def closed_free_names(t: Tm, depth: int = 0) -> frozenset | None:
         elif isinstance(t, Let):
             pending += ((t.body, depth + 1), (t.val, depth))
     return frozenset(names)
-
-
-def locally_closed(t: Tm, depth: int = 0) -> bool:
-    """Whether every bound index is under at least that many binders."""
-    return closed_free_names(t, depth) is not None
 
 
 # open_term's results, keyed on (body, name); it lives as long as the

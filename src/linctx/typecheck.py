@@ -108,12 +108,6 @@ def ty_ctx_mset(g: Ctx) -> bool:
     return True
 
 
-def _under(g: Ctx, t: Abs | Let, avoid: frozenset) -> tuple:
-    """Context, opened body and avoid set under t's binder, named outside avoid."""
-    x = fresh(avoid)
-    return Cons(TyAssoc(x, t.ann), g), open_term(t.body, x), avoid | {x}
-
-
 # ---------------------------------------------------------------------------
 # Simply typed lambda calculus.
 # ---------------------------------------------------------------------------
@@ -128,26 +122,23 @@ def type_of_infer(l: Ctx, e: Tm) -> Optional[Ty]:
     """
     if not is_list(l):
         raise PreconditionError("type_of_infer requires a list-form context")
-
-    def go(l: Ctx, e: Tm, avoid: frozenset) -> Optional[Ty]:
-        if isinstance(e, Free):
-            for a in elems(l):
-                if isinstance(a, TyAssoc) and a.name == e.name:
-                    return a.ty
-            return None
-        if isinstance(e, Bound):
-            raise MalformedTermError("term is not locally closed")
-        if isinstance(e, App):
-            fn_ty = go(l, e.fn, avoid)
-            if isinstance(fn_ty, Arrow) and go(l, e.arg, avoid) == fn_ty.dom:
-                return fn_ty.cod
-            return None
-        if isinstance(e, Abs):
-            body_ty = go(*_under(l, e, avoid))
-            return None if body_ty is None else Arrow(e.ann, body_ty)
-        return None  # no rule for let in this system
-
-    return go(l, e, ctx_names(l) | free_names(e))
+    if isinstance(e, Free):
+        for a in elems(l):
+            if isinstance(a, TyAssoc) and a.name == e.name:
+                return a.ty
+        return None
+    if isinstance(e, Bound):
+        raise MalformedTermError("term is not locally closed")
+    if isinstance(e, App):
+        fn_ty = type_of_infer(l, e.fn)
+        if isinstance(fn_ty, Arrow) and type_of_infer(l, e.arg) == fn_ty.dom:
+            return fn_ty.cod
+        return None
+    if isinstance(e, Abs):
+        x = fresh(ctx_names(l) | free_names(e))
+        body_ty = type_of_infer(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
+        return None if body_ty is None else Arrow(e.ann, body_ty)
+    return None  # no rule for let in this system
 
 
 def type_of_enum(l: Ctx, e: Tm) -> frozenset:
@@ -158,30 +149,34 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
     """
     if not is_list(l):
         raise PreconditionError("type_of_enum requires a list-form context")
-
-    def go(l: Ctx, e: Tm, avoid: frozenset) -> frozenset:
-        if isinstance(e, Free):
-            return frozenset(
-                a.ty for a in elems(l) if isinstance(a, TyAssoc) and a.name == e.name
-            )
-        if isinstance(e, Bound):
-            raise MalformedTermError("term is not locally closed")
-        if isinstance(e, App):
-            fn_tys = go(l, e.fn, avoid)
-            arg_tys = go(l, e.arg, avoid)
-            return frozenset(
-                t.cod for t in fn_tys if isinstance(t, Arrow) and t.dom in arg_tys
-            )
-        if isinstance(e, Abs):
-            return frozenset(Arrow(e.ann, t) for t in go(*_under(l, e, avoid)))
-        return frozenset()
-
-    return go(l, e, ctx_names(l) | free_names(e))
+    if isinstance(e, Free):
+        return frozenset(
+            a.ty for a in elems(l) if isinstance(a, TyAssoc) and a.name == e.name
+        )
+    if isinstance(e, Bound):
+        raise MalformedTermError("term is not locally closed")
+    if isinstance(e, App):
+        fn_tys = type_of_enum(l, e.fn)
+        arg_tys = type_of_enum(l, e.arg)
+        return frozenset(
+            t.cod for t in fn_tys if isinstance(t, Arrow) and t.dom in arg_tys
+        )
+    if isinstance(e, Abs):
+        x = fresh(ctx_names(l) | free_names(e))
+        body_tys = type_of_enum(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
+        return frozenset(Arrow(e.ann, t) for t in body_tys)
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------
 # Linear systems, relational reading.
 # ---------------------------------------------------------------------------
+
+
+def _under(g: Ctx, t: Abs | Let, avoid: frozenset) -> tuple:
+    """Context, opened body and avoid set under t's binder, named outside avoid."""
+    x = fresh(avoid)
+    return Cons(TyAssoc(x, t.ann), g), open_term(t.body, x), avoid | {x}
 
 
 def _memo(cache: dict, fn, arg):
@@ -326,12 +321,12 @@ def _check_linear(g_in: Ctx, e: Tm, with_let: bool) -> Optional[tuple]:
         return None
 
     def binder(t: Abs | Let, remaining: tuple, used: frozenset) -> Optional[tuple]:
-        # Types t's body under a fresh association of its annotation, named
-        # outside avoid_base, used and remaining.  Each binder name handed
-        # out so far is in remaining or used (a binder whose name is left
-        # over fails the call), so that union is avoid_base plus those
-        # names, and its first chain name outside is the first from k on
-        # that avoid_base lacks.
+        # Types t's body under a fresh association of its annotation.  The
+        # counter only moves up and skips avoid_base, and every name in used
+        # or remaining is in avoid_base or was handed out before, so x is
+        # fresh for all of them.  It is also the name that fresh() would pick
+        # outside them: a binder whose name is left over fails the whole
+        # call, so every name handed out so far is still in used or remaining.
         nonlocal k
         x = Name("n", k)
         while x in avoid_base:

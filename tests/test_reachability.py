@@ -26,8 +26,6 @@ TEST_ONLY = {
     "parse_type": "the entry point of the type syntax",
     "parse_lemma": "the entry point for one Lemma command",
     "render_lemma": "prints a lemma in the syntax that parse_lemma reads back",
-    "locally_closed": "the closedness predicate of the public API; the kernels "
-    "call closed_free_names, which also collects the free names",
 }
 
 

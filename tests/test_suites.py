@@ -68,10 +68,10 @@ class TestTermGenerator:
             assert len(set(got)) == len(got)
 
     def test_all_locally_closed_and_sized(self):
-        from linctx.terms import locally_closed
+        from linctx.terms import closed_free_names
 
         for t in gen_terms((Name("x", 1),), 4, (I,), True):
-            assert locally_closed(t)
+            assert closed_free_names(t) is not None
             assert term_size(t) <= 4
 
     def test_includes_let_terms(self):

@@ -21,7 +21,6 @@ from linctx.terms import (
     free_counts,
     free_names,
     fresh,
-    locally_closed,
     name_pool,
     open_term,
     parse_term,
@@ -54,6 +53,11 @@ class TestNamesAndFresh:
         avoid = frozenset({Name("q"), Name("n")})
         assert fresh(avoid) == fresh(set(avoid))
 
+    def test_fresh_takes_any_iterable(self):
+        # A generator is read once, in full, before the chain is searched.
+        assert fresh(Name("n", k) for k in (2, 1, 0)) == Name("n", 3)
+        assert fresh([Name("n", 1), Name("n")]) == Name("n", 2)
+
     def test_fresh_injective_along_chain(self):
         avoid = set()
         seen = []
@@ -85,9 +89,9 @@ class TestOpenClose:
 
     def test_open_preserves_local_closure(self):
         body = App(Bound(0), Abs(I, App(Bound(0), Bound(1))))
-        assert not locally_closed(body)
-        assert locally_closed(body, depth=1)
-        assert locally_closed(open_term(body, Name("n")))
+        assert closed_free_names(body) is None
+        assert closed_free_names(body, depth=1) == frozenset()
+        assert closed_free_names(open_term(body, Name("n"))) == {Name("n")}
 
     def test_close_inverts_open(self):
         body = App(Bound(0), Abs(I, App(Bound(0), Bound(1))))
@@ -136,9 +140,7 @@ class TestFreeNames:
             else:
                 closed, escaping = Let(I, Free(c), closed), Let(I, Free(c), escaping)
         assert closed_free_names(closed) == free_names(closed) == {c}
-        assert locally_closed(closed)
         assert closed_free_names(escaping) is None
-        assert not locally_closed(escaping)
         assert free_names(escaping) == {c}
         assert free_counts(closed) == {c: 2501}
         assert term_size(closed) == 7503
