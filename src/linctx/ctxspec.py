@@ -18,9 +18,10 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from operator import attrgetter
-from typing import Any, Callable, Container, Iterable, Optional, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .ctx import (
+    Cons,
     Ctx,
     EMPTY,
     Union,
@@ -74,17 +75,22 @@ def decompose(value: Any) -> Optional[tuple]:
     return (value.label, ()) if isinstance(value, Base) else None
 
 
+# Each value's names, kept for the life of the process like the intern
+# tables that hold the values themselves.
+_VALUE_NAMES: dict = {}
+
+
 def value_names(value: Any) -> frozenset:
     """All names occurring anywhere inside a value."""
-    if isinstance(value, Name):
-        return frozenset((value,))
-    dec = decompose(value)
-    if dec is None:
-        return frozenset()
-    out = frozenset()
-    for arg in dec[1]:
-        out |= value_names(arg)
-    return out
+    names = _VALUE_NAMES.get(value)
+    if names is None:
+        if isinstance(value, Name):
+            names = frozenset((value,))
+        else:
+            dec = decompose(value)
+            names = frozenset().union(*map(value_names, dec[1])) if dec else frozenset()
+        _VALUE_NAMES[value] = names
+    return names
 
 
 def render_value(value: Any) -> str:
@@ -938,14 +944,16 @@ def _clause_metavars(clause: Clause) -> list:
 
 def generate_list_instances(
     spec: ContextSpec, bounds: GenBounds, enforce_freshness: bool = True
-) -> list:
-    """All list tuples derivable from the clauses within the bounds.
+) -> Iterator:
+    """The list tuples derivable from the clauses within the bounds, as a
+    stream: the empty tuple, then each level's instances as they are built.
 
     Instances are built by prepending clause instances to shorter ones.
     Metavariables draw from the type universe (or a small name pool, by
     sort); nabla variables take the next canonical fresh name, plus
     deliberate collision candidates that the freshness condition rejects
-    while it is enforced.
+    while it is enforced.  Each level grows from the one before it, and a
+    check that stops at a counterexample builds nothing after it.
     """
     meta_names = name_pool(2, "m")
     clause_bindings = []  # each clause with every metavariable substitution
@@ -959,17 +967,17 @@ def generate_list_instances(
         clause_bindings.append(
             (clause, [dict(zip(keys, combo)) for combo in itertools.product(*options)])
         )
-    max_nabla = max(len(clause.nabla_vars) for clause in spec.clauses)
+    return _list_levels(spec, bounds, enforce_freshness, clause_bindings)
 
-    results = [tuple(() for _ in range(spec.arity))]
-    frontier = list(results)
-    for _ in range(bounds.ctx_elems):
+
+def _list_levels(spec: ContextSpec, bounds: GenBounds, enforce: bool, clause_bindings: list):
+    max_nabla = max(len(clause.nabla_vars) for clause in spec.clauses)
+    # Each frontier entry is an instance and the names its entries use.
+    frontier = [((EMPTY,) * spec.arity, frozenset())]
+    yield frontier[0][0]
+    for level in range(1, bounds.ctx_elems + 1):
         new_frontier = []
-        for rows in frontier:
-            used_names = set()
-            for row in rows:
-                for entry in row:
-                    used_names |= value_names(entry)
+        for contexts, used_names in frontier:
             fresh_names: list = []  # the first names of fresh's chain not yet used
             for _ in range(max_nabla):
                 fresh_names.append(fresh(used_names.union(fresh_names)))
@@ -988,26 +996,27 @@ def generate_list_instances(
                     for nabla_combo in dict.fromkeys(nabla_choices):
                         full = {**binding, **dict(zip(nabla_keys, nabla_combo))}
                         entries = tuple(instantiate(p, full) for p in clause.patterns)
-                        # the rows already satisfy the predicate; only the
-                        # new heads need checking against their names
-                        if _heads_ok(spec, entries, used_names, enforce_freshness):
-                            new_frontier.append(
-                                tuple((entries[i],) + rows[i] for i in range(spec.arity))
-                            )
+                        # the contexts already satisfy the predicate; only
+                        # the new heads need checking against their names
+                        if _heads_ok(spec, entries, used_names, enforce):
+                            instance = tuple(map(Cons, entries, contexts))
+                            yield instance
+                            if level < bounds.ctx_elems:
+                                names = used_names.union(*map(value_names, entries))
+                                new_frontier.append((instance, names))
         frontier = new_frontier
-        results.extend(frontier)
-    return [tuple(from_list(row) for row in rows) for rows in results]
 
 
-def _row_variants(row: tuple, bounds: GenBounds) -> list:
-    """A bounded set of multiset restructurings of one entry sequence."""
-    variants = [from_list(row)]
+def _row_variants(l: Ctx, bounds: GenBounds) -> list:
+    """A bounded set of multiset restructurings of one list context."""
+    row = elems(l)
+    variants = [l]
     if bounds.union_depth >= 2 and row:
-        variants.append(Union(from_list(row[:1]), from_list(row[1:])))
+        variants.append(Union(from_list(row[:1]), l.tail))
     if len(row) >= 2:
         variants.append(from_list(tuple(reversed(row))))
         if bounds.union_depth >= 2:
-            variants.append(Union(from_list(row[1:]), from_list(row[:1])))
+            variants.append(Union(l.tail, from_list(row[:1])))
         if bounds.union_depth >= 3:
             variants.append(
                 Union(Union(from_list(row[:1]), EMPTY), from_list(tuple(reversed(row[1:]))))
@@ -1017,32 +1026,31 @@ def _row_variants(row: tuple, bounds: GenBounds) -> list:
 
 def generate_mset_instances(
     spec: ContextSpec, bounds: GenBounds, enforce_freshness: bool = True
-) -> list:
-    """Multiset context tuples satisfying the predicate within the bounds.
+) -> Iterator:
+    """Multiset context tuples satisfying the predicate within the bounds,
+    streamed in the order of the list instances they restructure.
 
-    Takes every list instance and restructures the contexts: the same
-    variant applied across all of them, plus each context varied alone.
+    Each list instance's contexts are restructured: the same variant
+    applied across all of them, plus each context varied alone.  A tuple
+    already yielded is not yielded again.
     """
-    out = []
-    seen = set()
-    for lists in generate_list_instances(spec, bounds, enforce_freshness):
-        rows = tuple(elems(l) for l in lists)
-        per_index = [_row_variants(row, bounds) for row in rows]
+    return _restructured(generate_list_instances(spec, bounds, enforce_freshness), bounds)
+
+
+def _restructured(instances: Iterator, bounds: GenBounds):
+    seen: set = set()
+    for lists in instances:
+        per_index = [_row_variants(l, bounds) for l in lists]
         combos = []
-        max_variants = max(len(v) for v in per_index)
-        for k in range(max_variants):
+        for k in range(max(len(v) for v in per_index)):
             combos.append(tuple(v[min(k, len(v) - 1)] for v in per_index))
-        for i in range(spec.arity):
-            for variant in per_index[i][1:]:
-                combo = tuple(
-                    variant if j == i else per_index[j][0] for j in range(spec.arity)
-                )
-                combos.append(combo)
+        for i, variants in enumerate(per_index):
+            for variant in variants[1:]:
+                combos.append(tuple(variant if j == i else v[0] for j, v in enumerate(per_index)))
         for combo in combos:
             if combo not in seen:
                 seen.add(combo)
-                out.append(combo)
-    return out
+                yield combo
 
 
 # ---------------------------------------------------------------------------

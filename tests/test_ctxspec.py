@@ -1,16 +1,18 @@
 """The schematic context-specification engine."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import pickle
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linctx import ctxspec
+from linctx import ctxspec, suites
 from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs, is_list, multiset, perm, splits
 from linctx.ctxspec import (
     FAnd,
@@ -32,8 +34,10 @@ from linctx.ctxspec import (
     parse_lemma_file,
     parse_spec,
     parse_spec_file,
+    render_contexts,
     render_lemma,
     render_value,
+    value_names,
     verify_lemma_cases,
 )
 from linctx.errors import PreconditionError, ShapeError, SyntaxError_
@@ -205,7 +209,7 @@ class TestSideFormulaSyntax:
         assert not check_list_pred(spec, [from_list([TyAssoc(n, Arrow(I, I))])])
 
     def test_instances_and_distributivity(self, spec):
-        assert len(generate_list_instances(spec, BOUNDS)) == 7
+        assert len(list(generate_list_instances(spec, BOUNDS))) == 7
         assert check_distr_cases(spec, 1, BOUNDS) == (73, None)
 
     def test_lemma_with_bare_constant(self, spec):
@@ -481,7 +485,7 @@ class TestGeneration:
     def test_list_instance_counts(self, cmd, ctx_elems, enforce, count):
         spec = parse_spec(cmd)
         bounds = GenBounds(ctx_elems=ctx_elems)
-        assert len(generate_list_instances(spec, bounds, enforce)) == count
+        assert len(list(generate_list_instances(spec, bounds, enforce))) == count
 
     def test_generated_msets_satisfy_pred(self, ty_spec):
         for contexts in generate_mset_instances(ty_spec, BOUNDS):
@@ -489,7 +493,7 @@ class TestGeneration:
 
     def test_nested_union_variant(self, ty_spec):
         deep = GenBounds(ctx_elems=2, union_depth=3)
-        instances = generate_mset_instances(ty_spec, deep)
+        instances = list(generate_mset_instances(ty_spec, deep))
         nested = [g for (g,) in instances if isinstance(g, Union) and isinstance(g.left, Union)]
         assert nested
         for contexts in instances:
@@ -499,9 +503,112 @@ class TestGeneration:
         assert cases > check_distr_cases(ty_spec, 1, GenBounds(ctx_elems=2))[0]
 
     def test_generation_is_deterministic(self, ty_spec):
-        first = generate_mset_instances(ty_spec, BOUNDS)
-        second = generate_mset_instances(ty_spec, BOUNDS)
+        first = list(generate_mset_instances(ty_spec, BOUNDS))
+        second = list(generate_mset_instances(ty_spec, BOUNDS))
         assert first == second
+
+    def test_instance_order_golden(self):
+        # Every instance of both generators, in the order yielded, for each
+        # fixture spec; recorded while the generators returned lists.
+        lines = []
+        for spec, ctx_elems, enforce, form, generate in _fixture_universes():
+            gvars = [f"G{j}" for j in range(1, spec.arity + 1)]
+            digest = hashlib.sha256()
+            count = 0
+            for contexts in generate(spec, GenBounds(ctx_elems=ctx_elems), enforce):
+                digest.update((render_contexts(gvars, contexts) + "\n").encode())
+                count += 1
+            record = {
+                "spec": spec.name,
+                "form": form,
+                "ctx_elems": ctx_elems,
+                "enforce_freshness": enforce,
+                "instances": count,
+                "sha256": digest.hexdigest(),
+            }
+            lines.append(json.dumps(record) + "\n")
+        assert "".join(lines) == (FIXTURES / "golden" / "instance_digests.jsonl").read_text()
+
+    def test_value_names_memo(self, monkeypatch):
+        values = set(suites._ASSOC_POOL)
+        for spec, ctx_elems, enforce, _, generate in _fixture_universes():
+            for contexts in generate(spec, GenBounds(ctx_elems=ctx_elems), enforce):
+                values.update(e for g in contexts for e in elems(g))
+        deep = I
+        for k in range(40):
+            deep = Arrow(deep, O) if k % 2 else Arrow(O, deep)
+            values.update((deep, TyAssoc(N1, deep)))
+        assert "junk" in values and any(isinstance(v, VarAssoc) for v in values)
+        monkeypatch.setattr(ctxspec, "_VALUE_NAMES", {})
+        for value in values:
+            assert value_names(value) == _names_of(value)  # computed
+            assert value in ctxspec._VALUE_NAMES
+            assert value_names(value) == _names_of(value)  # kept
+
+
+def _fixture_universes():
+    """(spec, ctx_elems, enforce, form, generator) for each fixture spec at
+    ctx_elems 1-3 (1-2 above arity 1), with freshness on and off."""
+    for spec in _fixture_specs():
+        for ctx_elems in range(1, 3 if spec.arity > 1 else 4):
+            for enforce in (True, False):
+                yield spec, ctx_elems, enforce, "list", generate_list_instances
+                yield spec, ctx_elems, enforce, "mset", generate_mset_instances
+
+
+def _names_of(value) -> frozenset:
+    """The names inside a value, read off its dataclass fields."""
+    if isinstance(value, Name):
+        return frozenset((value,))
+    if not dataclasses.is_dataclass(value):
+        return frozenset()
+    fields = dataclasses.fields(value)
+    return frozenset().union(*(_names_of(getattr(value, f.name)) for f in fields))
+
+
+class TestStreaming:
+    """Generation stops at a check's counterexample."""
+
+    @pytest.mark.parametrize(
+        "spec_name, lemma_file, lemma_name, lift, enforce, result, full",
+        [
+            (
+                "loose_ctx", "broken_uniq.lem", "loose_uniq", False, True,
+                (16, "L = [ty_of m1 o, ty_of m1 i] with T1 = o, T2 = i, X = m1"), 1885,
+            ),
+            (
+                "loose_ctx", "broken_uniq.lem", "loose_uniq", True, True,
+                (32, "G1 = [ty_of m1 o, ty_of m1 i] with T1 = o, T2 = i, X = m1"), 5497,
+            ),
+            (
+                "ty_ctx'", "lemmas.lem", "ty_ctx_uniq", False, False,
+                (11, "L = [ty_of n o, ty_of n i] with T1 = o, T2 = i, X = n"), 943,
+            ),
+        ],
+        ids=["loose_uniq", "loose_uniq_mset", "ty_ctx_uniq_nofresh"],
+    )
+    def test_check_stops_at_counterexample(
+        self, monkeypatch, spec_name, lemma_file, lemma_name, lift, enforce, result, full
+    ):
+        (spec,) = [s for s in _fixture_specs() if s.name == spec_name]
+        lemmas = parse_lemma_file((FIXTURES / lemma_file).read_text())
+        (stmt,) = [s for s in lemmas if s.name == lemma_name]
+        if lift:
+            stmt = lift_lemma(spec, stmt)[0]
+        generate = generate_mset_instances if lift else generate_list_instances
+        bounds = GenBounds(ctx_elems=3)
+        steps = Counter()
+        heads_ok = ctxspec._heads_ok
+
+        def counting_heads_ok(*args):
+            steps["heads_ok"] += 1
+            return heads_ok(*args)
+
+        monkeypatch.setattr(ctxspec, "_heads_ok", counting_heads_ok)
+        assert sum(1 for _ in generate(spec, bounds, enforce)) == full
+        full_steps = steps.pop("heads_ok")
+        assert verify_lemma_cases(spec, stmt, bounds, enforce) == result
+        assert steps["heads_ok"] * 50 < full_steps
 
 
 # The instance that a reversed split mask fails on in every position.
@@ -706,7 +813,7 @@ class TestClassVerdicts:
         # bounds (`test_lemmas` checks this), so its cases cover theirs.
         for enforce in (True, False):
             bounds = GenBounds(ctx_elems=_class_bounds(spec, enforce)[-1])
-            instances = generate_mset_instances(spec, bounds, enforce)
+            instances = list(generate_mset_instances(spec, bounds, enforce))
             memo: dict = {}  # alignments, shared as in one check
             aligned = [ctxspec._align_instance(spec, g, enforce, memo) for g in instances]
             # Verdicts of identical calls, which tree shapes aligning to the
@@ -762,7 +869,7 @@ class TestClassVerdicts:
                 sorts = ctxspec._lemma_var_sorts(spec, lemma)
                 for enforce in (True, False):
                     bounds = _class_bounds(spec, enforce)
-                    instances = generate(spec, GenBounds(ctx_elems=bounds[-1]), enforce)
+                    instances = list(generate(spec, GenBounds(ctx_elems=bounds[-1]), enforce))
                     counterexample_of.clear()
                     verdicts = []
                     for contexts in instances:
@@ -775,7 +882,7 @@ class TestClassVerdicts:
                         patch.setattr(ctxspec, "_lemma_counterexample", decide)
                         for ctx_elems in bounds:
                             smaller = GenBounds(ctx_elems=ctx_elems)
-                            prefix = generate(spec, smaller, enforce)
+                            prefix = list(generate(spec, smaller, enforce))
                             count = len(prefix)
                             # each level of the generators extends the levels before it
                             assert prefix == instances[:count]
