@@ -40,7 +40,7 @@ from .ctx import (
 from .errors import PreconditionError, ShapeError, SyntaxError_
 from .lex import Token, TokenStream
 from .report import GenBounds, counted
-from .terms import TYPE_UNIVERSE, Arrow, Base, Interned, Name, fresh, name_pool, node_dataclass, print_type
+from .terms import EMPTY_SET, TYPE_UNIVERSE, Arrow, Base, Interned, Name, fresh, name_pool, node_dataclass, print_type
 from .typecheck import TyAssoc, VarAssoc
 
 
@@ -88,8 +88,9 @@ def value_names(value: Any) -> frozenset:
             names = frozenset((value,))
         else:
             dec = decompose(value)
-            names = frozenset().union(*map(value_names, dec[1])) if dec else frozenset()
-        _VALUE_NAMES[value] = names
+            names = frozenset().union(*map(value_names, dec[1])) if dec else EMPTY_SET
+        # A union of empty sets is a new object; keep the shared one instead.
+        names = _VALUE_NAMES[value] = names or EMPTY_SET
     return names
 
 

@@ -612,7 +612,8 @@ def check_linear_equivalence(bounds: GenBounds, with_let: bool):
         for e in terms:
             relational = _linear_types(g, e, with_let, cache)
             algo = checker(g, e)
-            yield relational != frozenset(() if algo is None else (algo,)) and (
+            agree = len(relational) == 1 and algo in relational if algo else not relational
+            yield not agree and (
                 f"disagreement on {e!r} under {print_ctx(g, render_value)}: "
                 f"relational {sorted(map(str, relational))}, checker {algo}"
             )

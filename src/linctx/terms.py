@@ -127,6 +127,10 @@ class Let(Interned):
 
 Tm = TyUnion[Free, Bound, App, Abs, Let]
 
+# The empty result of every name-set and type-set function.  CPython builds a
+# new empty frozenset on each call, and memo tables keep many empty results.
+EMPTY_SET: frozenset = frozenset()
+
 
 def closed_free_names(t: Tm, depth: int = 0) -> frozenset | None:
     """The free names of t, or None when a bound index escapes its binders
@@ -146,7 +150,7 @@ def closed_free_names(t: Tm, depth: int = 0) -> frozenset | None:
             pending.append((t.body, depth + 1))
         elif isinstance(t, Let):
             pending += ((t.body, depth + 1), (t.val, depth))
-    return frozenset(names)
+    return frozenset(names) if names else EMPTY_SET
 
 
 # open_term's results, keyed on (body, name); it lives as long as the
@@ -218,7 +222,7 @@ def free_names(t: Tm) -> frozenset:
             pending.append(t.body)
         elif isinstance(t, Let):
             pending += (t.body, t.val)
-    return frozenset(names)
+    return frozenset(names) if names else EMPTY_SET
 
 
 def free_counts(t: Tm) -> Counter:

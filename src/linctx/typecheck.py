@@ -32,6 +32,7 @@ from .ctx import (
 from .errors import MalformedTermError, PreconditionError
 from .lex import TokenStream
 from .terms import (
+    EMPTY_SET,
     Abs,
     App,
     Arrow,
@@ -82,7 +83,7 @@ def ctx_names(g: Ctx) -> frozenset:
     for a in elems(g):
         if isinstance(a, TyAssoc):
             out.add(a.name)
-    return frozenset(out)
+    return frozenset(out) if out else EMPTY_SET
 
 
 def ty_ctx_list(l: Ctx) -> bool:
@@ -152,7 +153,7 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
     if isinstance(e, Free):
         return frozenset(
             a.ty for a in elems(l) if isinstance(a, TyAssoc) and a.name == e.name
-        )
+        ) or EMPTY_SET
     if isinstance(e, Bound):
         raise MalformedTermError("term is not locally closed")
     if isinstance(e, App):
@@ -160,12 +161,12 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
         arg_tys = type_of_enum(l, e.arg)
         return frozenset(
             t.cod for t in fn_tys if isinstance(t, Arrow) and t.dom in arg_tys
-        )
+        ) or EMPTY_SET
     if isinstance(e, Abs):
         x = fresh(ctx_names(l) | free_names(e))
         body_tys = type_of_enum(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
-        return frozenset(Arrow(e.ann, t) for t in body_tys)
-    return frozenset()
+        return frozenset(Arrow(e.ann, t) for t in body_tys) or EMPTY_SET
+    return EMPTY_SET
 
 
 # ---------------------------------------------------------------------------
@@ -194,45 +195,39 @@ def _memo(cache: dict, fn, arg):
 # extended by `_under` for a binder's body.  The result for (g, e) does not
 # depend on which fresh name a binder takes (typing is equivariant), so the
 # cache stays keyed on (g, e) though nested binders may get other names.
+# An abstraction's result is not stored: it has one premise and no choice,
+# its types are the Arrow image of its body's, and the body's are stored.
 def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict, avoid=None) -> frozenset:
+    if avoid is None and isinstance(e, (Abs, Let)):
+        avoid = _memo(cache, ctx_names, g) | _memo(cache, free_names, e)
+    if isinstance(e, Abs):
+        g1, body, body_avoid = _under(g, e, avoid)
+        body_tys = _linear_types(g1, body, with_let, cache, body_avoid)
+        return frozenset(Arrow(e.ann, t) for t in body_tys) if body_tys else EMPTY_SET
     key = (g, e)
     cached = cache.get(key)
     if cached is not None:
         return cached
-    if avoid is None and isinstance(e, (Abs, Let)):
-        avoid = _memo(cache, ctx_names, g) | _memo(cache, free_names, e)
-    result: frozenset
+    out = set()
     if isinstance(e, Free):
-        found = []
         for a in dict.fromkeys(elems(g)):
             if isinstance(a, TyAssoc) and a.name == e.name:
                 if any(no_elems(r) for r in select(a, g)):
-                    found.append(a.ty)
-        result = frozenset(found)
+                    out.add(a.ty)
     elif isinstance(e, Bound):
         raise MalformedTermError("term is not locally closed")
     elif isinstance(e, App):
-        out = set()
         for g1, g2 in _memo(cache, splits, g):
             for fn_ty in _linear_types(g1, e.fn, with_let, cache, avoid):
                 if isinstance(fn_ty, Arrow):
                     if fn_ty.dom in _linear_types(g2, e.arg, with_let, cache, avoid):
                         out.add(fn_ty.cod)
-        result = frozenset(out)
-    elif isinstance(e, Abs):
-        g1, body, body_avoid = _under(g, e, avoid)
-        body_tys = _linear_types(g1, body, with_let, cache, body_avoid)
-        result = frozenset(Arrow(e.ann, t) for t in body_tys)
     elif isinstance(e, Let) and with_let:
-        out = set()
         for g1, g2 in _memo(cache, splits, g):
             if e.ann in _linear_types(g1, e.val, with_let, cache, avoid):
                 g3, body, body_avoid = _under(g2, e, avoid)
                 out |= _linear_types(g3, body, with_let, cache, body_avoid)
-        result = frozenset(out)
-    else:
-        result = frozenset()
-    cache[key] = result
+    result = cache[key] = frozenset(out) if out else EMPTY_SET
     return result
 
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs
 from linctx.errors import PreconditionError
-from linctx.suites import gen_terms
+from linctx.suites import _typed_lists, gen_terms
 from linctx.terms import (
+    EMPTY_SET,
+    Abs,
     App,
     Arrow,
     Base,
@@ -19,6 +21,7 @@ from linctx.terms import (
     Let,
     Name,
     TYPE_UNIVERSE,
+    free_names,
     name_pool,
     parse_term,
     print_type,
@@ -26,6 +29,7 @@ from linctx.terms import (
 )
 from linctx.typecheck import (
     Leftover,
+    _linear_types,
     TyAssoc,
     check_judgment,
     linear_type,
@@ -302,6 +306,49 @@ class TestBinderNames:
         assert digest.hexdigest() == (
             "a979cd12a4d94094958d2d9354b072003b3452d7a3a445e3abf6d22244c1bd5c"
         )
+
+
+def equivalence_universe(term_size, ctx_elems, with_let):
+    """The (context, term) pairs of `check_linear_equivalence` at these bounds."""
+    names = name_pool(2)
+    terms = gen_terms(tuple(names), term_size, TYPE_UNIVERSE, with_let)
+    return [(g, e) for g in _typed_lists(names, ctx_elems) for e in terms]
+
+
+class TestRelationalMemo:
+    # The equivalence check keeps one memo for all its pairs; the public
+    # readings start a fresh one per call.
+
+    @pytest.mark.parametrize("with_let", [False, True])
+    def test_memo_keeps_shared_empty_sets_and_no_abstractions(self, with_let):
+        cache: dict = {}
+        for g, e in equivalence_universe(3, 1, with_let):
+            _linear_types(g, e, with_let, cache)
+        assert cache
+        assert all(v is EMPTY_SET for v in cache.values() if not v)
+        # Result keys are (context, term); `_memo` keys start with a function.
+        assert not [k for k in cache if not callable(k[0]) and isinstance(k[1], Abs)]
+
+    def test_empty_results_are_the_shared_set(self):
+        g = assoc_list((N1, I))
+        unused = parse_term("abs i (x\\ n1)", [N1])
+        closed = parse_term("abs i (x\\ x)")
+        assert ltype_types(g, unused) is EMPTY_SET
+        assert mltype_types(g, unused) is EMPTY_SET
+        assert ltype_types(EMPTY, Free(N1)) is EMPTY_SET
+        assert type_of_enum(EMPTY, Free(N1)) is EMPTY_SET
+        assert type_of_enum(g, App(Free(N1), Free(N1))) is EMPTY_SET
+        assert free_names(closed) is EMPTY_SET
+
+    @pytest.mark.parametrize("with_let", [False, True])
+    def test_shared_memo_agrees_with_fresh_memo(self, with_let):
+        # The perfbench `equivalence` bounds.  A result stored for one pair
+        # is read back for another, with binders that may be named apart.
+        cache: dict = {}
+        pairs = equivalence_universe(4, 1, with_let)
+        for g, e in pairs:
+            assert _linear_types(g, e, with_let, cache) == _linear_types(g, e, with_let, {})
+        assert len(pairs) == (31902 if with_let else 17862)
 
 
 class TestJudgments:
