@@ -67,6 +67,19 @@ _BY_CLASS = {
 }
 
 
+def _subterms(value: Any, sort: Optional[str] = None) -> Iterator:
+    """(node, sort of its position) for each node of a value or pattern,
+    parents first and left to right, from an explicit stack; `sort` is
+    the whole term's, and each argument's is read from `_BY_CLASS`."""
+    pending = [(value, sort)]
+    while pending:
+        value, sort = pending.pop()
+        yield value, sort
+        view = _BY_CLASS.get(type(value))
+        if view is not None:
+            pending += reversed(tuple(zip(view[1](value), view[2])))
+
+
 def decompose(value: Any) -> Optional[tuple]:
     """View a value or pattern as a constructor applied to arguments, if it is one."""
     view = _BY_CLASS.get(type(value))
@@ -84,12 +97,8 @@ def value_names(value: Any) -> frozenset:
     """All names occurring anywhere inside a value."""
     names = _VALUE_NAMES.get(value)
     if names is None:
-        if isinstance(value, Name):
-            names = frozenset((value,))
-        else:
-            dec = decompose(value)
-            names = frozenset().union(*map(value_names, dec[1])) if dec else EMPTY_SET
-        # A union of empty sets is a new object; keep the shared one instead.
+        names = frozenset(v for v, _ in _subterms(value) if isinstance(v, Name))
+        # An empty frozenset is a new object; keep the shared one instead.
         names = _VALUE_NAMES[value] = names or EMPTY_SET
     return names
 
@@ -121,6 +130,7 @@ PatTerm = Any  # NablaVar | MetaVar | a `_SIGNATURE` node or `Base` over pattern
 
 def match_pattern(pat: PatTerm, value: Any, binding: dict) -> Optional[dict]:
     """Extend a binding so that the instantiated pattern equals the value."""
+    # Its own walk, not `_subterms`: it runs once per clause binding.
     if isinstance(pat, (NablaVar, MetaVar)):
         if pat in binding:
             return binding if binding[pat] == value else None
@@ -140,6 +150,7 @@ def match_pattern(pat: PatTerm, value: Any, binding: dict) -> Optional[dict]:
 
 
 def instantiate(pat: PatTerm, binding: dict) -> Any:
+    # Its own walk, not `_subterms`: it runs once per clause binding.
     if isinstance(pat, (NablaVar, MetaVar)):
         if pat not in binding:
             raise ShapeError(f"unbound variable {pat.name!r}")
@@ -151,12 +162,7 @@ def instantiate(pat: PatTerm, binding: dict) -> Any:
 
 
 def pattern_vars(pat: PatTerm) -> frozenset:
-    if isinstance(pat, (NablaVar, MetaVar)):
-        return frozenset((pat.name,))
-    out = frozenset()
-    for a in decompose(pat)[1]:
-        out |= pattern_vars(a)
-    return out
+    return frozenset(p.name for p, _ in _subterms(pat) if isinstance(p, (NablaVar, MetaVar)))
 
 
 def render_pattern(pat: PatTerm) -> str:
@@ -540,21 +546,18 @@ def align_mset(
     elements and together they satisfy the list-form predicate.
 
     The predicate depends only on each context's multiset of entries, so
-    each context is flattened once and the search runs on the entry rows.
-    Answers are memoised under the context tuple and under each row tuple
-    the search reaches.  The memo lives for one call, or for one check
-    when the check hands the same `_memo` dict to each of its calls; the
-    spec and the freshness setting must be the same across those calls.
+    the search runs on the entry rows, each context's kept flattening.
+    Answers are memoised under each row tuple the search reaches.  The
+    memo lives for one call, or for one check when the check hands the
+    same `_memo` dict to each of its calls; the spec and the freshness
+    setting must be the same across those calls.
     """
     if len(contexts) != spec.arity:
         raise PreconditionError(f"expected {spec.arity} contexts, got {len(contexts)}")
-    memo = {} if _memo is None else _memo
-    key = tuple(contexts)
-    if key not in memo:
-        rows = tuple(elems(g) for g in key)
-        same_length = len({len(row) for row in rows}) == 1
-        memo[key] = _align_rows(spec, rows, enforce_freshness, memo) if same_length else None
-    return memo[key]
+    rows = tuple(elems(g) for g in contexts)
+    if len({len(row) for row in rows}) != 1:
+        return None
+    return _align_rows(spec, rows, enforce_freshness, {} if _memo is None else _memo)
 
 
 def _align_rows(spec: ContextSpec, rows: tuple, enforce: bool, memo: dict) -> Optional[tuple]:
@@ -760,14 +763,9 @@ def _record_sorts(pat: PatTerm, sort: Optional[str], sorts: dict) -> None:
     `sort` is the sort of the whole pattern, None when unknown.  The first
     sort recorded for a variable name wins.
     """
-    if isinstance(pat, (MetaVar, NablaVar)):
-        if sort is not None:
-            sorts.setdefault(pat.name, sort)
-        return
-    view = _BY_CLASS.get(type(pat))
-    if view is not None:
-        for a, s in zip(view[1](pat), view[2]):
-            _record_sorts(a, s, sorts)
+    for p, s in _subterms(pat, sort):
+        if isinstance(p, (MetaVar, NablaVar)) and s is not None:
+            sorts.setdefault(p.name, s)
 
 
 def check_lemma_arity(spec: ContextSpec, stmt: LemmaStmt) -> None:
@@ -815,18 +813,10 @@ def _value_sort(value: Any) -> str:
 def _collect_by_sort(contexts: Sequence[Ctx]) -> dict:
     """Candidate witness values occurring in the given contexts, by sort."""
     found: dict = {}
-
-    def add(value: Any) -> None:
-        bucket = found.setdefault(_value_sort(value), {})
-        bucket.setdefault(value, None)
-        dec = decompose(value)
-        if dec is not None:
-            for arg in dec[1]:
-                add(arg)
-
     for g in contexts:
         for entry in elems(g):
-            add(entry)
+            for value, _ in _subterms(entry):
+                found.setdefault(_value_sort(value), {}).setdefault(value, None)
     return {sort: list(bucket) for sort, bucket in found.items()}
 
 

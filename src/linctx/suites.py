@@ -48,6 +48,8 @@ from .terms import (
     Name,
     TYPE_UNIVERSE,
     name_pool,
+    print_term,
+    print_type,
     term_size,
 )
 from .translate import (
@@ -393,7 +395,7 @@ def check_ty_ctx_mem(bounds: GenBounds, universe: Callable, holds: Callable):
     for g in filter(holds, universe(bounds)):
         for entry in elems(g):
             yield not (isinstance(entry, TyAssoc) and isinstance(entry.name, Name)) and (
-                f"bad member {entry!r} in {print_ctx(g, render_value)}"
+                f"bad member {render_value(entry)} in {print_ctx(g, render_value)}"
             )
 
 
@@ -556,7 +558,7 @@ def check_ty_uniq(bounds: GenBounds):
         for e in terms:
             derivable = type_of_enum(l, e)
             yield len(derivable) > 1 and (
-                f"{len(derivable)} types for {e!r} under {print_ctx(l, render_value)}"
+                f"{len(derivable)} types for {print_term(e)} under {print_ctx(l, render_value)}"
             )
 
 
@@ -614,8 +616,8 @@ def check_linear_equivalence(bounds: GenBounds, with_let: bool):
             algo = checker(g, e)
             agree = len(relational) == 1 and algo in relational if algo else not relational
             yield not agree and (
-                f"disagreement on {e!r} under {print_ctx(g, render_value)}: "
-                f"relational {sorted(map(str, relational))}, checker {algo}"
+                f"disagreement on {print_term(e)} under {print_ctx(g, render_value)}: "
+                f"relational {sorted(map(print_type, relational))}, checker {render_value(algo)}"
             )
 
 
@@ -808,18 +810,19 @@ def check_ltrans_pres_ty(bounds: GenBounds):
         for e, src_ty in typed[key]:
             if confirm and (checked := ml_type(l1, e)) != src_ty:
                 yield (
-                    f"source type not confirmed for {e!r}: enumerated {src_ty}, "
-                    f"checker {checked}; {_render_triple((l1, l2, l3))}"
+                    f"source type not confirmed for {print_term(e)}: enumerated "
+                    f"{print_type(src_ty)}, checker {render_value(checked)}; "
+                    f"{_render_triple((l1, l2, l3))}"
                 )
             translated = translate(l2, e)
             dst_ty = linear_type(l3, translated)
             if dst_ty != src_ty:
                 yield (
-                    f"type not preserved for {e!r}: source {src_ty}, target {dst_ty}; "
-                    f"{_render_triple((l1, l2, l3))}"
+                    f"type not preserved for {print_term(e)}: source {print_type(src_ty)}, "
+                    f"target {render_value(dst_ty)}; {_render_triple((l1, l2, l3))}"
                 )
             yield term_size(e) <= 3 and not ltrans_rel(l2, e, translated) and (
-                f"function output not in the relation for {e!r}"
+                f"function output not in the relation for {print_term(e)}"
             )
 
 

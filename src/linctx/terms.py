@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Union as TyUnion
+from typing import Callable, Iterable, Iterator, Union as TyUnion
 
 from .errors import MalformedTermError, SyntaxError_, UnboundIdentifierError
 from .lex import TokenStream
@@ -132,11 +132,12 @@ Tm = TyUnion[Free, Bound, App, Abs, Let]
 EMPTY_SET: frozenset = frozenset()
 
 
-def closed_free_names(t: Tm, depth: int = 0) -> frozenset | None:
-    """The free names of t, or None when a bound index escapes its binders
-    and `depth` enclosing ones.  One walk, from an explicit stack."""
+def closed_free_names(t: Tm) -> frozenset | None:
+    """The free names of t, or None when a bound index escapes its binders.
+    One walk, from an explicit stack."""
+    # Its own loop, not `_nodes`: it runs once per equivalence pair, where a generator is slower.
     names = set()
-    pending = [(t, depth)]
+    pending = [(t, 0)]
     while pending:
         t, depth = pending.pop()
         if isinstance(t, Free):
@@ -151,6 +152,45 @@ def closed_free_names(t: Tm, depth: int = 0) -> frozenset | None:
         elif isinstance(t, Let):
             pending += ((t.body, depth + 1), (t.val, depth))
     return frozenset(names) if names else EMPTY_SET
+
+
+def _nodes(t: Tm) -> Iterator:
+    """Each node of a term, parents first, left to right, from an explicit stack."""
+    pending = [t]
+    while pending:
+        t = pending.pop()
+        yield t
+        if isinstance(t, App):
+            pending += (t.arg, t.fn)
+        elif isinstance(t, Abs):
+            pending.append(t.body)
+        elif isinstance(t, Let):
+            pending += (t.body, t.val)
+
+
+def _rebuild(t: Tm, leaf: Callable) -> Tm:
+    """t with each leaf replaced by `leaf(node, depth)`, depth counting the
+    binders above it.  The leaves are visited left to right, from an
+    explicit stack that holds each inner node again, with depth None,
+    under its children."""
+    done: list = []
+    pending: list = [(t, 0)]
+    while pending:
+        t, depth = pending.pop()
+        if depth is None:  # t's rebuilt children are the last results
+            k = 1 if isinstance(t, Abs) else 2
+            kids = done[-k:]
+            del done[-k:]
+            done.append(App(*kids) if isinstance(t, App) else type(t)(t.ann, *kids))
+        elif isinstance(t, App):
+            pending += ((t, None), (t.arg, depth), (t.fn, depth))
+        elif isinstance(t, Abs):
+            pending += ((t, None), (t.body, depth + 1))
+        elif isinstance(t, Let):
+            pending += ((t, None), (t.body, depth + 1), (t.val, depth))
+        else:
+            done.append(leaf(t, depth))
+    return done[0]
 
 
 # open_term's results, keyed on (body, name); it lives as long as the
@@ -171,91 +211,35 @@ def open_term(body: Tm, n: Name) -> Tm:
 
 
 def _open(body: Tm, n: Name) -> Tm:
-    def go(t: Tm, depth: int) -> Tm:
-        if isinstance(t, Bound):
-            if t.index == depth:
-                return Free(n)
-            if t.index > depth:
-                raise MalformedTermError(f"unbound index {t.index} at depth {depth}")
+    def leaf(t: Tm, depth: int) -> Tm:
+        if not isinstance(t, Bound) or t.index < depth:
             return t
-        if isinstance(t, App):
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if isinstance(t, Abs):
-            return Abs(t.ann, go(t.body, depth + 1))
-        if isinstance(t, Let):
-            return Let(t.ann, go(t.val, depth), go(t.body, depth + 1))
-        return t
+        if t.index > depth:
+            raise MalformedTermError(f"unbound index {t.index} at depth {depth}")
+        return Free(n)
 
-    return go(body, 0)
+    return _rebuild(body, leaf)
 
 
 def close_term(t: Tm, n: Name) -> Tm:
     """Abstract a free name back into a binder body (inverse of open_term)."""
-
-    def go(t: Tm, depth: int) -> Tm:
-        if isinstance(t, Free):
-            return Bound(depth) if t.name == n else t
-        if isinstance(t, Bound):
-            return t
-        if isinstance(t, App):
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if isinstance(t, Abs):
-            return Abs(t.ann, go(t.body, depth + 1))
-        if isinstance(t, Let):
-            return Let(t.ann, go(t.val, depth), go(t.body, depth + 1))
-        return t
-
-    return go(t, 0)
+    free = Free(n)
+    return _rebuild(t, lambda u, depth: Bound(depth) if u is free else u)
 
 
 def free_names(t: Tm) -> frozenset:
     """The set of names occurring free in a term."""
-    names = set()
-    pending = [t]
-    while pending:
-        t = pending.pop()
-        if isinstance(t, Free):
-            names.add(t.name)
-        elif isinstance(t, App):
-            pending += (t.arg, t.fn)
-        elif isinstance(t, Abs):
-            pending.append(t.body)
-        elif isinstance(t, Let):
-            pending += (t.body, t.val)
-    return frozenset(names) if names else EMPTY_SET
+    return frozenset(u.name for u in _nodes(t) if isinstance(u, Free)) or EMPTY_SET
 
 
 def free_counts(t: Tm) -> Counter:
     """How many times each name occurs free in a term."""
-    counts: Counter = Counter()
-    pending = [t]
-    while pending:
-        t = pending.pop()
-        if isinstance(t, Free):
-            counts[t.name] += 1
-        elif isinstance(t, App):
-            pending += (t.arg, t.fn)
-        elif isinstance(t, Abs):
-            pending.append(t.body)
-        elif isinstance(t, Let):
-            pending += (t.body, t.val)
-    return counts
+    return Counter(u.name for u in _nodes(t) if isinstance(u, Free))
 
 
 def term_size(t: Tm) -> int:
     """Number of term constructors."""
-    size = 0
-    pending = [t]
-    while pending:
-        t = pending.pop()
-        size += 1
-        if isinstance(t, App):
-            pending += (t.arg, t.fn)
-        elif isinstance(t, Abs):
-            pending.append(t.body)
-        elif isinstance(t, Let):
-            pending += (t.body, t.val)
-    return size
+    return sum(1 for _ in _nodes(t))
 
 
 def type_universe(base_labels: Iterable[str] = ("i", "o"), depth: int = 2) -> list:

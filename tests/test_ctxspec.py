@@ -546,6 +546,36 @@ class TestGeneration:
             assert value_names(value) == _names_of(value)  # kept
 
 
+class TestDeepElementTerms:
+    """The element-term and pattern walkers take a 5,000-deep arrow nest."""
+
+    DEPTH = 5000
+
+    def test_values(self, monkeypatch):
+        deep = I
+        for _ in range(self.DEPTH):
+            deep = Arrow(O, deep)
+        entry = TyAssoc(N1, deep)
+        monkeypatch.setattr(ctxspec, "_VALUE_NAMES", {})
+        assert value_names(deep) is ctxspec.EMPTY_SET
+        assert value_names(entry) == {N1}
+        pools = ctxspec._collect_by_sort([from_list([entry])])
+        assert pools["ty_assoc"] == [entry] and pools["name"] == [N1]
+        # Parents first, left to right: the nest, O, the next arrow, ..., I.
+        assert pools["ty"][:3] == [deep, O, deep.cod] and pools["ty"][-1] is I
+        assert len(pools["ty"]) == self.DEPTH + 2
+
+    def test_patterns(self):
+        pat = MetaVar("T0")
+        for k in range(1, self.DEPTH + 1):
+            pat = Arrow(MetaVar(f"T{k}"), pat)
+        names = {f"T{k}" for k in range(self.DEPTH + 1)}
+        assert ctxspec.pattern_vars(TyAssoc(NablaVar("x"), pat)) == names | {"x"}
+        sorts = {"T7": "name"}  # the first sort recorded wins
+        ctxspec._record_sorts(TyAssoc(NablaVar("x"), pat), "ty_assoc", sorts)
+        assert sorts == {"x": "name", "T7": "name"} | dict.fromkeys(names - {"T7"}, "ty")
+
+
 def _fixture_universes():
     """(spec, ctx_elems, enforce, form, generator) for each fixture spec at
     ctx_elems 1-3 (1-2 above arity 1), with freshness on and off."""

@@ -1,9 +1,10 @@
-"""Every top-level function and class of the package is reached from code
-outside the tests.
+"""Every top-level function and class of the package, and every method
+without dunder name, is reached from code outside the tests.
 
 A definition in `src/linctx` counts as reached when its name occurs
 outside its own definition: in a module of the package, in `perfbench/`
-or in `tools/`.  An occurrence is a name or an attribute in the code, or
+or in `tools/`.  A method is named `Class.method` here; it is reached
+through an attribute of its name.  An occurrence is a name or an attribute in the code, or
 a string that is a dotted path such as perfbench's `"ctxspec.align_mset"`;
 comments, docstrings and import lines do not count.  `__init__.py` is left
 out on both sides, since re-exporting a name reaches nothing.  A name that
@@ -26,14 +27,19 @@ TEST_ONLY = {
     "parse_type": "the entry point of the type syntax",
     "parse_lemma": "the entry point for one Lemma command",
     "render_lemma": "prints a lemma in the syntax that parse_lemma reads back",
+    "DistrLemma.render": "prints a generated lemma in its Theorem form, which "
+    "TestDistributivity pins",
 }
 
 
-def _names(node: ast.AST) -> set:
+def _names(node: ast.AST, skip: ast.AST | None = None) -> set:
+    """The names `node` uses, outside the subtree `skip`."""
     found = set()
     stack = [node]
     while stack:
         node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -45,29 +51,26 @@ def _names(node: ast.AST) -> set:
     return found
 
 
-def _top_level(path: Path) -> list:
-    """(definition name or None, names the statement uses) per top-level statement."""
-    out = []
-    for stmt in ast.parse(path.read_text()).body:
-        defined = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-        out.append((defined, _names(stmt)))
-    return out
-
-
 def _unreached() -> list:
-    statements = {path: _top_level(path) for path in USERS}
+    trees = {path: ast.parse(path.read_text()).body for path in USERS}
+    statements = {path: [_names(stmt) for stmt in trees[path]] for path in USERS}
     unreached = []
     for module in MODULES:
         elsewhere = set().union(
-            *(names for path in USERS if path != module for _, names in statements[path])
+            *(names for path in USERS if path != module for names in statements[path])
         )
         own = statements[module]
-        for k, (defined, _) in enumerate(own):
-            if defined is None:
+        for k, stmt in enumerate(trees[module]):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            named = elsewhere.union(*(names for j, (_, names) in enumerate(own) if j != k))
-            if defined not in named:
-                unreached.append(defined)
+            named = elsewhere.union(*(names for j, names in enumerate(own) if j != k))
+            if stmt.name not in named:
+                unreached.append(stmt.name)
+            methods = stmt.body if isinstance(stmt, ast.ClassDef) else ()
+            for method in methods:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    if method.name not in named | _names(stmt, skip=method):
+                        unreached.append(f"{stmt.name}.{method.name}")
     return unreached
 
 

@@ -90,7 +90,7 @@ class TestOpenClose:
     def test_open_preserves_local_closure(self):
         body = App(Bound(0), Abs(I, App(Bound(0), Bound(1))))
         assert closed_free_names(body) is None
-        assert closed_free_names(body, depth=1) == frozenset()
+        assert closed_free_names(Abs(I, body)) == frozenset()
         assert closed_free_names(open_term(body, Name("n"))) == {Name("n")}
 
     def test_close_inverts_open(self):
@@ -124,7 +124,7 @@ class TestFreeNames:
         t = Let(I, Free(n1), Abs(I, App(Bound(0), Bound(1))))
         assert closed_free_names(t) == {n1}
         assert closed_free_names(Abs(I, Bound(1))) is None
-        assert closed_free_names(Bound(0), depth=1) == frozenset()
+        assert closed_free_names(Abs(I, Bound(0))) == frozenset()
         for t in gen_terms(FREES, 4, (I,), True):
             assert closed_free_names(t) == free_names(t)
 
@@ -145,6 +145,23 @@ class TestFreeNames:
         assert free_counts(closed) == {c: 2501}
         assert term_size(closed) == 7503
         assert term_size(escaping) == 7501
+
+    def test_open_close_deep_binder_chain(self):
+        # 5,000 nested binders under the opened one; the innermost index
+        # reaches past all of them to it or, one higher, escapes.
+        c, n = Name("c", 1), Name("q")
+        body, escaping, opened = App(Bound(5000), Free(c)), Bound(5001), App(Free(n), Free(c))
+        for k in range(5000):
+            wrap = (lambda t: Abs(I, t)) if k % 2 else (lambda t: Let(I, Free(c), t))
+            body, escaping, opened = wrap(body), wrap(escaping), wrap(opened)
+        assert open_term(body, n) is opened
+        assert close_term(opened, n) is body
+        with pytest.raises(MalformedTermError, match="unbound index 5001 at depth 5000"):
+            open_term(escaping, n)
+
+    def test_open_reports_first_escaping_index(self):
+        with pytest.raises(MalformedTermError, match="unbound index 2 at depth 0"):
+            open_term(App(Bound(2), Let(I, Bound(3), Bound(0))), Name("n"))
 
     def test_counts_deep(self):
         n = Name("n")
