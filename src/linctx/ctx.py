@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .errors import PreconditionError
 from .lex import TokenStream
-from .terms import Interned
+from .terms import Interned, emit
 
 
 class Ctx(Interned):
@@ -32,22 +32,15 @@ class Ctx(Interned):
     __slots__ = ("_elems", "_class")
 
     def __repr__(self) -> str:
-        # Written from a stack of the nodes and literal text still to write,
-        # last first, so deep contexts need no recursion.
-        out, pending = [], [self]
-        while pending:
-            g = pending.pop()
-            if isinstance(g, str):
-                out.append(g)
-            elif isinstance(g, Cons):
-                out.append(f"Cons({g.head!r}, ")
-                pending += (")", g.tail)
-            elif isinstance(g, Union):
-                out.append("Union(")
-                pending += (")", g.right, ", ", g.left)
-            else:
-                out.append("Empty()")
-        return "".join(out)
+        return emit(self, _repr_parts)
+
+
+def _repr_parts(g: Ctx) -> tuple:
+    if isinstance(g, Cons):
+        return (f"Cons({g.head!r}, ", g.tail, ")")
+    if isinstance(g, Union):
+        return ("Union(", g.left, ", ", g.right, ")")
+    return ("Empty()",)
 
 
 class Empty(Ctx):
@@ -498,28 +491,22 @@ def _parse_list_tail(ts: TokenStream, parse_elem: Callable[[TokenStream], Any]) 
     return from_list(items)
 
 
-def print_ctx(g: Ctx, print_elem: Callable[[Any], str] = str) -> str:
+def print_ctx(g: Ctx) -> str:
+    """The context literal syntax of g, each element written with `str`."""
+    return emit(g, _ctx_parts)
+
+
+def _ctx_parts(g: Ctx) -> tuple:
     # A list prints as `[a, b]`, a cons chain over a union as `a :: (..)`,
-    # and a union's left operand is parenthesized when it is a union.  The
-    # stack holds the nodes and the literal text still to print, last
-    # first, so deep contexts need no recursion.
-    out = []
-    pending: list = [g]
-    while pending:
-        g = pending.pop()
-        if isinstance(g, str):
-            out.append(g)
-            continue
-        heads = []
-        while isinstance(g, Cons):
-            heads.append(print_elem(g.head))
-            g = g.tail
-        if isinstance(g, Empty):
-            out.append("[" + ", ".join(heads) + "]" if heads else "nil")
-        elif heads:
-            out.append(" :: ".join(heads) + " :: (")
-            pending += (")", g)
-        else:
-            pending += (g.right, " ++ ")
-            pending += (")", g.left, "(") if isinstance(g.left, Union) else (g.left,)
-    return "".join(out)
+    # and a union's left operand is parenthesized when it is a union.
+    heads = []
+    while isinstance(g, Cons):
+        heads.append(str(g.head))
+        g = g.tail
+    if isinstance(g, Empty):
+        return ("[" + ", ".join(heads) + "]" if heads else "nil",)
+    if heads:
+        return (" :: ".join(heads) + " :: (", g, ")")
+    if isinstance(g.left, Union):
+        return ("(", g.left, ") ++ ", g.right)
+    return (g.left, " ++ ", g.right)

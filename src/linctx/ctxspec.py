@@ -40,7 +40,7 @@ from .ctx import (
 from .errors import PreconditionError, ShapeError, SyntaxError_
 from .lex import Token, TokenStream
 from .report import GenBounds, counted
-from .terms import EMPTY_SET, TYPE_UNIVERSE, Arrow, Base, Interned, Name, fresh, name_pool, node_dataclass, print_type
+from .terms import EMPTY_SET, TYPE_UNIVERSE, Arrow, Base, Interned, Name, emit, fresh, name_pool, node_dataclass
 from .typecheck import TyAssoc, VarAssoc
 
 
@@ -103,13 +103,6 @@ def value_names(value: Any) -> frozenset:
     return names
 
 
-def render_value(value: Any) -> str:
-    """Surface rendering, replayable by the corresponding parsers."""
-    if isinstance(value, (Base, Arrow)):
-        return print_type(value)
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # Patterns and side formulas.
 # ---------------------------------------------------------------------------
@@ -166,12 +159,17 @@ def pattern_vars(pat: PatTerm) -> frozenset:
 
 
 def render_pattern(pat: PatTerm) -> str:
+    return emit(pat, _pattern_parts)
+
+
+def _pattern_parts(pat: PatTerm) -> list:
     if isinstance(pat, (NablaVar, MetaVar)):
-        return pat.name
+        return [pat.name]
     ctor, args = decompose(pat)
-    if not args:
-        return ctor
-    return f"{ctor} " + " ".join(_render_pattern_atom(a) for a in args)
+    pieces = [ctor]
+    for arg in args:  # a compound argument is parenthesised
+        pieces += (" (", arg, ")") if type(arg) in _BY_CLASS else (" ", arg)
+    return pieces
 
 
 def _render_pattern_atom(pat: PatTerm) -> str:
@@ -853,15 +851,11 @@ def _lemma_candidates(sorts: dict, contexts: Sequence[Ctx]) -> Callable:
 
 
 def render_contexts(ctx_vars: Sequence[str], contexts: Sequence[Ctx]) -> str:
-    return "; ".join(
-        f"{v} = {print_ctx(g, render_value)}" for v, g in zip(ctx_vars, contexts)
-    )
+    return "; ".join(f"{v} = {print_ctx(g)}" for v, g in zip(ctx_vars, contexts))
 
 
 def _render_binding(binding: dict) -> str:
-    items = sorted(
-        (key.name, render_value(val)) for key, val in binding.items()
-    )
+    items = sorted((key.name, str(val)) for key, val in binding.items())
     return ", ".join(f"{k} = {v}" for k, v in items)
 
 
@@ -1251,10 +1245,7 @@ def check_distr_instances(
                 spec, aligned, index0, first, second, enforce_freshness
             ) is None:
                 gvars = [f"G{j}" for j in range(1, spec.arity + 1)]
-                split_desc = (
-                    f"G{index} ~ {print_ctx(first, render_value)}"
-                    f" ++ {print_ctx(second, render_value)}"
-                )
+                split_desc = f"G{index} ~ {print_ctx(first)} ++ {print_ctx(second)}"
                 yield f"{render_contexts(gvars, contexts)}; {split_desc}"
             passed.add(key)
             yield None
@@ -1307,7 +1298,7 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
                 value = instantiate(hyp.term, binding)
                 if not mem_transport(value, contexts[hyp.index], lists[hyp.index]):
                     yield (
-                        f"hypothesis transport failed for {render_value(value)}"
+                        f"hypothesis transport failed for {value}"
                         f" in {render_contexts(lifted.ctx_vars, contexts)}"
                     )
             witness = _lemma_witness(stmt, lists, binding, candidates)
@@ -1318,7 +1309,7 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
                     value = instantiate(f.term, witness)
                     if not mem_transport(value, lists[f.index], contexts[f.index]):
                         yield (
-                            f"conclusion transport failed for {render_value(value)}"
+                            f"conclusion transport failed for {value}"
                             f" in {render_contexts(lifted.ctx_vars, contexts)}"
                         )
             yield None

@@ -35,7 +35,7 @@ from .ctx import (
     sel_transport,
     splits,
 )
-from .ctxspec import check_distr_instances, render_contexts, render_value
+from .ctxspec import check_distr_instances, render_contexts
 from .report import GenBounds, counted, run_checks
 from .terms import (
     Abs,
@@ -49,7 +49,6 @@ from .terms import (
     TYPE_UNIVERSE,
     name_pool,
     print_term,
-    print_type,
     term_size,
 )
 from .translate import (
@@ -349,9 +348,8 @@ def check_partition_count(max_elems: int = 4):
     """A list of n elements has exactly 2**n ordered partitions."""
     for k in range(max_elems + 1):
         for items in itertools.product(_POOL, repeat=k):
-            yield len(partition_list(from_list(items))) != 2 ** k and (
-                f"wrong count for {list(items)}"
-            )
+            l = from_list(items)
+            yield len(partition_list(l)) != 2 ** k and f"wrong count for {print_ctx(l)}"
 
 
 def core_lemma_suite(max_elems: int = 4, max_depth: int = 3, jobs: int = 1) -> list:
@@ -395,7 +393,7 @@ def check_ty_ctx_mem(bounds: GenBounds, universe: Callable, holds: Callable):
     for g in filter(holds, universe(bounds)):
         for entry in elems(g):
             yield not (isinstance(entry, TyAssoc) and isinstance(entry.name, Name)) and (
-                f"bad member {render_value(entry)} in {print_ctx(g, render_value)}"
+                f"bad member {entry} in {print_ctx(g)}"
             )
 
 
@@ -409,7 +407,7 @@ def check_ty_ctx_uniq(bounds: GenBounds, universe: Callable, holds: Callable):
             for b in entries:
                 if a.name == b.name:
                     yield a.ty != b.ty and (
-                        f"two types for {a.name} in {print_ctx(g, render_value)}"
+                        f"two types for {a.name} in {print_ctx(g)}"
                     )
 
 
@@ -558,7 +556,7 @@ def check_ty_uniq(bounds: GenBounds):
         for e in terms:
             derivable = type_of_enum(l, e)
             yield len(derivable) > 1 and (
-                f"{len(derivable)} types for {print_term(e)} under {print_ctx(l, render_value)}"
+                f"{len(derivable)} types for {print_term(e)} under {print_ctx(l)}"
             )
 
 
@@ -572,7 +570,7 @@ def check_ty_ctx_distr(bounds: GenBounds, universe: Callable, holds: Callable, s
     """
     for g in filter(holds, universe(bounds)):
         for g1, g2 in split(g):
-            yield not (holds(g1) and holds(g2)) and f"split of {print_ctx(g, render_value)} failed"
+            yield not (holds(g1) and holds(g2)) and f"split of {print_ctx(g)} failed"
 
 
 def typing_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
@@ -616,8 +614,8 @@ def check_linear_equivalence(bounds: GenBounds, with_let: bool):
             algo = checker(g, e)
             agree = len(relational) == 1 and algo in relational if algo else not relational
             yield not agree and (
-                f"disagreement on {print_term(e)} under {print_ctx(g, render_value)}: "
-                f"relational {sorted(map(print_type, relational))}, checker {render_value(algo)}"
+                f"disagreement on {print_term(e)} under {print_ctx(g)}: "
+                f"relational {{{', '.join(sorted(map(str, relational)))}}}, checker {algo}"
             )
 
 
@@ -811,15 +809,14 @@ def check_ltrans_pres_ty(bounds: GenBounds):
             if confirm and (checked := ml_type(l1, e)) != src_ty:
                 yield (
                     f"source type not confirmed for {print_term(e)}: enumerated "
-                    f"{print_type(src_ty)}, checker {render_value(checked)}; "
-                    f"{_render_triple((l1, l2, l3))}"
+                    f"{src_ty}, checker {checked}; {_render_triple((l1, l2, l3))}"
                 )
             translated = translate(l2, e)
             dst_ty = linear_type(l3, translated)
             if dst_ty != src_ty:
                 yield (
-                    f"type not preserved for {print_term(e)}: source {print_type(src_ty)}, "
-                    f"target {render_value(dst_ty)}; {_render_triple((l1, l2, l3))}"
+                    f"type not preserved for {print_term(e)}: source {src_ty}, "
+                    f"target {dst_ty}; {_render_triple((l1, l2, l3))}"
                 )
             yield term_size(e) <= 3 and not ltrans_rel(l2, e, translated) and (
                 f"function output not in the relation for {print_term(e)}"

@@ -86,11 +86,17 @@ def fresh(avoid: Iterable[Name]) -> Name:
 class Base(Interned):
     label: str
 
+    def __str__(self) -> str:
+        return print_type(self)
+
 
 @node_dataclass
 class Arrow(Interned):
     dom: "Ty"
     cod: "Ty"
+
+    def __str__(self) -> str:
+        return print_type(self)
 
 
 Ty = TyUnion[Base, Arrow]
@@ -324,22 +330,32 @@ def _parse_type_atom(ts: TokenStream) -> Ty:
     return Base(ts.eat_ident().text)
 
 
-def print_type(ty: Ty) -> str:
-    # An arrow's domain is parenthesized when it is an arrow.  The stack
-    # holds the types and the literal text still to print, last first, so
-    # deep types need no recursion.
+def emit(root, parts: Callable) -> str:
+    """The text of `root`.  A string piece is output text; any other piece
+    is an item that `parts(item)` expands into its own pieces, in order.
+    The pieces wait on one explicit stack, so deep items need no recursion."""
     out = []
-    pending: list = [ty]
+    pending = [root]
     while pending:
-        ty = pending.pop()
-        if isinstance(ty, str):
-            out.append(ty)
-        elif isinstance(ty, Base):
-            out.append(ty.label)
+        piece = pending.pop()
+        if isinstance(piece, str):
+            out.append(piece)
         else:
-            pending += (ty.cod, " -> ")
-            pending += (")", ty.dom, "(") if isinstance(ty.dom, Arrow) else (ty.dom,)
+            pending += reversed(parts(piece))
     return "".join(out)
+
+
+def print_type(ty: Ty) -> str:
+    return emit(ty, _type_parts)
+
+
+def _type_parts(ty: Ty) -> tuple:
+    # An arrow's domain is parenthesized when it is an arrow.
+    if isinstance(ty, Base):
+        return (ty.label,)
+    if isinstance(ty.dom, Arrow):
+        return ("(", ty.dom, ") -> ", ty.cod)
+    return (ty.dom, " -> ", ty.cod)
 
 
 def _print_type_atom(ty: Ty) -> str:
@@ -415,38 +431,42 @@ _BINDER_STEMS = ("x", "y", "z", "u", "v", "w")
 
 
 def print_term(t: Tm) -> str:
+    # The items are (term, depth) pairs, depth counting the binders above.
     taken = {str(n) for n in free_names(t)}
+    binders: list = []  # the binder name at each depth, outermost first
 
-    def pick_binder(env: list) -> str:
-        depth = len(env)
-        stem = _BINDER_STEMS[depth % len(_BINDER_STEMS)]
-        suffix = depth // len(_BINDER_STEMS)
-        candidate = stem if suffix == 0 else f"{stem}{suffix}"
-        while candidate in taken or candidate in env:
-            suffix += 1
-            candidate = f"{stem}{suffix}"
-        return candidate
+    def atom(t: Tm, depth: int) -> tuple:
+        # A term in argument position is parenthesized unless it is a variable.
+        return ((t, depth),) if isinstance(t, (Free, Bound)) else ("(", (t, depth), ")")
 
-    def go(t: Tm, env: list) -> str:
+    def scope(body: Tm, depth: int) -> tuple:
+        # A binder's name depends on its depth alone, so each depth's is
+        # picked once, avoiding the free names and the binders above it.
+        if depth == len(binders):
+            stem = _BINDER_STEMS[depth % len(_BINDER_STEMS)]
+            suffix = depth // len(_BINDER_STEMS)
+            candidate = stem if suffix == 0 else f"{stem}{suffix}"
+            while candidate in taken:
+                suffix += 1
+                candidate = f"{stem}{suffix}"
+            taken.add(candidate)
+            binders.append(candidate)
+        return (f" ({binders[depth]}\\ ", (body, depth + 1), ")")
+
+    def parts(item: tuple) -> tuple:
+        t, depth = item
         if isinstance(t, Free):
-            return str(t.name)
+            return (str(t.name),)
         if isinstance(t, Bound):
-            return env[t.index]
+            if not 0 <= t.index < depth:
+                raise MalformedTermError(f"unbound index {t.index} at depth {depth}")
+            return (binders[depth - 1 - t.index],)
         if isinstance(t, App):
-            return f"app {atom(t.fn, env)} {atom(t.arg, env)}"
+            return ("app ", *atom(t.fn, depth), " ", *atom(t.arg, depth))
         if isinstance(t, Abs):
-            var = pick_binder(env)
-            return f"abs {_print_type_atom(t.ann)} ({var}\\ {go(t.body, [var] + env)})"
+            return (f"abs {_print_type_atom(t.ann)}", *scope(t.body, depth))
         if isinstance(t, Let):
-            var = pick_binder(env)
-            return (
-                f"let {_print_type_atom(t.ann)} {atom(t.val, env)}"
-                f" ({var}\\ {go(t.body, [var] + env)})"
-            )
+            return (f"let {_print_type_atom(t.ann)} ", *atom(t.val, depth), *scope(t.body, depth))
         raise MalformedTermError(f"cannot print {t!r}")
 
-    def atom(t: Tm, env: list) -> str:
-        s = go(t, env)
-        return s if isinstance(t, (Free, Bound)) else f"({s})"
-
-    return go(t, [])
+    return emit((t, 0), parts)

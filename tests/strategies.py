@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from linctx.ctx import Cons, Union, from_list
-from linctx.terms import Abs, App, Arrow, Bound, Free, Let, close_term, term_size
+from linctx.terms import Abs, App, Arrow, Base, Bound, Free, Let, close_term, term_size
 from linctx.typecheck import TyAssoc
 
 
@@ -21,6 +21,12 @@ def shaped(draw, items, max_depth):
     for x in reversed(items[:j]):
         g = Cons(x, g)
     return g
+
+
+# A simple type over the bases i and o, of any arrow nesting on either side.
+types = st.recursive(
+    st.sampled_from((Base("i"), Base("o"))), lambda inner: st.builds(Arrow, inner, inner)
+)
 
 
 @st.composite

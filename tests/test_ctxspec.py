@@ -36,7 +36,6 @@ from linctx.ctxspec import (
     parse_spec_file,
     render_contexts,
     render_lemma,
-    render_value,
     value_names,
     verify_lemma_cases,
 )
@@ -369,7 +368,7 @@ class TestMsetSemantics:
 def _render_alignment(aligned):
     if aligned is None:
         return "None"
-    return " | ".join(", ".join(render_value(e) for e in row) for row in aligned)
+    return " | ".join(", ".join(map(str, row)) for row in aligned)
 
 
 class TestAlignment:
@@ -564,6 +563,7 @@ class TestDeepElementTerms:
         # Parents first, left to right: the nest, O, the next arrow, ..., I.
         assert pools["ty"][:3] == [deep, O, deep.cod] and pools["ty"][-1] is I
         assert len(pools["ty"]) == self.DEPTH + 2
+        assert str(entry) == f"ty_of {N1} (" + "o -> " * self.DEPTH + "i)"
 
     def test_patterns(self):
         pat = MetaVar("T0")
@@ -574,6 +574,14 @@ class TestDeepElementTerms:
         sorts = {"T7": "name"}  # the first sort recorded wins
         ctxspec._record_sorts(TyAssoc(NablaVar("x"), pat), "ty_assoc", sorts)
         assert sorts == {"x": "name", "T7": "name"} | dict.fromkeys(names - {"T7"}, "ty")
+
+    def test_render_pattern(self):
+        pat = I
+        for _ in range(self.DEPTH):
+            pat = Arrow(MetaVar("T"), pat)
+        assert ctxspec.render_pattern(TyAssoc(NablaVar("x"), pat)) == (
+            "ty_of x " + "(arrow T " * self.DEPTH + "i" + ")" * self.DEPTH
+        )
 
 
 def _fixture_universes():

@@ -473,7 +473,7 @@ class TestCoreFailuresPinned:
             "partition_list",
             lambda l: real(l)[:-1] if elems(l) == ("a", "b", "a") else real(l),
         )
-        assert suites.check_partition_count(4) == (10, "wrong count for ['a', 'b', 'a']")
+        assert suites.check_partition_count(4) == (10, "wrong count for [a, b, a]")
 
 
 def _no_lone_o(holds):
@@ -540,7 +540,7 @@ class TestTypingFailuresPinned:
         assert check_linear_equivalence(SMALL, False) == (
             2687,
             "disagreement on app c2 c1 under [ty_of c1 i, ty_of c2 (i -> i)]: "
-            "relational ['i'], checker None",
+            "relational {i}, checker None",
         )
 
 

@@ -32,7 +32,7 @@ from linctx.terms import (
 )
 from linctx.suites import gen_terms
 from linctx.typecheck import TyAssoc, VarAssoc
-from strategies import terms as drawn_terms
+from strategies import terms as drawn_terms, types as drawn_types
 
 I = Base("i")
 O = Base("o")
@@ -210,6 +210,44 @@ class TestParsePrint:
         t = parse_term("abs (i -> i) (x\\ abs i (y\\ app x y))")
         assert print_term(t) == "abs (i -> i) (x\\ abs i (y\\ app x y))"
 
+    def test_binders_avoid_free_and_outer_names(self):
+        # Depth 0 passes over the free `x`; depth 6 over depth 0's `x1`.
+        x = Name("x")
+        t = App(Bound(0), Free(x))
+        for k in range(7):
+            t = Abs(I, t) if k % 2 else Let(I, Free(x), t)
+        assert print_term(t) == (
+            "let i x (x1\\ abs i (y\\ let i x (z\\ abs i (u\\ let i x (v\\ abs i (w\\ "
+            "let i x (x2\\ app x2 x)))))))"
+        )
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (Bound(0), "unbound index 0 at depth 0"),
+            (Abs(I, Bound(1)), "unbound index 1 at depth 1"),
+        ],
+    )
+    def test_print_escaping_index(self, t, message):
+        with pytest.raises(MalformedTermError, match=message):
+            print_term(t)
+
+    def test_print_deep_abs_app_chain(self):
+        # 5,000 binders, each applying its variable to the term below;
+        # the binder at depth d is the stem d mod 6 with suffix d // 6.
+        c = Name("c", 1)
+        t = Free(c)
+        for _ in range(5000):
+            t = Abs(I, App(Bound(0), t))
+        names = ["xyzuvw"[d % 6] + (str(d // 6) if d >= 6 else "") for d in range(5000)]
+        last = names[-1]
+        assert last == "y833"
+        assert print_term(t) == (
+            "".join(f"abs i ({n}\\ app {n} (" for n in names[:-1])
+            + f"abs i ({last}\\ app {last} c1)"
+            + "))" * 4999
+        )
+
     def test_nominals(self):
         t = parse_term("app q q", nominals=["q"])
         assert t == App(Free(Name("q")), Free(Name("q")))
@@ -236,6 +274,13 @@ class TestTypes:
     def test_print_round_trip(self):
         for ty in type_universe(("i", "o"), 3):
             assert parse_type(print_type(ty)) == ty
+            assert parse_type(str(ty)) == ty
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_types)
+    def test_str_round_trip(self, ty):
+        assert str(ty) == print_type(ty)
+        assert parse_type(str(ty)) is ty
 
     def test_deep_types_round_trip(self):
         right = left = I
