@@ -352,6 +352,16 @@ def perm_to_part_mask(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     return tuple(mask)
 
 
+# One `perm_to_part` answer per (l, class of g1, class of g2), kept for the
+# life of the process like the intern tables.  The mask walk reads g1 and
+# g2 only through `multiset_of`, and its precondition depends on the key
+# alone, so a kept answer is the one a fresh call would build.  An answer
+# is stored only once the walk has returned, so a failed precondition
+# raises on every call.  Given l, a valid call's classes fix each other,
+# but both are in the key so that a wrong one cannot find a kept answer.
+_PARTS: dict = {}
+
+
 def perm_to_part(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     """Flatten a split of the elements of a list into an ordered partition.
 
@@ -359,10 +369,14 @@ def perm_to_part(l: Ctx, g1: Ctx, g2: Ctx) -> tuple:
     (l1, l2) an ordered partition of l: the sides `perm_to_part_mask`
     assigns.
     """
-    sides = [EMPTY, EMPTY]  # indexed by mask bit: sides[True] is l1
-    for e, m in zip(reversed(elems(l)), reversed(perm_to_part_mask(l, g1, g2))):
-        sides[m] = Cons(e, sides[m])
-    return sides[True], sides[False]
+    key = (l, multiset_of(g1), multiset_of(g2))
+    parts = _PARTS.get(key)
+    if parts is None:
+        sides = [EMPTY, EMPTY]  # indexed by mask bit: sides[True] is l1
+        for e, m in zip(reversed(elems(l)), reversed(perm_to_part_mask(l, g1, g2))):
+            sides[m] = Cons(e, sides[m])
+        parts = _PARTS[key] = sides[True], sides[False]
+    return parts
 
 
 def part_to_perm(l: Ctx, l1: Ctx, l2: Ctx) -> bool:
@@ -376,15 +390,26 @@ def part_to_perm(l: Ctx, l1: Ctx, l2: Ctx) -> bool:
     return perm(l, Union(l1, l2))
 
 
+# Each `gen_ctxs` universe, by (pool without repeats, max_elems, max_depth).
+# Its nodes are interned for the whole process anyway, so a kept universe
+# costs only its list.
+_UNIVERSES: dict = {}
+
+
 def gen_ctxs(pool: Sequence[Any], max_elems: int, max_depth: int) -> list:
     """Bounded-exhaustive enumeration of context trees.
 
     Yields every context whose elements are drawn (with repetition) from
     pool, with at most max_elems elements and union-nesting depth at most
     max_depth, without duplicates.  Order is canonical: by element count,
-    then depth, then a lexicographic structure key.
+    then depth, then a lexicographic structure key, in which an element
+    ranks by its first occurrence in pool.  Each universe is built once;
+    every call returns a new list of it.
     """
-    pool = list(pool)
+    pool = tuple(dict.fromkeys(pool))
+    universe = _UNIVERSES.get((pool, max_elems, max_depth))
+    if universe is not None:
+        return list(universe)
     rank = {e: i for i, e in enumerate(pool)}
     memo: dict = {}
 
@@ -419,7 +444,8 @@ def gen_ctxs(pool: Sequence[Any], max_elems: int, max_depth: int) -> list:
     result = []
     for k in range(max_elems + 1):
         result.extend(sorted(trees(k, max_depth), key=lambda g: (depth(g), struct_key(g))))
-    return result
+    _UNIVERSES[pool, max_elems, max_depth] = result  # kept only once whole
+    return list(result)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -93,8 +92,11 @@ def run_checks(checks: Sequence[tuple], jobs: int = 1) -> list:
     entries = sorted(checks, key=lambda e: e[0])
     if jobs <= 1 or len(entries) <= 1:
         return [_run_entry(e) for e in entries]
-    # The pool may start every worker up front, so it gets no more than
-    # there are checks.
+    # Imported here: the pool's modules would add to every start.  The pool
+    # may start every worker up front, so it gets no more than there are
+    # checks.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
         return list(pool.map(_run_entry, entries))
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linctx import ctx, suites
 from linctx.ctx import (
     Cons,
     EMPTY,
@@ -432,6 +433,56 @@ class TestPermToPart:
                     assert part_to_perm(l, l1, l2)
 
 
+def _parts_from_mask(l, g1, g2):
+    """The two sides of `perm_to_part_mask`'s answer, built without the memo."""
+    picks = list(zip(elems(l), perm_to_part_mask(l, g1, g2)))
+    return from_list(e for e, m in picks if m), from_list(e for e, m in picks if not m)
+
+
+class TestPermToPartMemo:
+    """`perm_to_part` keeps one answer per (l, class of g1, class of g2)."""
+
+    def _calls_of_core_check(self, monkeypatch):
+        # Every (l, g1, g2, answer) that check_perm_to_part(3, 3) reaches,
+        # from an empty memo.
+        monkeypatch.setattr(ctx, "_PARTS", {})
+        calls = []
+
+        def recording(l, g1, g2):
+            parts = ctx.perm_to_part(l, g1, g2)
+            calls.append((l, g1, g2, parts))
+            return parts
+
+        monkeypatch.setattr(suites, "perm_to_part", recording)
+        assert suites.check_perm_to_part(3, 3) == (94_591, None)
+        return calls
+
+    def test_every_kept_answer_is_the_fresh_one(self, monkeypatch):
+        calls = self._calls_of_core_check(monkeypatch)
+        assert len(calls) == 94_591
+        for l, g1, g2, parts in calls:
+            assert parts == _parts_from_mask(l, g1, g2)
+
+    def test_core_check_keeps_one_answer_per_class_triple(self, monkeypatch):
+        calls = self._calls_of_core_check(monkeypatch)
+        keys = {(l, multiset_of(g1), multiset_of(g2)) for l, g1, g2, _ in calls}
+        assert len(ctx._PARTS) == len(keys) == 63
+
+    def test_failed_precondition_raises_on_every_call(self, monkeypatch):
+        monkeypatch.setattr(ctx, "_PARTS", {})
+        l = lst("a", "b")
+        assert perm_to_part(l, lst("a"), Union(EMPTY, lst("b"))) == (lst("a"), lst("b"))
+        not_perm = "^perm_to_part: list is not a permutation of the combined split$"
+        # Each bad triple shares l and one side's class with the good call.
+        for g1, g2 in [(lst("a", "a"), lst("b")), (lst("b"), lst("b")), (lst("a"), lst("a"))]:
+            for _ in range(2):
+                with pytest.raises(PreconditionError, match=not_perm):
+                    perm_to_part(l, g1, g2)
+        with pytest.raises(PreconditionError, match="first argument must be a list"):
+            perm_to_part(Union(EMPTY, l), lst("a"), lst("b"))
+        assert list(ctx._PARTS) == [(l, multiset_of(lst("a")), multiset_of(lst("b")))]
+
+
 class TestPartToPerm:
     def test_examples(self):
         assert part_to_perm(lst("a", "b"), lst("a"), lst("b"))
@@ -486,6 +537,30 @@ class TestGen:
 
     def test_deterministic(self):
         assert gen_ctxs(["a", "b"], 3, 2) == gen_ctxs(["a", "b"], 3, 2)
+
+    def test_repeated_pool_entry_adds_no_duplicates(self, monkeypatch):
+        monkeypatch.setattr(ctx, "_UNIVERSES", {})
+        got = gen_ctxs(["a", "a"], 2, 2)
+        assert len(got) == len(set(got)) == 13
+        assert got == gen_ctxs(["a"], 2, 2)
+        # an entry ranks by its first occurrence in the pool
+        assert gen_ctxs(["b", "a", "b"], 2, 2) == gen_ctxs(["b", "a"], 2, 2)
+
+    def test_each_call_returns_a_new_list(self):
+        first, second = gen_ctxs(["a", "b"], 3, 2), gen_ctxs(["a", "b"], 3, 2)
+        assert first == second and first is not second
+
+    def test_mutating_a_result_leaves_the_next_alone(self):
+        expected = list(gen_ctxs(["a", "b"], 2, 2))
+        got = gen_ctxs(["a", "b"], 2, 2)
+        got.reverse()
+        got.append(EMPTY)
+        del got[:3]
+        assert gen_ctxs(["a", "b"], 2, 2) == expected
+
+    def test_list_and_tuple_pools_agree(self):
+        assert gen_ctxs(["a", "b", "c"], 3, 2) == gen_ctxs(("a", "b", "c"), 3, 2)
+        assert gen_ctxs(("c", "a"), 2, 3) == gen_ctxs(["c", "a"], 2, 3)
 
 
 class TestLiteralSyntax:

@@ -1,11 +1,16 @@
 """Report rendering and the check runner."""
 
+import concurrent.futures
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
+from pathlib import Path
 
-from linctx import report
+import linctx
 from linctx.ctx import from_list
 from linctx.report import (
     CheckReport,
@@ -99,11 +104,26 @@ class TestRunner:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+        # run_checks imports the pool class when it first needs it.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         checks = [("a", _passing, (1,)), ("b", _passing, (2,)), ("c", _failing, (3,))]
         assert [r.name for r in run_checks(checks, jobs=5000)] == ["a", "b", "c"]
         run_checks(checks, jobs=2)
         assert sizes == [3, 2]
+
+
+    def test_import_loads_no_process_pool(self):
+        # A fresh interpreter, so that this process's own imports do not count.
+        src = str(Path(linctx.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, linctx; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 class TestCounted:

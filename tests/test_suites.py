@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linctx import suites
-from linctx.ctx import Union, elems, from_list, gen_ctxs, multiset, partition_list, perm_rel, splits
+from linctx.ctx import (
+    Union,
+    elems,
+    from_list,
+    gen_ctxs,
+    multiset,
+    multiset_of,
+    partition_list,
+    perm_rel,
+    splits,
+)
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
     check_linear_equivalence,
@@ -405,6 +415,44 @@ class TestPermToPartPinned:
         assert suites.check_part_to_perm(3) == (7, "failed on L=[a, a]")
         assert suites.check_part_to_perm(4) == (7, "failed on L=[a, a]")
         assert suites.check_perm_to_part(3, 3) == (94_591, None)
+
+
+def _memo_keyed_on(key):
+    """A mutant `perm_to_part` that keeps one answer per `key(l, g1, g2)`."""
+    real, memo = suites.perm_to_part, {}
+
+    def mutant(l, g1, g2):
+        k = key(l, g1, g2)
+        if k not in memo:
+            memo[k] = real(l, g1, g2)
+        return memo[k]
+
+    return mutant
+
+
+class TestPermToPartMemoPinned:
+    """`check_perm_to_part` catches a `perm_to_part` memo whose key is too
+    coarse.  A key without one side's class is not among these: once the
+    precondition holds, l and the other class fix it, so only a call that
+    breaks the precondition tells it apart (`tests/test_ctx.py`)."""
+
+    @pytest.mark.parametrize(
+        "key, expected",
+        [
+            (
+                lambda l, g1, g2: (multiset_of(l), multiset_of(g1), multiset_of(g2)),
+                (238, "perm_to_part output not an ordered partition: L=[b, a], G1=nil, G2=[a, b]"),
+            ),
+            (
+                lambda l, g1, g2: (l, len(elems(g1))),
+                (18_959, "perm_to_part output not permutations: L=[a, b], G1=[b], G2=[a]"),
+            ),
+        ],
+        ids=["list-order-dropped", "classes-as-first-side-size"],
+    )
+    def test_coarse_key(self, monkeypatch, key, expected):
+        monkeypatch.setattr(suites, "perm_to_part", _memo_keyed_on(key))
+        assert suites.check_perm_to_part(3, 3) == expected
 
 
 def _sometimes(real, broken, when):
