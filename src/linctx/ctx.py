@@ -13,6 +13,7 @@ facts across a permutation.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import PreconditionError
@@ -226,38 +227,27 @@ def perm(g1: Ctx, g2: Ctx) -> bool:
     return multiset_of(g1) == multiset_of(g2)
 
 
-def perm_rel(g1: Ctx, g2: Ctx, _memo: dict | None = None) -> bool:
+# Each `perm_rel` verdict, by (g1, g2), kept for the life of the process
+# like the intern tables that hold the contexts.  The search reads the two
+# contexts alone, so a kept verdict is the one a fresh search would give.
+_PERM_REL: dict = {}
+
+
+def perm_rel(g1: Ctx, g2: Ctx) -> bool:
     """Permutation by direct search, used as a test oracle for `perm`.
 
     Base case: both contexts element-free.  Recursive case: some element
     can be selected from both sides leaving permutation-related
     residuals.  Terminates because the element count strictly decreases.
+    Each verdict is kept in `_PERM_REL`.
     """
-    if _memo is not None:
-        key = (g1, g2)
-        cached = _memo.get(key)
-        if cached is not None:
-            return cached
-    if no_elems(g1) and no_elems(g2):
-        result = True
-    else:
-        result = False
-        tried = set()
-        for x in elems(g1):
-            if x in tried:
-                continue
-            tried.add(x)
-            residuals2 = set(select(x, g2))
-            if not residuals2:
-                continue
-            residuals1 = set(select(x, g1))
-            if any(
-                perm_rel(r1, r2, _memo) for r1 in residuals1 for r2 in residuals2
-            ):
-                result = True
-                break
-    if _memo is not None:
-        _memo[key] = result
+    result = _PERM_REL.get((g1, g2))
+    if result is None:
+        result = _PERM_REL[g1, g2] = no_elems(g1) and no_elems(g2) or any(
+            perm_rel(r1, r2)
+            for x in dict.fromkeys(elems(g1))
+            for r1, r2 in product(set(select(x, g1)), set(select(x, g2)))
+        )
     return result
 
 

@@ -528,12 +528,17 @@ def check_list_pred(spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshnes
     return True
 
 
+# One table of alignment answers per (clauses, freshness flag), kept for
+# the life of the process like the intern tables that hold the entries.
+# The search reads only the clauses, the flag and the entry rows, and its
+# answer for a row tuple is the first alignment in a fixed order, so a
+# kept answer is the one a fresh search would return.  An answer is stored
+# only once its search has returned, so an interrupted one stores none.
+_ALIGNED: dict = {}
+
+
 def align_mset(
-    spec: ContextSpec,
-    contexts: Sequence[Ctx],
-    enforce_freshness: bool = True,
-    *,
-    _memo: Optional[dict] = None,
+    spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool = True
 ) -> Optional[tuple]:
     """Witness for the multiset-form predicate.
 
@@ -545,17 +550,15 @@ def align_mset(
 
     The predicate depends only on each context's multiset of entries, so
     the search runs on the entry rows, each context's kept flattening.
-    Answers are memoised under each row tuple the search reaches.  The
-    memo lives for one call, or for one check when the check hands the
-    same `_memo` dict to each of its calls; the spec and the freshness
-    setting must be the same across those calls.
+    Its answer under each row tuple it reaches is kept in `_ALIGNED`.
     """
     if len(contexts) != spec.arity:
         raise PreconditionError(f"expected {spec.arity} contexts, got {len(contexts)}")
     rows = tuple(elems(g) for g in contexts)
     if len({len(row) for row in rows}) != 1:
         return None
-    return _align_rows(spec, rows, enforce_freshness, {} if _memo is None else _memo)
+    memo = _ALIGNED.setdefault((spec.clauses, enforce_freshness), {})
+    return _align_rows(spec, rows, enforce_freshness, memo)
 
 
 def _align_rows(spec: ContextSpec, rows: tuple, enforce: bool, memo: dict) -> Optional[tuple]:
@@ -1153,12 +1156,12 @@ def gen_distr_lemma(spec: ContextSpec, index: int) -> DistrLemma:
 
 
 def _align_instance(
-    spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool, memo: dict
+    spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool
 ) -> Optional[tuple]:
     """`align_mset`'s alignment of one predicate instance, or None when there
     is none or one of its rows does not hold exactly its context's entries:
     that check is the lemma's `Gj ~ Gj' ++ Gj''` for each unsplit position j."""
-    aligned = align_mset(spec, contexts, enforce_freshness, _memo=memo)
+    aligned = align_mset(spec, contexts, enforce_freshness)
     if aligned is None or any(
         multiset(row) != multiset_of(g) for row, g in zip(aligned, contexts)
     ):
@@ -1228,14 +1231,14 @@ def check_distr_instances(
     counterexample or None), one case per split of context `index`.
 
     A tuple outside the predicate fails at its first split.  Each tuple is
-    aligned once, the check's only alignment search, through one memo
-    dropped when the check returns.  Each split is decided once per class.
+    aligned once, the check's only alignment search, whose answers
+    `align_mset` keeps for the process.  Each split is decided once per
+    class, in a verdict memo dropped when the check returns.
     """
     index0 = index - 1
-    memo: dict = {}
     passed: set = set()
     for contexts in instances:
-        aligned = _align_instance(spec, contexts, enforce_freshness, memo)
+        aligned = _align_instance(spec, contexts, enforce_freshness)
         instance_key = tuple(multiset_of(g) for g in contexts)
         for first, second in splits(contexts[index0]):
             key = (instance_key, multiset_of(first))

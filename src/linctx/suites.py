@@ -234,11 +234,10 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
     """
     cases = 0
     small = gen_ctxs(_POOL, 2, 2)
-    memo: dict = {}
     for g1 in small:
         for g2 in small:
             cases += 1
-            if perm(g1, g2) != perm_rel(g1, g2, memo):
+            if perm(g1, g2) != perm_rel(g1, g2):
                 return cases, (
                     f"perm and perm_rel disagree on "
                     f"{print_ctx(g1)} / {print_ctx(g2)}"
@@ -254,7 +253,7 @@ def check_perm_equiv(max_elems: int = 4, max_depth: int = 3) -> tuple:
                 for h in small:
                     if h in index:
                         cases += 1
-                        if bool(row >> index[h] & 1) != perm_rel(g, h, memo):
+                        if bool(row >> index[h] & 1) != perm_rel(g, h):
                             return cases, (
                                 f"interned search disagrees with perm_rel on "
                                 f"{print_ctx(g)} / {print_ctx(h)}"
@@ -719,14 +718,13 @@ def check_trans_rel_mem(bounds: GenBounds):
 def check_trans_rel_sel(bounds: GenBounds):
     """Selection from the translation context coordinates with selections
     from both typing contexts, leaving a residual triple in the relation."""
-    memo: dict = {}
-    for triple in filter(lambda t: trans_rel_mset(*t, _memo=memo), gen_trans_triples_mset(bounds)):
+    for triple in filter(lambda t: trans_rel_mset(*t), gen_trans_triples_mset(bounds)):
         g1, g2, g3 = triple
         for entry in dict.fromkeys(elems(g2)):
             for g2r in select(entry, g2):
                 x, y = entry.src, entry.dst
                 found = any(
-                    trans_rel_mset(g1r, g2r, g3r, _memo=memo)
+                    trans_rel_mset(g1r, g2r, g3r)
                     for a1 in dict.fromkeys(elems(g1))
                     if isinstance(a1, TyAssoc) and a1.name == x
                     for g1r in select(a1, g1)

@@ -15,7 +15,6 @@ reading stay as independent oracles for it.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Optional
 
 from .ctx import (
     Cons,
@@ -46,6 +45,7 @@ from .terms import (
     free_counts,
     free_names,
     open_term,
+    print_term,
 )
 from .typecheck import TyAssoc, VarAssoc
 
@@ -147,7 +147,7 @@ def translate(g: Ctx, e: Tm) -> Tm:
         x, y = _fresh_pair(avoid | set(mapping) | set(mapping.values()))
         body = open_term(t.body, x)
         if free_counts(body)[x] != 1:
-            raise LinearityError(f"bound variable of {t!r} is not used exactly once")
+            raise LinearityError(f"bound variable of {print_term(t)} is not used exactly once")
         return Abs(t.ann, close_term(go(body, {**mapping, x: y}), y))
 
     return go(e, {a.src: a.dst for a in assocs})
@@ -192,13 +192,13 @@ TRANS_REL = parse_spec(
 )
 
 
-def trans_rel_mset(g1: Ctx, g2: Ctx, g3: Ctx, *, _memo: Optional[dict] = None) -> bool:
+def trans_rel_mset(g1: Ctx, g2: Ctx, g3: Ctx) -> bool:
     """Multiset form: some triple of list permutations is in the list form.
 
-    Decided by `align_mset` on `TRANS_REL`; `_memo` is its memo of
-    sub-alignments, shared by the calls of one check.
+    Decided by `align_mset` on `TRANS_REL`, which keeps its answers for
+    the process.
     """
-    return align_mset(TRANS_REL, (g1, g2, g3), _memo=_memo) is not None
+    return align_mset(TRANS_REL, (g1, g2, g3)) is not None
 
 
 def trans_rel_mset_exhaustive(g1: Ctx, g2: Ctx, g3: Ctx) -> bool:

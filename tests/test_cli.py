@@ -119,7 +119,10 @@ class TestTranslate:
         f.write_text("abs i (x\\ app x x)\n")
         code, out = run(capsys, "translate", "--verify", f)
         assert code == 1
-        assert "LinearityError" in out
+        assert out == (
+            f"{f}:1: LinearityError: bound variable of abs i (x\\ app x x) "
+            "is not used exactly once\n"
+        )
 
 
 class TestVerify:

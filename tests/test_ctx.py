@@ -234,10 +234,9 @@ class TestPerm:
 
     def test_agrees_with_perm_rel_small(self):
         universe = gen_ctxs(["a", "b"], 2, 2)
-        memo = {}
         for g1 in universe:
             for g2 in universe:
-                assert perm(g1, g2) == perm_rel(g1, g2, memo)
+                assert perm(g1, g2) == perm_rel(g1, g2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -250,7 +249,7 @@ class TestPerm:
         g1 = data.draw(shaped(items1, 3))
         g2 = data.draw(shaped(items2, 3))
         assert elems(g1) == tuple(items1) and elems(g2) == tuple(items2)
-        assert perm(g1, g2) == perm_rel(g1, g2, {})
+        assert perm(g1, g2) == perm_rel(g1, g2)
 
     def test_structural_equality_implies_perm(self):
         for g in gen_ctxs(["a", "b"], 3, 2):

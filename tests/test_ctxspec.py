@@ -290,17 +290,17 @@ class TestElaborationFidelity:
         assert align_mset(ty_spec, [g]) is not None
         assert align_mset(ty_spec, [g]) == (entries,)
 
-    def test_unary_clash_stays_linear(self, ty_spec):
+    def test_unary_clash_stays_linear(self, ty_spec, monkeypatch):
         # One name repeated after distinct ones: no arrangement holds, and
         # the search must not try the subsets of the other entries.  The
         # small case fails fast if it does; the large one would not end.
         for size in (12, 300):
             entries = [TyAssoc(Name("n", k), I) for k in range(size)]
             g = from_list(entries + [TyAssoc(Name("n", 0), I)])
-            memo: dict = {}
-            assert align_mset(ty_spec, [g], _memo=memo) is None
+            monkeypatch.setattr(ctxspec, "_ALIGNED", {})
+            assert align_mset(ty_spec, [g]) is None
             assert not ty_ctx_mset(g)
-            assert len(memo) <= size + 2
+            assert len(ctxspec._ALIGNED[ty_spec.clauses, True]) <= size + 2
 
     def test_base_clause_all_empty(self, tr_spec):
         assert check_list_pred(tr_spec, [EMPTY, EMPTY, EMPTY])
@@ -372,16 +372,28 @@ def _render_alignment(aligned):
 
 
 class TestAlignment:
+    def test_kept_answers_are_per_clauses_and_flag(self, ty_spec, monkeypatch):
+        # A repeated name aligns under a clause without nabla, and under
+        # ty_ctx' only without freshness.  Asked in either order from empty
+        # tables, no call may find another call's kept answer.
+        g = from_list([TyAssoc(N1, I), TyAssoc(N1, I)])
+        loose = parse_spec("Context loose_ctx with elems as (ty_of X T).")
+        calls = [(loose, True, (elems(g),)), (ty_spec, True, None), (ty_spec, False, (elems(g),))]
+        for order in (calls, calls[::-1]):
+            monkeypatch.setattr(ctxspec, "_ALIGNED", {})
+            for spec, enforce, expected in order:
+                assert align_mset(spec, [g], enforce) == expected
+
     def test_digests_golden(self):
         # Every generated multiset instance, its first context without its
-        # first entry, and (arity > 1) its contexts reversed; one memo per
-        # record.  Recorded while the search ran on residual context trees.
+        # first entry, and (arity > 1) its contexts reversed.  Recorded
+        # while the search ran on residual context trees, from an empty
+        # memo per record; the answers are the same from the kept tables.
         lines = []
         for name in ("specs.ctx", "broken_freshness.ctx"):
             for spec in parse_spec_file((FIXTURES / name).read_text()):
                 for ctx_elems in (1, 2):
                     for enforce in (True, False):
-                        memo: dict = {}
                         results = []
                         bounds = GenBounds(ctx_elems=ctx_elems)
                         for contexts in generate_mset_instances(spec, bounds, enforce):
@@ -392,7 +404,7 @@ class TestAlignment:
                             if spec.arity > 1:
                                 calls.append(tuple(reversed(contexts)))
                             for call in calls:
-                                results.append(align_mset(spec, call, enforce, _memo=memo))
+                                results.append(align_mset(spec, call, enforce))
                         text = "".join(_render_alignment(a) + "\n" for a in results)
                         record = {
                             "spec": spec.name,
@@ -709,15 +721,14 @@ class TestDistributivity:
         first, second = from_list([TyAssoc(N2, O)]), from_list([TyAssoc(N1, I)])
         half1 = (first, from_list([VarAssoc(N2, M2)]), from_list([TyAssoc(M2, O)]))
         half2 = (second, from_list([VarAssoc(N1, M1)]), from_list([TyAssoc(M1, I)]))
-        memo: dict = {}
-        aligned = ctxspec._align_instance(tr_spec, (g1, g2, g3), True, memo)
+        aligned = ctxspec._align_instance(tr_spec, (g1, g2, g3), True)
         assert ctxspec._distr_witnesses(tr_spec, aligned, 0, first, second, True) == (
             half1,
             half2,
             half1,
             half2,
         )
-        assert ctxspec._align_instance(tr_spec, (g1, g2, EMPTY), True, memo) is None
+        assert ctxspec._align_instance(tr_spec, (g1, g2, EMPTY), True) is None
 
     def test_checks_pass_every_index(self, ty_spec, tr_spec):
         assert check_distr_cases(ty_spec, 1, BOUNDS)[1] is None
@@ -748,20 +759,14 @@ class TestDistributivity:
         assert "".join(lines) == (FIXTURES / "golden" / "distr_cases.jsonl").read_text()
 
     def test_memo_holds_only_alignments(self, tr_spec, monkeypatch):
-        # Every memo entry is an alignment search's answer: a row tuple, or
+        # The check fills one table, its spec's under its freshness flag,
+        # and every entry is an alignment search's answer: a row tuple, or
         # None when there is none.  No split verdict is kept there.
-        memos = []
-        real = ctxspec.align_mset
-
-        def recording(spec, contexts, enforce, *, _memo=None):
-            memos.append(_memo)
-            return real(spec, contexts, enforce, _memo=_memo)
-
-        monkeypatch.setattr(ctxspec, "align_mset", recording)
+        monkeypatch.setattr(ctxspec, "_ALIGNED", {})
         assert check_distr_cases(tr_spec, 2, BOUNDS)[1] is None
-        memo = memos[0]
-        assert memo and all(m is memo for m in memos)
-        assert all(v is None or isinstance(v, tuple) for v in memo.values())
+        assert list(ctxspec._ALIGNED) == [(tr_spec.clauses, True)]
+        memo = ctxspec._ALIGNED[tr_spec.clauses, True]
+        assert memo and all(v is None or isinstance(v, tuple) for v in memo.values())
 
     @pytest.mark.parametrize(
         "spec, index, cases, counterexample",
@@ -852,8 +857,7 @@ class TestClassVerdicts:
         for enforce in (True, False):
             bounds = GenBounds(ctx_elems=_class_bounds(spec, enforce)[-1])
             instances = list(generate_mset_instances(spec, bounds, enforce))
-            memo: dict = {}  # alignments, shared as in one check
-            aligned = [ctxspec._align_instance(spec, g, enforce, memo) for g in instances]
+            aligned = [ctxspec._align_instance(spec, g, enforce) for g in instances]
             # Verdicts of identical calls, which tree shapes aligning to the
             # same rows repeat; the key knows nothing of classes.
             decided: dict = {}
@@ -870,7 +874,7 @@ class TestClassVerdicts:
                             # Witnesses read off the alignment, with no
                             # search of their own, are in the multiset form.
                             for witness in found[:2] if found else ():
-                                assert align_mset(spec, witness, enforce, _memo=memo) is not None
+                                assert align_mset(spec, witness, enforce) is not None
                         holds = rows is not None and decided[call]
                         holds_of.setdefault(key, holds)
                         # an instance that does not align fails undecided

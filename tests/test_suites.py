@@ -1,5 +1,6 @@
 """Smoke coverage of the built-in suites at reduced bounds."""
 
+import functools
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linctx import suites
+from linctx import ctx, ctxspec, suites
 from linctx.ctx import (
     Union,
     elems,
@@ -19,6 +20,7 @@ from linctx.ctx import (
     perm_rel,
     splits,
 )
+from linctx.ctxspec import check_distr_cases, parse_spec_file
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
     check_linear_equivalence,
@@ -306,10 +308,42 @@ class TestPermRelRows:
         assert len(universe) == 374
         index, rows = suites._perm_rel_fast_table(universe)
         assert index == {g: i for i, g in enumerate(universe)}
-        memo: dict = {}
         for i, g in enumerate(universe):
-            expected = sum(1 << j for j, h in enumerate(universe) if perm_rel(g, h, memo))
+            expected = sum(1 << j for j, h in enumerate(universe) if perm_rel(g, h))
             assert rows[i] == expected, g
+
+
+class TestKeptTables:
+    def test_warm_tables_change_no_result(self, monkeypatch):
+        # The checks that read the answers `align_mset` and `perm_rel` keep:
+        # each from empty tables, as when each check kept its own memo;
+        # then all of them into one pair of tables; then all again,
+        # answered from those tables alone.
+        checks = [
+            functools.partial(check_distr_cases, spec, index, GenBounds(ctx_elems=n), enforce)
+            for name in ("specs.ctx", "broken_freshness.ctx")
+            for spec in parse_spec_file((FIXTURES / name).read_text())
+            for index in range(1, spec.arity + 1)
+            for n in (1, 2)
+            for enforce in (True, False)
+        ] + [
+            functools.partial(suites.check_perm_equiv, 3, 3),
+            functools.partial(suites.check_trans_rel_sel, TWO),
+        ]
+        cold = []
+        for check in checks:
+            monkeypatch.setattr(ctxspec, "_ALIGNED", {})
+            monkeypatch.setattr(ctx, "_PERM_REL", {})
+            cold.append(check())
+        aligned, verdicts = {}, {}
+        monkeypatch.setattr(ctxspec, "_ALIGNED", aligned)
+        monkeypatch.setattr(ctx, "_PERM_REL", verdicts)
+        assert [check() for check in checks] == cold
+        filled = len(verdicts), {key: len(table) for key, table in aligned.items()}
+        assert [check() for check in checks] == cold
+        # Nothing new was kept: every answer came from the tables.
+        assert (len(verdicts), {key: len(table) for key, table in aligned.items()}) == filled
+        assert verdicts and {flag for _, flag in aligned} == {True, False}
 
 
 class TestBuckets:
@@ -610,7 +644,7 @@ def _perturbed_triples(monkeypatch, perturb):
         return out
 
     monkeypatch.setattr(suites, "gen_trans_triples_mset", mutant)
-    monkeypatch.setattr(suites, "trans_rel_mset", lambda g1, g2, g3, _memo=None: True)
+    monkeypatch.setattr(suites, "trans_rel_mset", lambda g1, g2, g3: True)
 
 
 def _one_source(g1, g2, g3):
@@ -669,9 +703,9 @@ class TestTranslationFailuresPinned:
         real = suites.trans_rel_mset
         arrow = Arrow(I, I)
 
-        def mutant(g1, g2, g3, _memo=None):
+        def mutant(g1, g2, g3):
             lone = elems(g1)
-            return real(g1, g2, g3, _memo=_memo) and not (len(lone) == 1 and lone[0].ty == arrow)
+            return real(g1, g2, g3) and not (len(lone) == 1 and lone[0].ty == arrow)
 
         monkeypatch.setattr(suites, "trans_rel_mset", mutant)
         assert suites.check_trans_rel_sel(TWO) == (
