@@ -546,17 +546,84 @@ def _typed_lists(names: list, max_k: int) -> list:
     ]
 
 
+# ---------------------------------------------------------------------------
+# One decision per orbit under renamings of the pool names.
+#
+# `check_ty_uniq` and `check_linear_equivalence` sweep every (context,
+# term) pair over a pool of names c1, c2, ..., the nominal constants of
+# the paper.  Renaming the pool names of a case does not change its
+# verdict:
+# - the typing readings name binders only from the chain n, n1, ...
+#   (`fresh`, and `_check_linear`'s counter), which never meets the pool;
+#   the names a reading avoids on a case and on its image differ only in
+#   pool names, so both pick the same chain names, and the run on the
+#   image is the run on the case with the pool renamed;
+# - each verdict compares sets of types, which hold no names.
+# Both generators are structural in the order of their pool: renaming the
+# pool into another order maps the value at each index to the value at
+# that index when the pool is given in that order.  `_renamings` builds
+# those index maps, one per order of the pool, so the maps form a group.
+# A case is decided only when none of its images comes before it in the
+# sweep.  The first case of an orbit is always decided, and the sweep went
+# on past it only because it passed, so a case with an earlier image
+# holds; it is counted but not decided.  Only passing cases are skipped:
+# a failure ends the check, so the case count and the counterexample are
+# those of deciding every case.
+# ---------------------------------------------------------------------------
+
+
+def _renamings(generate: Callable, pool: list) -> tuple:
+    """`generate(pool)`, and for each other order of the pool the map from
+    each value's index to the index of its renaming into that order.
+
+    A map that is not a bijection of the indices means that `generate` is
+    not structural in the order of its pool, and fails here."""
+    values = generate(pool)
+    index = {v: i for i, v in enumerate(values)}
+    maps = []
+    for order in itertools.permutations(pool):
+        if list(order) != pool:
+            image = [index.get(v, -1) for v in generate(list(order))]
+            if sorted(image) != list(range(len(values))):
+                raise AssertionError(f"renaming {pool} to {list(order)} is not a bijection")
+            maps.append(image)
+    return values, maps
+
+
+def _orbit_sweep(pool: list, contexts_of: Callable, terms_of: Callable):
+    """Each (context, term) pair over the pool, row by row, with whether it
+    is the first of its orbit under the renamings of the pool.  A pair
+    comes after its image when the context's image does, or when the
+    context is fixed and the term's image comes first."""
+    contexts, context_maps = _renamings(contexts_of, pool)
+    terms, term_maps = _renamings(terms_of, pool)
+    for i, g in enumerate(contexts):
+        if any(m[i] < i for m in context_maps):
+            for e in terms:
+                yield g, e, False
+            continue
+        fixing = [tm for cm, tm in zip(context_maps, term_maps) if cm[i] == i]
+        for j, e in enumerate(terms):
+            yield g, e, not any(m[j] < j for m in fixing)
+
+
 @counted
 def check_ty_uniq(bounds: GenBounds):
-    """Typing contexts assign at most one type to any term."""
-    names = name_pool(3)
-    terms = gen_terms(tuple(names), 3, (Base("i"), TYPE_UNIVERSE[-1]), False)
-    for l in _typed_lists(names, bounds.ctx_elems):
-        for e in terms:
-            derivable = type_of_enum(l, e)
-            yield len(derivable) > 1 and (
-                f"{len(derivable)} types for {print_term(e)} under {print_ctx(l)}"
-            )
+    """Typing contexts assign at most one type to any term.  Each case is
+    decided once per orbit under the renamings of the three pool names
+    (see the comment above `_renamings`)."""
+    for l, e, first in _orbit_sweep(
+        name_pool(3),
+        lambda pool: _typed_lists(pool, bounds.ctx_elems),
+        lambda pool: gen_terms(tuple(pool), 3, (Base("i"), TYPE_UNIVERSE[-1]), False),
+    ):
+        if not first:
+            yield False
+            continue
+        derivable = type_of_enum(l, e)
+        yield len(derivable) > 1 and (
+            f"{len(derivable)} types for {print_term(e)} under {print_ctx(l)}"
+        )
 
 
 @counted
@@ -601,21 +668,27 @@ def check_linear_equivalence(bounds: GenBounds, with_let: bool):
     For every list context with up to two distinctly-named associations
     and every locally closed term up to the size bound: the set of types
     derivable relationally equals the singleton (or empty) result of the
-    algorithmic checker with an empty leftover.
+    algorithmic checker with an empty leftover.  Each pair is decided once
+    per orbit under the swap of the two pool names (see the comment above
+    `_renamings`).
     """
-    contexts = _typed_lists(name_pool(2), min(bounds.ctx_elems, 2))
-    terms = gen_terms(tuple(name_pool(2)), bounds.term_size, TYPE_UNIVERSE, with_let)
     checker = ml_type if with_let else linear_type
     cache: dict = {}
-    for g in contexts:
-        for e in terms:
-            relational = _linear_types(g, e, with_let, cache)
-            algo = checker(g, e)
-            agree = len(relational) == 1 and algo in relational if algo else not relational
-            yield not agree and (
-                f"disagreement on {print_term(e)} under {print_ctx(g)}: "
-                f"relational {{{', '.join(sorted(map(str, relational)))}}}, checker {algo}"
-            )
+    for g, e, first in _orbit_sweep(
+        name_pool(2),
+        lambda pool: _typed_lists(pool, min(bounds.ctx_elems, 2)),
+        lambda pool: gen_terms(tuple(pool), bounds.term_size, TYPE_UNIVERSE, with_let),
+    ):
+        if not first:
+            yield False
+            continue
+        relational = _linear_types(g, e, with_let, cache)
+        algo = checker(g, e)
+        agree = len(relational) == 1 and algo in relational if algo else not relational
+        yield not agree and (
+            f"disagreement on {print_term(e)} under {print_ctx(g)}: "
+            f"relational {{{', '.join(sorted(map(str, relational)))}}}, checker {algo}"
+        )
 
 
 def equivalence_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:

@@ -379,49 +379,76 @@ def parse_term(text: str, nominals: Iterable = ()) -> Tm:
 
 
 def parse_term_tokens(ts: TokenStream, declared: dict) -> Tm:
-    return _parse_tm(ts, declared, [])
+    # The grammar above, read from an explicit stack, so deep nesting needs
+    # no recursion.  Each frame waits for the term being read: ")" for a
+    # parenthesis, "app" for the function and "arg" for the argument of an
+    # application, "let" for a let's value, and "abs" or "body" for a
+    # binder's body.  Tokens are taken, and errors raised, in the order of
+    # a recursive descent.
+    binders: list = []  # the enclosing binders' names, innermost last
+    waiting: list = []
+    atomic = False  # whether the term being read is an atm
+    while True:
+        if ts.at_sym("("):
+            ts.next()
+            waiting.append((")",))
+            atomic = False
+            continue
+        if not atomic and ts.at_ident("app"):
+            ts.next()
+            waiting.append(("app",))
+            atomic = True
+            continue
+        if not atomic and ts.at_ident("abs"):
+            ts.next()
+            ann = _parse_type_atom(ts)
+            _open_binder(ts, binders)
+            waiting.append(("abs", ann))
+            continue
+        if not atomic and ts.at_ident("let"):
+            ts.next()
+            waiting.append(("let", _parse_type_atom(ts)))
+            atomic = True
+            continue
+        t = _variable(ts.eat_ident(), declared, binders)
+        # Hand t to the frames it completes, up to one that reads on.
+        while waiting:
+            frame = waiting.pop()
+            if frame[0] == ")":
+                ts.eat_sym(")")
+            elif frame[0] == "app":
+                waiting.append(("arg", t))
+                atomic = True
+                break
+            elif frame[0] == "arg":
+                t = App(frame[1], t)
+            elif frame[0] == "let":
+                _open_binder(ts, binders)
+                waiting.append(("body", frame[1], t))
+                atomic = False
+                break
+            else:  # "abs" or "body": t is the binder's body
+                ts.eat_sym(")")
+                binders.pop()
+                t = Abs(frame[1], t) if frame[0] == "abs" else Let(frame[1], frame[2], t)
+        else:
+            return t
 
 
-def _parse_tm(ts: TokenStream, declared: dict, binders: list) -> Tm:
-    if ts.at_ident("app"):
-        ts.next()
-        fn = _parse_atm(ts, declared, binders)
-        arg = _parse_atm(ts, declared, binders)
-        return App(fn, arg)
-    if ts.at_ident("abs"):
-        ts.next()
-        ann = _parse_type_atom(ts)
-        body = _parse_binder(ts, declared, binders)
-        return Abs(ann, body)
-    if ts.at_ident("let"):
-        ts.next()
-        ann = _parse_type_atom(ts)
-        val = _parse_atm(ts, declared, binders)
-        body = _parse_binder(ts, declared, binders)
-        return Let(ann, val, body)
-    return _parse_atm(ts, declared, binders)
-
-
-def _parse_binder(ts: TokenStream, declared: dict, binders: list) -> Tm:
+def _open_binder(ts: TokenStream, binders: list) -> None:
+    """Read the parenthesis, name and backslash that open a binder's scope."""
     ts.eat_sym("(")
-    var = ts.eat_ident().text
+    binders.append(ts.eat_ident().text)
     ts.eat_sym("\\")
-    body = _parse_tm(ts, declared, [var] + binders)
-    ts.eat_sym(")")
-    return body
 
 
-def _parse_atm(ts: TokenStream, declared: dict, binders: list) -> Tm:
-    if ts.at_sym("("):
-        ts.next()
-        inner = _parse_tm(ts, declared, binders)
-        ts.eat_sym(")")
-        return inner
-    tok = ts.eat_ident()
+def _variable(tok, declared: dict, binders: list) -> Tm:
+    """The term an identifier in atomic position stands for."""
     if tok.text in ("app", "abs", "let"):
         raise SyntaxError_(f"keyword {tok.text!r} is not an atomic term", tok.pos)
-    if tok.text in binders:
-        return Bound(binders.index(tok.text))
+    for depth in range(len(binders) - 1, -1, -1):
+        if binders[depth] == tok.text:
+            return Bound(len(binders) - 1 - depth)
     if tok.text in declared:
         return Free(declared[tok.text])
     raise UnboundIdentifierError(f"identifier {tok.text!r} is not bound or declared", tok.pos)

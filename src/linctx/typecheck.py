@@ -114,6 +114,18 @@ def ty_ctx_mset(g: Ctx) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _under(g: Ctx, t: Abs | Let, avoid: frozenset) -> tuple:
+    """Context, opened body and avoid set under t's binder, named outside avoid."""
+    x = fresh(avoid)
+    return Cons(TyAssoc(x, t.ann), g), open_term(t.body, x), avoid | {x}
+
+
+# The STLC readings, like `_linear_types`, build one avoid set per call:
+# the names of l and e, extended by `_under` for each binder's body.  A
+# binder may then get another name than a fresh choice per binder would
+# give it, which changes no result, since typing is equivariant.
+
+
 def type_of_infer(l: Ctx, e: Tm) -> Optional[Ty]:
     """Infer the type of e under a list context, if any.
 
@@ -123,6 +135,10 @@ def type_of_infer(l: Ctx, e: Tm) -> Optional[Ty]:
     """
     if not is_list(l):
         raise PreconditionError("type_of_infer requires a list-form context")
+    return _infer(l, e, ctx_names(l) | free_names(e))
+
+
+def _infer(l: Ctx, e: Tm, avoid: frozenset) -> Optional[Ty]:
     if isinstance(e, Free):
         for a in elems(l):
             if isinstance(a, TyAssoc) and a.name == e.name:
@@ -131,13 +147,12 @@ def type_of_infer(l: Ctx, e: Tm) -> Optional[Ty]:
     if isinstance(e, Bound):
         raise MalformedTermError("term is not locally closed")
     if isinstance(e, App):
-        fn_ty = type_of_infer(l, e.fn)
-        if isinstance(fn_ty, Arrow) and type_of_infer(l, e.arg) == fn_ty.dom:
+        fn_ty = _infer(l, e.fn, avoid)
+        if isinstance(fn_ty, Arrow) and _infer(l, e.arg, avoid) == fn_ty.dom:
             return fn_ty.cod
         return None
     if isinstance(e, Abs):
-        x = fresh(ctx_names(l) | free_names(e))
-        body_ty = type_of_infer(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
+        body_ty = _infer(*_under(l, e, avoid))
         return None if body_ty is None else Arrow(e.ann, body_ty)
     return None  # no rule for let in this system
 
@@ -150,6 +165,10 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
     """
     if not is_list(l):
         raise PreconditionError("type_of_enum requires a list-form context")
+    return _enum(l, e, ctx_names(l) | free_names(e))
+
+
+def _enum(l: Ctx, e: Tm, avoid: frozenset) -> frozenset:
     if isinstance(e, Free):
         return frozenset(
             a.ty for a in elems(l) if isinstance(a, TyAssoc) and a.name == e.name
@@ -157,14 +176,13 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
     if isinstance(e, Bound):
         raise MalformedTermError("term is not locally closed")
     if isinstance(e, App):
-        fn_tys = type_of_enum(l, e.fn)
-        arg_tys = type_of_enum(l, e.arg)
+        fn_tys = _enum(l, e.fn, avoid)
+        arg_tys = _enum(l, e.arg, avoid)
         return frozenset(
             t.cod for t in fn_tys if isinstance(t, Arrow) and t.dom in arg_tys
         ) or EMPTY_SET
     if isinstance(e, Abs):
-        x = fresh(ctx_names(l) | free_names(e))
-        body_tys = type_of_enum(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
+        body_tys = _enum(*_under(l, e, avoid))
         return frozenset(Arrow(e.ann, t) for t in body_tys) or EMPTY_SET
     return EMPTY_SET
 
@@ -172,12 +190,6 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
 # ---------------------------------------------------------------------------
 # Linear systems, relational reading.
 # ---------------------------------------------------------------------------
-
-
-def _under(g: Ctx, t: Abs | Let, avoid: frozenset) -> tuple:
-    """Context, opened body and avoid set under t's binder, named outside avoid."""
-    x = fresh(avoid)
-    return Cons(TyAssoc(x, t.ann), g), open_term(t.body, x), avoid | {x}
 
 
 def _memo(cache: dict, fn, arg):

@@ -114,6 +114,13 @@ class TestTranslate:
         assert code == 0
         assert out == f"abs {printed} (x\\ x)\n"
 
+    def test_deeply_parenthesized_term(self, capsys, tmp_path):
+        deep = tmp_path / "deep.tm"
+        deep.write_text("(" * 3000 + "abs i (x\\ x)" + ")" * 3000 + "\n")
+        code = main(["translate", "--verify", str(deep)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, "abs i (x\\ x)\n", "")
+
     def test_nonlinear_term_fails(self, capsys, tmp_path):
         f = tmp_path / "t.tm"
         f.write_text("abs i (x\\ app x x)\n")

@@ -44,17 +44,14 @@ RECURSIVE = {
     "ctxspec.match_pattern": _KERNEL,
     "suites.gen_linear_terms.at": _SIZE,
     "suites.gen_terms.at": _SIZE,
-    "terms._parse_atm": _PARSER,
-    "terms._parse_binder": _PARSER,
-    "terms._parse_tm": _PARSER,
     "translate.ltrans_rel": _TRANSLATE,
     "translate.translate.binder": _TRANSLATE,
     "translate.translate.go": _TRANSLATE,
     "typecheck._check_linear.binder": _TYPING,
     "typecheck._check_linear.go": _TYPING,
+    "typecheck._enum": _TYPING,
+    "typecheck._infer": _TYPING,
     "typecheck._linear_types": _TYPING,
-    "typecheck.type_of_enum": _TYPING,
-    "typecheck.type_of_infer": _TYPING,
 }
 
 PRINTERS = (

@@ -1,6 +1,7 @@
 """Smoke coverage of the built-in suites at reduced bounds."""
 
 import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from linctx.ctx import (
     multiset_of,
     partition_list,
     perm_rel,
+    print_ctx,
     splits,
 )
 from linctx.ctxspec import check_distr_cases, parse_spec_file
@@ -35,17 +37,28 @@ from linctx.suites import (
 )
 from linctx.terms import (
     TYPE_UNIVERSE,
+    Abs,
     App,
     Arrow,
     Base,
+    Free,
     Let,
     Name,
     free_counts,
     name_pool,
+    print_term,
     term_size,
 )
 from linctx.translate import trans_rel_list, trans_rel_mset
-from linctx.typecheck import TyAssoc, VarAssoc, linear_type, ml_type, ty_ctx_list, ty_ctx_mset
+from linctx.typecheck import (
+    TyAssoc,
+    VarAssoc,
+    _linear_types,
+    linear_type,
+    ml_type,
+    ty_ctx_list,
+    ty_ctx_mset,
+)
 from strategies import judgments, linear_judgments
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -624,6 +637,159 @@ class TestTypingFailuresPinned:
             "disagreement on app c2 c1 under [ty_of c1 i, ty_of c2 (i -> i)]: "
             "relational {i}, checker None",
         )
+
+
+def _plain_equivalence(bounds, with_let):
+    """`check_linear_equivalence` decided on every pair, with no orbit skipping."""
+    contexts = suites._typed_lists(name_pool(2), min(bounds.ctx_elems, 2))
+    terms = gen_terms(tuple(name_pool(2)), bounds.term_size, TYPE_UNIVERSE, with_let)
+    checker = suites.ml_type if with_let else suites.linear_type
+    cache = {}
+    cases = 0
+    for g in contexts:
+        for e in terms:
+            cases += 1
+            relational = _linear_types(g, e, with_let, cache)
+            algo = checker(g, e)
+            if not (len(relational) == 1 and algo in relational if algo else not relational):
+                return cases, (
+                    f"disagreement on {print_term(e)} under {print_ctx(g)}: "
+                    f"relational {{{', '.join(sorted(map(str, relational)))}}}, checker {algo}"
+                )
+    return cases, None
+
+
+def _plain_ty_uniq(bounds):
+    """`check_ty_uniq` decided on every case, with no orbit skipping."""
+    names = name_pool(3)
+    terms = gen_terms(tuple(names), 3, (I, TYPE_UNIVERSE[-1]), False)
+    cases = 0
+    for l in suites._typed_lists(names, bounds.ctx_elems):
+        for e in terms:
+            cases += 1
+            derivable = suites.type_of_enum(l, e)
+            if len(derivable) > 1:
+                return cases, f"{len(derivable)} types for {print_term(e)} under {print_ctx(l)}"
+    return cases, None
+
+
+def _renamed_term(t, renaming):
+    if isinstance(t, Free):
+        return Free(renaming[t.name])
+    if isinstance(t, App):
+        return App(_renamed_term(t.fn, renaming), _renamed_term(t.arg, renaming))
+    if isinstance(t, Abs):
+        return Abs(t.ann, _renamed_term(t.body, renaming))
+    if isinstance(t, Let):
+        return Let(t.ann, _renamed_term(t.val, renaming), _renamed_term(t.body, renaming))
+    return t
+
+
+def _orbit_key(pool):
+    """The orbit of a (context, term) pair under the renamings of the
+    pool, each image built by renaming the nodes directly."""
+    renamings = [dict(zip(pool, order)) for order in itertools.permutations(pool)]
+
+    def key(pair):
+        g, e = pair
+        return frozenset(
+            (from_list([TyAssoc(r[a.name], a.ty) for a in elems(g)]), _renamed_term(e, r))
+            for r in renamings
+        )
+
+    return key
+
+
+def _orbits(contexts, terms, pool):
+    return set(map(_orbit_key(pool), itertools.product(contexts, terms)))
+
+
+EQUIV_BOUNDS = [GenBounds(term_size=4, ctx_elems=1), GenBounds(term_size=3, ctx_elems=2)]
+C2 = Free(name_pool(2)[1])
+
+
+class TestOrbitVerdicts:
+    """The checks that decide one case per orbit under renamings of their
+    pool names agree with a plain loop over every case."""
+
+    @pytest.mark.parametrize("with_let", [False, True], ids=["linear", "ml"])
+    @pytest.mark.parametrize("bounds", EQUIV_BOUNDS, ids=["size4-ctx1", "size3-ctx2"])
+    def test_linear_equivalence(self, bounds, with_let):
+        assert check_linear_equivalence(bounds, with_let) == _plain_equivalence(bounds, with_let)
+
+    def test_ty_uniq(self):
+        assert suites.check_ty_uniq(SMALL) == _plain_ty_uniq(SMALL) == (9400, None)
+
+    def test_ty_uniq_under_an_equivariant_mutant(self, monkeypatch):
+        monkeypatch.setattr(
+            suites,
+            "type_of_enum",
+            _sometimes(
+                suites.type_of_enum, frozenset({I, Base("o")}), lambda l, e: isinstance(e, App)
+            ),
+        )
+        assert suites.check_ty_uniq(SMALL) == _plain_ty_uniq(SMALL)
+
+    def test_app_of_c2_broken(self, monkeypatch):
+        # The failing case of each orbit comes first in the sweep: under
+        # [ty_of c1 i, ty_of c2 (i -> i)], whose image under the swap starts
+        # with c2, so both loops stop at the same case.
+        monkeypatch.setattr(
+            suites,
+            "linear_type",
+            _sometimes(suites.linear_type, None, lambda g, e: isinstance(e, App) and e.fn is C2),
+        )
+        expected = (
+            2687,
+            "disagreement on app c2 c1 under [ty_of c1 i, ty_of c2 (i -> i)]: "
+            "relational {i}, checker None",
+        )
+        assert _plain_equivalence(SMALL, False) == expected
+        assert check_linear_equivalence(SMALL, False) == expected
+
+    def test_variable_c2_broken(self, monkeypatch):
+        # This mutant is not equivariant, and every case it breaks comes
+        # after its image under the swap, so the orbit rule never decides
+        # one: the trade of deciding once per orbit, written down.
+        monkeypatch.setattr(
+            suites,
+            "linear_type",
+            _sometimes(suites.linear_type, None, lambda g, e: e is C2),
+        )
+        assert _plain_equivalence(SMALL, False) == (
+            1178,
+            "disagreement on c2 under [ty_of c2 i]: relational {i}, checker None",
+        )
+        assert check_linear_equivalence(SMALL, False) == (14280, None)
+
+    @pytest.mark.parametrize("with_let", [False, True], ids=["linear", "ml"])
+    def test_equivalence_decides_one_pair_per_orbit(self, monkeypatch, with_let):
+        decided = []
+        real = suites._linear_types
+        monkeypatch.setattr(
+            suites, "_linear_types", lambda g, e, *rest: decided.append((g, e)) or real(g, e, *rest)
+        )
+        check_linear_equivalence(SMALL, with_let)
+        contexts = suites._typed_lists(name_pool(2), 2)
+        terms = gen_terms(tuple(name_pool(2)), 3, TYPE_UNIVERSE, with_let)
+        assert _orbits(contexts, terms, name_pool(2)) == set(map(_orbit_key(name_pool(2)), decided))
+        assert len(decided) == len(set(decided)) == (8709 if with_let else 7179)
+
+    def test_ty_uniq_decides_one_case_per_orbit(self, monkeypatch):
+        decided = []
+        real = suites.type_of_enum
+        monkeypatch.setattr(suites, "type_of_enum", lambda l, e: decided.append((l, e)) or real(l, e))
+        suites.check_ty_uniq(SMALL)
+        contexts = suites._typed_lists(name_pool(3), 2)
+        terms = gen_terms(tuple(name_pool(3)), 3, (I, TYPE_UNIVERSE[-1]), False)
+        assert _orbits(contexts, terms, name_pool(3)) == set(map(_orbit_key(name_pool(3)), decided))
+        assert len(decided) == len(set(decided)) == 1633
+
+    def test_renamings_reject_a_generator_that_is_not_structural(self):
+        # A generator that uses only the first name of its pool: the
+        # images of its values under the swap are not among them.
+        with pytest.raises(AssertionError, match="not a bijection"):
+            suites._renamings(lambda pool: gen_terms(pool[:1], 2, (I,), False), name_pool(2))
 
 
 TWO = GenBounds(ctx_elems=2)

@@ -1,6 +1,7 @@
 """Term syntax: locally nameless representation, parsing, printing."""
 
 import copy
+import re
 import pickle
 
 import pytest
@@ -247,6 +248,56 @@ class TestParsePrint:
             + f"abs i ({last}\\ app {last} c1)"
             + "))" * 4999
         )
+
+    @pytest.mark.parametrize("depth", [3000, 5000])
+    def test_parse_deep_parentheses(self, depth):
+        t = parse_term("(" * depth + "abs i (x\\ x)" + ")" * depth)
+        assert t is Abs(I, Bound(0))
+
+    def test_deep_abs_app_chain_round_trip(self):
+        c = Name("c", 1)
+        t = Free(c)
+        for _ in range(5000):
+            t = Abs(I, App(Bound(0), t))
+        assert parse_term(print_term(t), nominals=[c]) is t
+
+    @pytest.mark.parametrize(
+        "text, error, message, pos",
+        [
+            ("", SyntaxError_, "expected 'identifier', found 'end of input'", 0),
+            ("app x", UnboundIdentifierError, "identifier 'x' is not bound or declared", 4),
+            ("abs i (x\\ app x", SyntaxError_, "expected 'identifier', found 'end of input'", 15),
+            ("abs i (x\\ x", SyntaxError_, "expected ')', found 'end of input'", 11),
+            ("abs i x\\ x)", SyntaxError_, "expected '(', found 'x'", 6),
+            ("abs i (x x)", SyntaxError_, "expected '\\\\', found 'x'", 9),
+            ("let i c1 x", SyntaxError_, "expected '(', found 'x'", 9),
+            ("abs i (app\\ app)", SyntaxError_, "expected 'identifier', found ')'", 15),
+            ("app abs c1", SyntaxError_, "keyword 'abs' is not an atomic term", 4),
+            ("app (abs i (x\\ x)) let", SyntaxError_, "keyword 'let' is not an atomic term", 19),
+            ("abs (i -> (x\\ x)", SyntaxError_, "expected ')', found '\\\\'", 12),
+            pytest.param(
+                "(" * 3000 + "x",
+                UnboundIdentifierError,
+                "identifier 'x' is not bound",
+                3000,
+                id="3000-open-unbound",
+            ),
+            pytest.param(
+                "(" * 3000 + "c1" + ")" * 2999,
+                SyntaxError_,
+                "expected ')', found 'end of input'",
+                6001,
+                id="3000-open-2999-closed",
+            ),
+            ("app c1 c1)", SyntaxError_, "unexpected trailing input ')'", 9),
+        ],
+    )
+    def test_malformed_terms_rejected(self, text, error, message, pos):
+        # Pinned from the recursive-descent parser that came before, run
+        # with a raised recursion limit for the 3,000-deep inputs.
+        with pytest.raises(error, match=re.escape(message)) as err:
+            parse_term(text, nominals=["c1"])
+        assert err.value.pos == pos
 
     def test_nominals(self):
         t = parse_term("app q q", nominals=["q"])

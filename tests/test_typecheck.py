@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linctx.ctx import EMPTY, Union, elems, from_list, gen_ctxs
+from linctx import typecheck
+from linctx.ctx import EMPTY, Cons, Union, elems, from_list, gen_ctxs
 from linctx.errors import PreconditionError
 from linctx.suites import _typed_lists, gen_terms
 from linctx.terms import (
@@ -22,7 +23,9 @@ from linctx.terms import (
     Name,
     TYPE_UNIVERSE,
     free_names,
+    fresh,
     name_pool,
+    open_term,
     parse_term,
     print_type,
     type_universe,
@@ -32,6 +35,7 @@ from linctx.typecheck import (
     _linear_types,
     TyAssoc,
     check_judgment,
+    ctx_names,
     linear_type,
     ltype_check,
     ltype_rel,
@@ -306,6 +310,79 @@ class TestBinderNames:
         assert digest.hexdigest() == (
             "a979cd12a4d94094958d2d9354b072003b3452d7a3a445e3abf6d22244c1bd5c"
         )
+
+
+def _per_binder_infer(l, e):
+    """type_of_infer as it read before one avoid set per call: each binder
+    is named outside the names of its own context and body."""
+    if isinstance(e, Free):
+        return next((a.ty for a in elems(l) if a.name == e.name), None)
+    if isinstance(e, App):
+        fn_ty = _per_binder_infer(l, e.fn)
+        if isinstance(fn_ty, Arrow) and _per_binder_infer(l, e.arg) == fn_ty.dom:
+            return fn_ty.cod
+        return None
+    if isinstance(e, Abs):
+        x = fresh(ctx_names(l) | free_names(e))
+        body_ty = _per_binder_infer(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
+        return None if body_ty is None else Arrow(e.ann, body_ty)
+    return None
+
+
+def _per_binder_enum(l, e):
+    """type_of_enum as it read before one avoid set per call."""
+    if isinstance(e, Free):
+        return frozenset(a.ty for a in elems(l) if a.name == e.name)
+    if isinstance(e, App):
+        arg_tys = _per_binder_enum(l, e.arg)
+        return frozenset(
+            t.cod for t in _per_binder_enum(l, e.fn) if isinstance(t, Arrow) and t.dom in arg_tys
+        )
+    if isinstance(e, Abs):
+        x = fresh(ctx_names(l) | free_names(e))
+        body_tys = _per_binder_enum(Cons(TyAssoc(x, e.ann), l), open_term(e.body, x))
+        return frozenset(Arrow(e.ann, t) for t in body_tys)
+    return frozenset()
+
+
+class TestStlcAvoidSet:
+    """The STLC readings build the names to avoid once per call."""
+
+    def test_deep_chain_walks_the_term_once(self, monkeypatch):
+        e = Bound(0)
+        for _ in range(300):
+            e = Abs(I, e)
+        ty = I
+        for _ in range(300):
+            ty = Arrow(I, ty)
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return free_names(t)
+
+        monkeypatch.setattr(typecheck, "free_names", counting)
+        assert type_of_infer(EMPTY, e) == ty
+        assert type_of_enum(EMPTY, e) == {ty}
+        assert calls == [e, e]
+
+    def test_results_equal_per_binder_readings(self):
+        # The universe of TestBinderNames' digest, without let: binders
+        # must skip the free n and n1.
+        n, n_1, c1 = Name("n"), Name("n", 1), Name("c", 1)
+        frees = (c1, n, n_1)
+        types = (I, Arrow(I, I))
+        terms = gen_terms(frees, 4, types, False)
+        pairs = 0
+        for k in range(3):
+            for names in itertools.permutations(frees, k):
+                for tys in itertools.product(types, repeat=k):
+                    l = assoc_list(*zip(names, tys))
+                    for e in terms:
+                        assert type_of_infer(l, e) == _per_binder_infer(l, e)
+                        assert type_of_enum(l, e) == _per_binder_enum(l, e)
+                        pairs += 1
+        assert pairs == 31 * len(terms)
 
 
 def equivalence_universe(term_size, ctx_elems, with_let):
