@@ -80,7 +80,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    status = 0
+    status = 0  # 2 if any line fails to parse, else 1 if any fails to translate or verify
     for lineno, line in _content_lines(args.file):
         try:
             term = parse_term(line)
@@ -92,7 +92,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
             translated = translate(EMPTY, term)
         except LinctxError as e:
             print(f"{args.file}:{lineno}: {type(e).__name__}: {e}")
-            status = 1
+            status = max(status, 1)
             continue
         print(print_term(translated))
         if args.verify:
@@ -104,7 +104,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
                 problems.append("type not preserved")
             if problems:
                 print(f"{args.file}:{lineno}: VERIFY FAILED: {'; '.join(problems)}")
-                status = 1
+                status = max(status, 1)
     return status
 
 

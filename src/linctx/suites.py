@@ -553,11 +553,9 @@ def _typed_lists(names: list, max_k: int) -> list:
 # term) pair over a pool of names c1, c2, ..., the nominal constants of
 # the paper.  Renaming the pool names of a case does not change its
 # verdict:
-# - the typing readings name binders only from the chain n, n1, ...
-#   (`fresh`, and `_check_linear`'s counter), which never meets the pool;
-#   the names a reading avoids on a case and on its image differ only in
-#   pool names, so both pick the same chain names, and the run on the
-#   image is the run on the case with the pool renamed;
+# - the typing readings name each binder by its depth (`terms.Local`), a
+#   name that no renaming of the pool touches, so the run on the image is
+#   the run on the case with the pool renamed;
 # - each verdict compares sets of types, which hold no names.
 # Both generators are structural in the order of their pool: renaming the
 # pool into another order maps the value at each index to the value at

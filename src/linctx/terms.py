@@ -83,6 +83,28 @@ def fresh(avoid: Iterable[Name]) -> Name:
 
 
 @node_dataclass
+class Local(Interned):
+    """The name, in place of a `Name`, of the binder that a typing reading
+    or the translation opens below `depth` enclosing binders."""
+
+    depth: int
+
+    def __str__(self) -> str:
+        return f"#{self.depth}"
+
+
+# Why `Local(d)` is fresh for the binder it names.  No parser, name pool or
+# `fresh` makes a Local, so the input of a reading holds none.  A reading
+# opens the binder at depth d with `Local(d)` and reads its body at depth
+# d + 1, and the Local does not outlive the body: the leftover checker
+# rejects a leftover that still holds it, and `translate` closes it back.
+# So every Local inside a (context, term) pair reached at depth d has a
+# depth below d.  Typing is equivariant, so a pair's result does not depend
+# on the depth it is reached at, and `_linear_types`' cache stays keyed on
+# (g, e).  The translation readings open a source binder and its target
+# image with the same Local: source names meet only source names, and
+# target names only target names, so the Local is fresh on each side.
+@node_dataclass
 class Base(Interned):
     label: str
 

@@ -38,22 +38,15 @@ from .terms import (
     App,
     Free,
     Let,
+    Local,
     Tm,
     close_term,
     closed_free_names,
-    fresh,
     free_counts,
-    free_names,
     open_term,
     print_term,
 )
 from .typecheck import TyAssoc, VarAssoc
-
-
-def _fresh_pair(avoid: frozenset) -> tuple:
-    x = fresh(avoid)
-    y = fresh(avoid | {x})
-    return x, y
 
 
 def ltrans_rel(g: Ctx, e: Tm, e2: Tm) -> bool:
@@ -65,6 +58,11 @@ def ltrans_rel(g: Ctx, e: Tm, e2: Tm) -> bool:
     a fresh source/target name pair; abstractions translate bodies under
     an extended context.
     """
+    return _ltrans_rel(g, e, e2, 0)
+
+
+def _ltrans_rel(g: Ctx, e: Tm, e2: Tm, depth: int) -> bool:
+    # Each binder at `depth` is named `Local(depth)` on both sides.
     if isinstance(e, Free) and isinstance(e2, Free):
         for a in dict.fromkeys(elems(g)):
             if isinstance(a, VarAssoc) and a.src == e.name and a.dst == e2.name:
@@ -73,28 +71,27 @@ def ltrans_rel(g: Ctx, e: Tm, e2: Tm) -> bool:
         return False
     if isinstance(e, App) and isinstance(e2, App):
         return any(
-            ltrans_rel(g1, e.fn, e2.fn) and ltrans_rel(g2, e.arg, e2.arg)
+            _ltrans_rel(g1, e.fn, e2.fn, depth) and _ltrans_rel(g2, e.arg, e2.arg, depth)
             for g1, g2 in splits(g)
         )
     if isinstance(e, Let) and isinstance(e2, App):
         if not isinstance(e2.fn, Abs) or e2.fn.ann != e.ann:
             return False
-        avoid = free_names(e).union(free_names(e2), *map(value_names, elems(g)))
+        x = Local(depth)
         for g1, g2 in splits(g):
-            if ltrans_rel(g1, e.val, e2.arg):
-                x, y = _fresh_pair(avoid)
-                if ltrans_rel(
-                    Cons(VarAssoc(x, y), g2),
+            if _ltrans_rel(g1, e.val, e2.arg, depth):
+                if _ltrans_rel(
+                    Cons(VarAssoc(x, x), g2),
                     open_term(e.body, x),
-                    open_term(e2.fn.body, y),
+                    open_term(e2.fn.body, x),
+                    depth + 1,
                 ):
                     return True
         return False
     if isinstance(e, Abs) and isinstance(e2, Abs) and e.ann == e2.ann:
-        avoid = free_names(e).union(free_names(e2), *map(value_names, elems(g)))
-        x, y = _fresh_pair(avoid)
-        return ltrans_rel(
-            Cons(VarAssoc(x, y), g), open_term(e.body, x), open_term(e2.body, y)
+        x = Local(depth)
+        return _ltrans_rel(
+            Cons(VarAssoc(x, x), g), open_term(e.body, x), open_term(e2.body, x), depth + 1
         )
     return False
 
@@ -127,30 +124,28 @@ def translate(g: Ctx, e: Tm) -> Tm:
         if count != 1:
             raise LinearityError(f"source name {n} is used {count} times, expected 1")
 
-    avoid = frees.union(*map(value_names, elems(g)))
-
-    def go(t: Tm, mapping: dict) -> Tm:
+    def go(t: Tm, mapping: dict, depth: int) -> Tm:
         if isinstance(t, Free):
             return Free(mapping[t.name])
         if isinstance(t, App):
-            return App(go(t.fn, mapping), go(t.arg, mapping))
+            return App(go(t.fn, mapping, depth), go(t.arg, mapping, depth))
         if isinstance(t, Abs):
-            return binder(t, mapping)
+            return binder(t, mapping, depth)
         if isinstance(t, Let):
-            val = go(t.val, mapping)
-            return App(binder(t, mapping), val)
+            val = go(t.val, mapping, depth)
+            return App(binder(t, mapping, depth), val)
         raise MalformedTermError(f"cannot translate {t!r}")
 
-    def binder(t: Abs | Let, mapping: dict) -> Abs:
+    def binder(t: Abs | Let, mapping: dict, depth: int) -> Abs:
         # The abstraction over t's translated body, whose bound variable
-        # is renamed through a fresh source/target pair.
-        x, y = _fresh_pair(avoid | set(mapping) | set(mapping.values()))
+        # is named by its depth on both sides.
+        x = Local(depth)
         body = open_term(t.body, x)
         if free_counts(body)[x] != 1:
             raise LinearityError(f"bound variable of {print_term(t)} is not used exactly once")
-        return Abs(t.ann, close_term(go(body, {**mapping, x: y}), y))
+        return Abs(t.ann, close_term(go(body, {**mapping, x: x}, depth + 1), x))
 
-    return go(e, {a.src: a.dst for a in assocs})
+    return go(e, {a.src: a.dst for a in assocs}, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,13 @@ from .terms import (
     Free,
     Interned,
     Let,
+    Local,
     Name,
     Tm,
     Ty,
     _parse_type_atom,
     _print_type_atom,
     closed_free_names,
-    fresh,
-    free_names,
     node_dataclass,
     open_term,
     parse_term_tokens,
@@ -114,16 +113,10 @@ def ty_ctx_mset(g: Ctx) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _under(g: Ctx, t: Abs | Let, avoid: frozenset) -> tuple:
-    """Context, opened body and avoid set under t's binder, named outside avoid."""
-    x = fresh(avoid)
-    return Cons(TyAssoc(x, t.ann), g), open_term(t.body, x), avoid | {x}
-
-
-# The STLC readings, like `_linear_types`, build one avoid set per call:
-# the names of l and e, extended by `_under` for each binder's body.  A
-# binder may then get another name than a fresh choice per binder would
-# give it, which changes no result, since typing is equivariant.
+def _under(g: Ctx, t: Abs | Let, depth: int) -> tuple:
+    """Context, opened body and depth under t's binder, named `Local(depth)`."""
+    x = Local(depth)
+    return Cons(TyAssoc(x, t.ann), g), open_term(t.body, x), depth + 1
 
 
 def type_of_infer(l: Ctx, e: Tm) -> Optional[Ty]:
@@ -135,10 +128,10 @@ def type_of_infer(l: Ctx, e: Tm) -> Optional[Ty]:
     """
     if not is_list(l):
         raise PreconditionError("type_of_infer requires a list-form context")
-    return _infer(l, e, ctx_names(l) | free_names(e))
+    return _infer(l, e, 0)
 
 
-def _infer(l: Ctx, e: Tm, avoid: frozenset) -> Optional[Ty]:
+def _infer(l: Ctx, e: Tm, depth: int) -> Optional[Ty]:
     if isinstance(e, Free):
         for a in elems(l):
             if isinstance(a, TyAssoc) and a.name == e.name:
@@ -147,12 +140,12 @@ def _infer(l: Ctx, e: Tm, avoid: frozenset) -> Optional[Ty]:
     if isinstance(e, Bound):
         raise MalformedTermError("term is not locally closed")
     if isinstance(e, App):
-        fn_ty = _infer(l, e.fn, avoid)
-        if isinstance(fn_ty, Arrow) and _infer(l, e.arg, avoid) == fn_ty.dom:
+        fn_ty = _infer(l, e.fn, depth)
+        if isinstance(fn_ty, Arrow) and _infer(l, e.arg, depth) == fn_ty.dom:
             return fn_ty.cod
         return None
     if isinstance(e, Abs):
-        body_ty = _infer(*_under(l, e, avoid))
+        body_ty = _infer(*_under(l, e, depth))
         return None if body_ty is None else Arrow(e.ann, body_ty)
     return None  # no rule for let in this system
 
@@ -165,10 +158,10 @@ def type_of_enum(l: Ctx, e: Tm) -> frozenset:
     """
     if not is_list(l):
         raise PreconditionError("type_of_enum requires a list-form context")
-    return _enum(l, e, ctx_names(l) | free_names(e))
+    return _enum(l, e, 0)
 
 
-def _enum(l: Ctx, e: Tm, avoid: frozenset) -> frozenset:
+def _enum(l: Ctx, e: Tm, depth: int) -> frozenset:
     if isinstance(e, Free):
         return frozenset(
             a.ty for a in elems(l) if isinstance(a, TyAssoc) and a.name == e.name
@@ -176,13 +169,13 @@ def _enum(l: Ctx, e: Tm, avoid: frozenset) -> frozenset:
     if isinstance(e, Bound):
         raise MalformedTermError("term is not locally closed")
     if isinstance(e, App):
-        fn_tys = _enum(l, e.fn, avoid)
-        arg_tys = _enum(l, e.arg, avoid)
+        fn_tys = _enum(l, e.fn, depth)
+        arg_tys = _enum(l, e.arg, depth)
         return frozenset(
             t.cod for t in fn_tys if isinstance(t, Arrow) and t.dom in arg_tys
         ) or EMPTY_SET
     if isinstance(e, Abs):
-        body_tys = _enum(*_under(l, e, avoid))
+        body_tys = _enum(*_under(l, e, depth))
         return frozenset(Arrow(e.ann, t) for t in body_tys) or EMPTY_SET
     return EMPTY_SET
 
@@ -202,19 +195,12 @@ def _memo(cache: dict, fn, arg):
     return out
 
 
-# `avoid` covers the names of g and e: built from cached parts at the first
-# binder, kept for App and Let children (splits of g, subterms of e), and
-# extended by `_under` for a binder's body.  The result for (g, e) does not
-# depend on which fresh name a binder takes (typing is equivariant), so the
-# cache stays keyed on (g, e) though nested binders may get other names.
 # An abstraction's result is not stored: it has one premise and no choice,
 # its types are the Arrow image of its body's, and the body's are stored.
-def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict, avoid=None) -> frozenset:
-    if avoid is None and isinstance(e, (Abs, Let)):
-        avoid = _memo(cache, ctx_names, g) | _memo(cache, free_names, e)
+def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict, depth: int = 0) -> frozenset:
     if isinstance(e, Abs):
-        g1, body, body_avoid = _under(g, e, avoid)
-        body_tys = _linear_types(g1, body, with_let, cache, body_avoid)
+        g1, body, body_depth = _under(g, e, depth)
+        body_tys = _linear_types(g1, body, with_let, cache, body_depth)
         return frozenset(Arrow(e.ann, t) for t in body_tys) if body_tys else EMPTY_SET
     key = (g, e)
     cached = cache.get(key)
@@ -230,15 +216,15 @@ def _linear_types(g: Ctx, e: Tm, with_let: bool, cache: dict, avoid=None) -> fro
         raise MalformedTermError("term is not locally closed")
     elif isinstance(e, App):
         for g1, g2 in _memo(cache, splits, g):
-            for fn_ty in _linear_types(g1, e.fn, with_let, cache, avoid):
+            for fn_ty in _linear_types(g1, e.fn, with_let, cache, depth):
                 if isinstance(fn_ty, Arrow):
-                    if fn_ty.dom in _linear_types(g2, e.arg, with_let, cache, avoid):
+                    if fn_ty.dom in _linear_types(g2, e.arg, with_let, cache, depth):
                         out.add(fn_ty.cod)
     elif isinstance(e, Let) and with_let:
         for g1, g2 in _memo(cache, splits, g):
-            if e.ann in _linear_types(g1, e.val, with_let, cache, avoid):
-                g3, body, body_avoid = _under(g2, e, avoid)
-                out |= _linear_types(g3, body, with_let, cache, body_avoid)
+            if e.ann in _linear_types(g1, e.val, with_let, cache, depth):
+                g3, body, body_depth = _under(g2, e, depth)
+                out |= _linear_types(g3, body, with_let, cache, body_depth)
     result = cache[key] = frozenset(out) if out else EMPTY_SET
     return result
 
@@ -276,10 +262,9 @@ def mltype_rel(g: Ctx, e: Tm, t: Ty) -> bool:
 
 @dataclass(frozen=True)
 class Leftover:
-    """Unconsumed associations (list form) and the names consumed so far."""
+    """Unconsumed associations, in list form."""
 
     remaining: Ctx
-    used: frozenset
 
 
 def _check_linear(g_in: Ctx, e: Tm, with_let: bool) -> Optional[tuple]:
@@ -291,65 +276,52 @@ def _check_linear(g_in: Ctx, e: Tm, with_let: bool) -> Optional[tuple]:
     names = [a.name for a in assocs]
     if len(set(names)) != len(names):
         raise PreconditionError("leftover checking requires distinct names")
-    frees = closed_free_names(e)
-    if frees is None:
+    if closed_free_names(e) is None:
         raise MalformedTermError("term is not locally closed")
-    avoid_base = frees.union(names)
-    k = 0  # the next index of the name chain (n, n1, n2, ...) to try
 
-    def go(t: Tm, remaining: tuple, used: frozenset) -> Optional[tuple]:
+    def go(t: Tm, remaining: tuple, depth: int) -> Optional[tuple]:
         if isinstance(t, Free):
             for i, a in enumerate(remaining):
                 if a.name == t.name:
-                    return a.ty, remaining[:i] + remaining[i + 1 :], used | {t.name}
+                    return a.ty, remaining[:i] + remaining[i + 1 :]
             return None
         if isinstance(t, App):
-            fn_res = go(t.fn, remaining, used)
+            fn_res = go(t.fn, remaining, depth)
             if fn_res is None:
                 return None
-            fn_ty, rem1, used1 = fn_res
+            fn_ty, rem1 = fn_res
             if not isinstance(fn_ty, Arrow):
                 return None
-            arg_res = go(t.arg, rem1, used1)
+            arg_res = go(t.arg, rem1, depth)
             if arg_res is None:
                 return None
-            arg_ty, rem2, used2 = arg_res
+            arg_ty, rem2 = arg_res
             if arg_ty != fn_ty.dom:
                 return None
-            return fn_ty.cod, rem2, used2
+            return fn_ty.cod, rem2
         if isinstance(t, Abs):
-            res = binder(t, remaining, used)
-            return None if res is None else (Arrow(t.ann, res[0]),) + res[1:]
+            res = binder(t, remaining, depth)
+            return None if res is None else (Arrow(t.ann, res[0]), res[1])
         if isinstance(t, Let) and with_let:
-            val_res = go(t.val, remaining, used)
+            val_res = go(t.val, remaining, depth)
             if val_res is None or val_res[0] != t.ann:
                 return None
-            return binder(t, val_res[1], val_res[2])
+            return binder(t, val_res[1], depth)
         return None
 
-    def binder(t: Abs | Let, remaining: tuple, used: frozenset) -> Optional[tuple]:
-        # Types t's body under a fresh association of its annotation.  The
-        # counter only moves up and skips avoid_base, and every name in used
-        # or remaining is in avoid_base or was handed out before, so x is
-        # fresh for all of them.  It is also the name that fresh() would pick
-        # outside them: a binder whose name is left over fails the whole
-        # call, so every name handed out so far is still in used or remaining.
-        nonlocal k
-        x = Name("n", k)
-        while x in avoid_base:
-            k += 1
-            x = Name("n", k)
-        k += 1
-        res = go(open_term(t.body, x), (TyAssoc(x, t.ann),) + remaining, used)
+    def binder(t: Abs | Let, remaining: tuple, depth: int) -> Optional[tuple]:
+        # Types t's body under a fresh association of its annotation.
+        x = Local(depth)
+        res = go(open_term(t.body, x), (TyAssoc(x, t.ann),) + remaining, depth + 1)
         if res is None or any(a.name == x for a in res[1]):
             return None  # ill-typed, or the bound variable was never used
         return res
 
-    out = go(e, tuple(assocs), frozenset())
+    out = go(e, tuple(assocs), 0)
     if out is None:
         return None
-    ty, rem, used = out
-    return ty, Leftover(from_list(rem), used)
+    ty, rem = out
+    return ty, Leftover(from_list(rem))
 
 
 def ltype_check(g_in: Ctx, e: Tm) -> Optional[tuple]:

@@ -131,6 +131,16 @@ class TestTranslate:
             "is not used exactly once\n"
         )
 
+    @pytest.mark.parametrize("parse_error_first", [True, False])
+    def test_parse_error_status_wins_in_either_order(self, capsys, tmp_path, parse_error_first):
+        truncated, nonlinear = "abs i (x\\ ", "abs i (x\\ app x x)"
+        lines = [truncated, nonlinear] if parse_error_first else [nonlinear, truncated]
+        f = tmp_path / "t.tm"
+        f.write_text("\n".join(lines) + "\n")
+        code, out = run(capsys, "translate", "--verify", f)
+        assert code == 2
+        assert "parse error" in out and "LinearityError" in out
+
 
 class TestVerify:
     def test_specs_and_lemmas(self, capsys):

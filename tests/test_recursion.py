@@ -44,7 +44,7 @@ RECURSIVE = {
     "ctxspec.match_pattern": _KERNEL,
     "suites.gen_linear_terms.at": _SIZE,
     "suites.gen_terms.at": _SIZE,
-    "translate.ltrans_rel": _TRANSLATE,
+    "translate._ltrans_rel": _TRANSLATE,
     "translate.translate.binder": _TRANSLATE,
     "translate.translate.go": _TRANSLATE,
     "typecheck._check_linear.binder": _TYPING,

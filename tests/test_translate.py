@@ -1,11 +1,13 @@
 """Let elimination and the coordinated three-context relation."""
 
+from pathlib import Path
+
 import pytest
 
 from linctx.ctx import EMPTY, Union, elems, from_list
 from linctx.errors import LinearityError, PreconditionError, UnmappedVariableError
 from linctx.report import GenBounds
-from linctx.suites import gen_terms, gen_trans_triples
+from linctx.suites import _TRANS_TYPES, gen_linear_terms, gen_terms, gen_trans_triples
 from linctx.terms import (
     Abs,
     App,
@@ -15,6 +17,8 @@ from linctx.terms import (
     Free,
     Let,
     Name,
+    free_names,
+    name_pool,
     parse_term,
 )
 from linctx.translate import (
@@ -114,6 +118,20 @@ class TestTranslate:
             except (LinearityError, UnmappedVariableError):
                 continue
             assert seen.setdefault(e, out) == out
+
+    def test_only_target_names_free(self):
+        # A binder's name is closed back on the target side, so the output's
+        # free names are the context's target names: on every fixture term,
+        # and on every source term of check_ltrans_pres_ty at these bounds.
+        lines = (Path(__file__).parent / "fixtures" / "terms.tm").read_text().splitlines()
+        cases = [(EMPTY, parse_term(line)) for line in lines if line and not line.startswith("#")]
+        assert len(cases) == 4
+        xs = tuple(name_pool(3, "x"))
+        for l1, l2, _ in gen_trans_triples(GenBounds(ctx_elems=2, term_size=5)):
+            cases += [(l2, e) for e, _ in gen_linear_terms(elems(l1), xs, 5, _TRANS_TYPES, True)]
+        assert len(cases) == 4 + 598
+        for g, e in cases:
+            assert free_names(translate(g, e)) == {a.dst for a in elems(g)}
 
 
 class TestTransRelList:

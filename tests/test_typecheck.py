@@ -20,6 +20,7 @@ from linctx.terms import (
     Bound,
     Free,
     Let,
+    Local,
     Name,
     TYPE_UNIVERSE,
     free_names,
@@ -172,7 +173,7 @@ class TestLinearChecker:
     def test_variable_consumes(self):
         ty, leftover = ltype_check(assoc_list((N1, T1)), Free(N1))
         assert ty == T1
-        assert leftover == Leftover(EMPTY, frozenset({N1}))
+        assert leftover == Leftover(EMPTY)
 
     def test_unused_binder_rejected(self):
         assert linear_type(assoc_list((N1, T1)), parse_term("abs tau2 (y\\ n1)", [N1])) is None
@@ -183,24 +184,12 @@ class TestLinearChecker:
         ty, leftover = res
         assert ty == O
         assert elems(leftover.remaining) == (TyAssoc(N1, I),)
-        assert leftover.used == frozenset({N2})
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             ltype_check(assoc_list((N1, I), (N1, O)), Free(N1))
         with pytest.raises(PreconditionError):
             ltype_check(Union(EMPTY, EMPTY), Free(N1))
-
-    def test_leftover_used_disjoint_from_remaining(self):
-        types = (I, Arrow(I, I))
-        ctx = assoc_list((N1, I), (N2, Arrow(I, I)))
-        for e in gen_terms((N1, N2), 4, types, True):
-            res = mltype_check(ctx, e)
-            if res is None:
-                continue
-            _, leftover = res
-            remaining_names = {a.name for a in elems(leftover.remaining)}
-            assert not (leftover.used & remaining_names)
 
 
 class TestMiniML:
@@ -246,14 +235,23 @@ class TestBeyondUniverse:
 
 
 class TestBinderNames:
-    # A binder takes a name outside the context and the term.  A free n or
-    # n1 that the context does not declare must not be captured: each term
-    # below would type if its binder took that name.
+    # A binder is named by its depth, a name that no input holds.  A free
+    # name that the context does not declare must not be captured: each
+    # term below would type if its binders took its free names.  The last
+    # one's free names are the first four of `fresh`'s chain.
     N, N_1, C1 = Name("n"), Name("n", 1), Name("c", 1)
     CAPTURABLE = (
         (EMPTY, parse_term("abs i (x\\ n)", [N])),
         (EMPTY, parse_term("abs i (x\\ abs (i -> i) (y\\ app n1 x))", [N_1])),
         (assoc_list((C1, I)), parse_term("abs (i -> i) (x\\ app n c1)", [N, C1])),
+        (
+            EMPTY,
+            parse_term(
+                "abs (i -> i -> i -> i) (x\\ abs i (y\\ abs i (z\\ abs i (w\\ "
+                "app (app (app n n1) n2) n3))))",
+                [N, N_1, N2, N3],
+            ),
+        ),
     )
 
     @pytest.mark.parametrize("g, e", CAPTURABLE)
@@ -266,21 +264,21 @@ class TestBinderNames:
         assert mltype_check(g, e) is None
 
     def test_declared_name_is_avoided(self):
-        # With n declared, the binder is named past it and n resolves to
-        # the context's association.
+        # With n declared, n resolves to the context's association, not to
+        # the binder.
         g = assoc_list((self.N, I))
         e = parse_term("abs (i -> i) (x\\ app x n)", [self.N])
         ty = Arrow(Arrow(I, I), I)
         assert type_of_infer(g, e) == ty
         assert ltype_types(g, e) == mltype_types(g, e) == {ty}
-        assert ltype_check(g, e) == (ty, Leftover(EMPTY, frozenset({self.N, self.N_1})))
+        assert ltype_check(g, e) == (ty, Leftover(EMPTY))
 
     def test_pinned_digest(self):
-        # Checker results (type, leftover, sorted used names) and the
-        # relational type sets of every term up to size 4 over the free
-        # names c1, n and n1, under every list of up to two of them, so
-        # that binders must skip n and n1.  Pinned from the readings that
-        # recomputed the names to avoid at every binder.
+        # Checker results (type and leftover) and the relational type sets
+        # of every term up to size 4 over the free names c1, n and n1 (the
+        # first names of `fresh`'s chain), under every list of up to two of
+        # them.  Pinned from readings that named each binder outside the
+        # names of its context and term.  No leftover holds a binder's name.
         frees = (self.C1, self.N, self.N_1)
         types = (I, Arrow(I, I))
         terms = gen_terms(frees, 4, types, True)
@@ -300,15 +298,17 @@ class TestBinderNames:
                                 line = "-"
                             else:
                                 ty, left = res
+                                assert not any(
+                                    isinstance(a.name, Local) for a in elems(left.remaining)
+                                )
                                 remaining = " ".join(map(str, elems(left.remaining)))
-                                used = " ".join(sorted(map(str, left.used)))
-                                line = f"{print_type(ty)}|{remaining}|{used}"
+                                line = f"{print_type(ty)}|{remaining}"
                             derivable = ",".join(sorted(map(print_type, types_of(g, e))))
                             digest.update(f"{line}\n{derivable}\n".encode())
                             count += 2
         assert count == 49104
         assert digest.hexdigest() == (
-            "a979cd12a4d94094958d2d9354b072003b3452d7a3a445e3abf6d22244c1bd5c"
+            "30d91fba9da817f8b5e3ea547a36d6a2b6ff259cdd6e4691f564445c6caaae04"
         )
 
 
@@ -346,7 +346,7 @@ def _per_binder_enum(l, e):
 
 
 class TestStlcAvoidSet:
-    """The STLC readings build the names to avoid once per call."""
+    """The STLC readings name binders by depth and build no names to avoid."""
 
     def test_deep_chain_walks_the_term_once(self, monkeypatch):
         e = Bound(0)
@@ -361,14 +361,15 @@ class TestStlcAvoidSet:
             calls.append(t)
             return free_names(t)
 
-        monkeypatch.setattr(typecheck, "free_names", counting)
+        monkeypatch.setattr("linctx.terms.free_names", counting)
+        assert not hasattr(typecheck, "free_names")
         assert type_of_infer(EMPTY, e) == ty
         assert type_of_enum(EMPTY, e) == {ty}
-        assert calls == [e, e]
+        assert calls == []
 
     def test_results_equal_per_binder_readings(self):
-        # The universe of TestBinderNames' digest, without let: binders
-        # must skip the free n and n1.
+        # The universe of TestBinderNames' digest, without let, where the
+        # per-binder readings must name their binders past the free n and n1.
         n, n_1, c1 = Name("n"), Name("n", 1), Name("c", 1)
         frees = (c1, n, n_1)
         types = (I, Arrow(I, I))
@@ -420,7 +421,7 @@ class TestRelationalMemo:
     @pytest.mark.parametrize("with_let", [False, True])
     def test_shared_memo_agrees_with_fresh_memo(self, with_let):
         # The perfbench `equivalence` bounds.  A result stored for one pair
-        # is read back for another, with binders that may be named apart.
+        # is read back for another, which may reach it at another depth.
         cache: dict = {}
         pairs = equivalence_universe(4, 1, with_let)
         for g, e in pairs:
