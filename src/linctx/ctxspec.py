@@ -1235,23 +1235,36 @@ def check_distr_instances(
     `align_mset` keeps for the process.  Each split is decided once per
     class, in a verdict memo dropped when the check returns.
     """
-    index0 = index - 1
     passed: set = set()
     for contexts in instances:
-        aligned = _align_instance(spec, contexts, enforce_freshness)
-        instance_key = tuple(multiset_of(g) for g in contexts)
-        for first, second in splits(contexts[index0]):
-            key = (instance_key, multiset_of(first))
-            # An instance that does not align fails whatever its class; one
-            # that aligns is decided once per class.
-            if aligned is None or key not in passed and _distr_witnesses(
-                spec, aligned, index0, first, second, enforce_freshness
-            ) is None:
-                gvars = [f"G{j}" for j in range(1, spec.arity + 1)]
-                split_desc = f"G{index} ~ {print_ctx(first)} ++ {print_ctx(second)}"
-                yield f"{render_contexts(gvars, contexts)}; {split_desc}"
-            passed.add(key)
-            yield None
+        yield from _distr_instance(spec, index, contexts, enforce_freshness, passed)
+
+
+def _distr_instance(
+    spec: ContextSpec,
+    index: int,
+    contexts: Sequence[Ctx],
+    enforce_freshness: bool,
+    passed: set,
+):
+    """The cases of `check_distr_instances` for one context tuple.  `passed`
+    holds the (instance class, first-side class) keys already decided, and
+    is shared by every tuple of one check."""
+    index0 = index - 1
+    aligned = _align_instance(spec, contexts, enforce_freshness)
+    instance_key = tuple(multiset_of(g) for g in contexts)
+    for first, second in splits(contexts[index0]):
+        key = (instance_key, multiset_of(first))
+        # An instance that does not align fails whatever its class; one
+        # that aligns is decided once per class.
+        if aligned is None or key not in passed and _distr_witnesses(
+            spec, aligned, index0, first, second, enforce_freshness
+        ) is None:
+            gvars = [f"G{j}" for j in range(1, spec.arity + 1)]
+            split_desc = f"G{index} ~ {print_ctx(first)} ++ {print_ctx(second)}"
+            yield f"{render_contexts(gvars, contexts)}; {split_desc}"
+        passed.add(key)
+        yield None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 from .ctx import (
     Ctx,
@@ -35,7 +35,7 @@ from .ctx import (
     sel_transport,
     splits,
 )
-from .ctxspec import check_distr_instances, render_contexts
+from .ctxspec import _distr_instance, render_contexts
 from .report import GenBounds, counted, run_checks
 from .terms import (
     Abs,
@@ -44,6 +44,7 @@ from .terms import (
     Base,
     Bound,
     Free,
+    Interned,
     Let,
     Name,
     TYPE_UNIVERSE,
@@ -704,21 +705,33 @@ def equivalence_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
 
 _TRANS_TYPES = (Base("i"), Base("o"), Arrow(Base("i"), Base("i")))
 
+# Each triple universe, by min(ctx_elems, 3), the only bound its generator
+# reads.  Its nodes are interned for the whole process anyway, so a kept
+# universe costs only its list.
+_TRIPLES: dict = {}
+_TRIPLES_MSET: dict = {}
+
 
 def gen_trans_triples(bounds: GenBounds) -> list:
-    """Coordinated list triples with up to ctx_elems associations."""
-    xs = name_pool(3, "x")
-    ys = name_pool(3, "y")
-    out = []
-    for k in range(min(bounds.ctx_elems, 3) + 1):
-        for srcs in itertools.permutations(xs, k):
-            for dsts in itertools.permutations(ys, k):
-                for tys in itertools.product(_TRANS_TYPES, repeat=k):
-                    l1 = from_list([TyAssoc(x, t) for x, t in zip(srcs, tys)])
-                    l2 = from_list([VarAssoc(x, y) for x, y in zip(srcs, dsts)])
-                    l3 = from_list([TyAssoc(y, t) for y, t in zip(dsts, tys)])
-                    out.append((l1, l2, l3))
-    return out
+    """Coordinated list triples with up to ctx_elems associations.  Each
+    universe is built once; every call returns a new list of it."""
+    k_max = min(bounds.ctx_elems, 3)
+    out = _TRIPLES.get(k_max)
+    if out is None:
+        xs = name_pool(3, "x")
+        ys = name_pool(3, "y")
+        out = _TRIPLES[k_max] = [
+            (
+                from_list([TyAssoc(x, t) for x, t in zip(srcs, tys)]),
+                from_list([VarAssoc(x, y) for x, y in zip(srcs, dsts)]),
+                from_list([TyAssoc(y, t) for y, t in zip(dsts, tys)]),
+            )
+            for k in range(k_max + 1)
+            for srcs in itertools.permutations(xs, k)
+            for dsts in itertools.permutations(ys, k)
+            for tys in itertools.product(_TRANS_TYPES, repeat=k)
+        ]
+    return list(out)
 
 
 def _restructure(row: tuple, variant: int) -> Ctx:
@@ -733,55 +746,170 @@ def _restructure(row: tuple, variant: int) -> Ctx:
 
 def gen_trans_triples_mset(bounds: GenBounds) -> list:
     """List triples plus bounded union/permutation restructurings; trans_rel
-    relates every one."""
-    out = []
-    seen = set()
-    for l1, l2, l3 in gen_trans_triples(bounds):
-        rows = (elems(l1), elems(l2), elems(l3))
+    relates every one.  Each universe is built once, like
+    `gen_trans_triples`'."""
+    k_max = min(bounds.ctx_elems, 3)
+    out = _TRIPLES_MSET.get(k_max)
+    if out is None:
         combos = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 2, 1), (3, 0, 2), (1, 3, 0)]
-        for variants in combos:
-            triple = tuple(_restructure(r, v) for r, v in zip(rows, variants))
-            if triple not in seen:
-                seen.add(triple)
-                out.append(triple)
-    return out
+        triples: dict = {}
+        for l1, l2, l3 in gen_trans_triples(bounds):
+            rows = (elems(l1), elems(l2), elems(l3))
+            for variants in combos:
+                triples[tuple(_restructure(r, v) for r, v in zip(rows, variants))] = None
+        out = _TRIPLES_MSET[k_max] = list(triples)
+    return list(out)
 
 
 _render_triple = partial(render_contexts, ("G1", "G2", "G3"))
 
 
+# ---------------------------------------------------------------------------
+# One decision per orbit under renamings of the triples' names.
+#
+# The translation checks sweep triples over the names x1..x3 and y1..y3,
+# nominal constants like the typing pool above, and renaming the names of
+# a triple by any bijection does not change its verdict:
+# - every check reads names only by equality, and mentions no fixed name;
+# - `_align_rows`, behind `trans_rel_mset` and the distributivity cases,
+#   is positional: it reads entries through `dict.fromkeys` and
+#   `row.index`, and compares names only with each other;
+# - `select`, `splits`, `partition_list` and `perm_to_part_mask` are
+#   structural: they move entries by position and tree shape and read
+#   them only by equality;
+# - `linear_type`, `ml_type` and `ltrans_rel` name each binder
+#   `Local(depth)`, a name that no renaming of the triple's names touches,
+#   and `translate` leaves each bound variable as its index.
+# So a renaming maps each case of a triple to a case of its image with the
+# same outcome, and a triple to one with the same number of cases.
+# `_orbit_key` names each orbit; `_by_orbit` decides the first triple of
+# each and counts every later one as that many passing cases.  The sweep
+# went past a first triple only because all its cases passed, and a
+# failure ends the check, so the case count and the counterexample are
+# those of deciding every triple.
+# ---------------------------------------------------------------------------
+
+# `_orbit_key`'s answers, and each context's reading, for the life of the
+# process: both are pure, and their triples and contexts are interned.
+_ORBIT_KEYS: dict = {}
+_READINGS: dict = {}
+
+
+def _reading(g: Ctx) -> tuple:
+    """The context's tree read in preorder, each node as its class and each
+    `Name` as the class alone, and the names in the order read.  Every
+    interned node has a fixed number of fields, so the two together are a
+    faithful code of the context."""
+    found = _READINGS.get(g)
+    if found is None:
+        shape, names = [], []
+        pending = [g]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Name):
+                names.append(node)
+                shape.append(Name)
+            elif isinstance(node, Interned):
+                shape.append(type(node))
+                pending += reversed(node.__reduce__()[1])
+            else:
+                shape.append(node)
+        found = _READINGS[g] = (tuple(shape), tuple(names))
+    return found
+
+
+def _orbit_key(triple: tuple) -> tuple:
+    """The readings of the triple's contexts, with every `Name` replaced by
+    the rank of its first occurrence: two triples have equal keys exactly
+    when a bijection of names maps one onto the other."""
+    key = _ORBIT_KEYS.get(triple)
+    if key is None:
+        ranks: dict = {}
+        key = []
+        for g in triple:
+            shape, names = _reading(g)
+            key += (shape, tuple(ranks.setdefault(n, len(ranks)) for n in names))
+        key = _ORBIT_KEYS[triple] = tuple(key)
+    return key
+
+
+def _by_orbit(triples: Iterable, decide: Callable):
+    """The cases of `decide(triple)` for each triple, run only on the first
+    triple of each orbit (see the comment above `_orbit_key`); a later
+    triple yields as many passing cases as the first one did."""
+    counts: dict = {}
+    for triple in triples:
+        key = _orbit_key(triple)
+        n = counts.get(key)
+        if n is None:
+            n = 0
+            for outcome in decide(triple):
+                yield outcome
+                n += 1
+            counts[key] = n
+        else:
+            yield from itertools.repeat(False, n)
+
+
+def _uniq_cases(triple: tuple):
+    entries = elems(triple[1])
+    for a in entries:
+        for b in entries:
+            if a.src == b.src:
+                yield a.dst != b.dst and f"two targets for {a.src}: {_render_triple(triple)}"
+
+
 @counted
 def check_trans_rel_uniq(bounds: GenBounds):
     """Translation associations are unique per source name."""
-    for triple in gen_trans_triples_mset(bounds):
-        entries = elems(triple[1])
-        for a in entries:
-            for b in entries:
-                if a.src == b.src:
-                    yield a.dst != b.dst and f"two targets for {a.src}: {_render_triple(triple)}"
+    yield from _by_orbit(gen_trans_triples_mset(bounds), _uniq_cases)
+
+
+def _mem_cases(triple: tuple):
+    g1, g2, g3 = triple
+    for entry in elems(g2):
+        if not isinstance(entry, VarAssoc):
+            yield f"non-association member: {_render_triple(triple)}"
+        x, y = entry.src, entry.dst
+        shared = [
+            a.ty
+            for a in elems(g1)
+            if isinstance(a, TyAssoc) and a.name == x
+            and any(
+                b.name == y and b.ty == a.ty
+                for b in elems(g3)
+                if isinstance(b, TyAssoc)
+            )
+        ]
+        yield not (isinstance(x, Name) and isinstance(y, Name) and shared) and (
+            f"no coordinated type for {entry}: {_render_triple(triple)}"
+        )
 
 
 @counted
 def check_trans_rel_mem(bounds: GenBounds):
     """Members of the translation context coordinate with both typing contexts."""
-    for triple in gen_trans_triples_mset(bounds):
-        g1, g2, g3 = triple
-        for entry in elems(g2):
-            if not isinstance(entry, VarAssoc):
-                yield f"non-association member: {_render_triple(triple)}"
+    yield from _by_orbit(gen_trans_triples_mset(bounds), _mem_cases)
+
+
+def _sel_cases(triple: tuple):
+    if not trans_rel_mset(*triple):
+        return
+    g1, g2, g3 = triple
+    for entry in dict.fromkeys(elems(g2)):
+        for g2r in select(entry, g2):
             x, y = entry.src, entry.dst
-            shared = [
-                a.ty
-                for a in elems(g1)
-                if isinstance(a, TyAssoc) and a.name == x
-                and any(
-                    b.name == y and b.ty == a.ty
-                    for b in elems(g3)
-                    if isinstance(b, TyAssoc)
-                )
-            ]
-            yield not (isinstance(x, Name) and isinstance(y, Name) and shared) and (
-                f"no coordinated type for {entry}: {_render_triple(triple)}"
+            found = any(
+                trans_rel_mset(g1r, g2r, g3r)
+                for a1 in dict.fromkeys(elems(g1))
+                if isinstance(a1, TyAssoc) and a1.name == x
+                for g1r in select(a1, g1)
+                for a3 in dict.fromkeys(elems(g3))
+                if isinstance(a3, TyAssoc) and a3.name == y and a3.ty == a1.ty
+                for g3r in select(a3, g3)
+            )
+            yield not found and (
+                f"no coordinated selection for {entry}: {_render_triple(triple)}"
             )
 
 
@@ -789,23 +917,17 @@ def check_trans_rel_mem(bounds: GenBounds):
 def check_trans_rel_sel(bounds: GenBounds):
     """Selection from the translation context coordinates with selections
     from both typing contexts, leaving a residual triple in the relation."""
-    for triple in filter(lambda t: trans_rel_mset(*t), gen_trans_triples_mset(bounds)):
-        g1, g2, g3 = triple
-        for entry in dict.fromkeys(elems(g2)):
-            for g2r in select(entry, g2):
-                x, y = entry.src, entry.dst
-                found = any(
-                    trans_rel_mset(g1r, g2r, g3r)
-                    for a1 in dict.fromkeys(elems(g1))
-                    if isinstance(a1, TyAssoc) and a1.name == x
-                    for g1r in select(a1, g1)
-                    for a3 in dict.fromkeys(elems(g3))
-                    if isinstance(a3, TyAssoc) and a3.name == y and a3.ty == a1.ty
-                    for g3r in select(a3, g3)
-                )
-                yield not found and (
-                    f"no coordinated selection for {entry}: {_render_triple(triple)}"
-                )
+    yield from _by_orbit(gen_trans_triples_mset(bounds), _sel_cases)
+
+
+def _list_distr_cases(triple: tuple):
+    if not trans_rel_list(*triple):
+        return
+    for parts in zip(*(partition_list(l) for l in triple)):
+        firsts, seconds = zip(*parts)
+        yield not (trans_rel_list(*firsts) and trans_rel_list(*seconds)) and (
+            f"partition failed: {_render_triple(triple)}"
+        )
 
 
 @counted
@@ -816,28 +938,32 @@ def check_trans_rel_list_distr(bounds: GenBounds):
     lists the partitions of equal-length lists in the same mask order, so
     zipping their partitions applies one mask to all three lists.
     """
-    for triple in filter(lambda t: trans_rel_list(*t), gen_trans_triples(bounds)):
-        for parts in zip(*(partition_list(l) for l in triple)):
-            firsts, seconds = zip(*parts)
-            yield not (trans_rel_list(*firsts) and trans_rel_list(*seconds)) and (
-                f"partition failed: {_render_triple(triple)}"
+    yield from _by_orbit(gen_trans_triples(bounds), _list_distr_cases)
+
+
+@counted
+def check_trans_rel_distr(bounds: GenBounds):
+    """Splits of the first context induce coordinated splits of the others:
+    `check_distr_instances` on the triples, one triple per orbit."""
+    passed: set = set()
+    yield from _by_orbit(
+        gen_trans_triples_mset(bounds),
+        lambda triple: _distr_instance(TRANS_REL, 1, triple, True, passed),
+    )
+
+
+def _sel_implies_mem_cases(triple: tuple):
+    for g in triple:
+        for entry in dict.fromkeys(elems(g)):
+            yield select(entry, g) and not member(entry, g) and (
+                f"select without member in {_render_triple(triple)}"
             )
-
-
-def check_trans_rel_distr(bounds: GenBounds) -> tuple:
-    """Splits of the first context induce coordinated splits of the others."""
-    return check_distr_instances(TRANS_REL, 1, gen_trans_triples_mset(bounds))
 
 
 @counted
 def check_trans_sel_implies_mem(bounds: GenBounds):
     """Selectable associations are members (translation contexts)."""
-    for triple in gen_trans_triples_mset(bounds):
-        for g in triple:
-            for entry in dict.fromkeys(elems(g)):
-                yield select(entry, g) and not member(entry, g) and (
-                    f"select without member in {_render_triple(triple)}"
-                )
+    yield from _by_orbit(gen_trans_triples_mset(bounds), _sel_implies_mem_cases)
 
 
 @counted
@@ -857,10 +983,10 @@ def check_ltrans_pres_ty(bounds: GenBounds):
     class, since each association and each binder is used exactly once.
     The first triple of a class confirms each term's type with one
     `ml_type` call, so the shipped checker still decides the source
-    type, and a term it types otherwise is a counterexample.  Every
-    triple still runs its own cases, in (triple, term) order, so the
-    case count and the first counterexample are those of typing each
-    triple afresh.
+    type, and a term it types otherwise is a counterexample.  Each triple
+    is decided once per orbit (see the comment above `_orbit_key`), in
+    (triple, term) order, so the case count and the first counterexample
+    are those of typing each triple afresh.
     """
     term_bound = max(bounds.term_size, 5)
     xs = tuple(name_pool(3, "x"))
@@ -869,7 +995,9 @@ def check_ltrans_pres_ty(bounds: GenBounds):
     # ML typing over distinct names does not depend on the context's order
     # (exchange): every arrangement in a class types the same terms alike.
     typed: dict = {}
-    for l1, l2, l3 in gen_trans_triples(bounds):
+
+    def decide(triple: tuple):
+        l1, l2, l3 = triple
         key = multiset_of(l1)
         confirm = key not in typed
         if confirm:
@@ -878,18 +1006,20 @@ def check_ltrans_pres_ty(bounds: GenBounds):
             if confirm and (checked := ml_type(l1, e)) != src_ty:
                 yield (
                     f"source type not confirmed for {print_term(e)}: enumerated "
-                    f"{src_ty}, checker {checked}; {_render_triple((l1, l2, l3))}"
+                    f"{src_ty}, checker {checked}; {_render_triple(triple)}"
                 )
             translated = translate(l2, e)
             dst_ty = linear_type(l3, translated)
             if dst_ty != src_ty:
                 yield (
                     f"type not preserved for {print_term(e)}: source {src_ty}, "
-                    f"target {dst_ty}; {_render_triple((l1, l2, l3))}"
+                    f"target {dst_ty}; {_render_triple(triple)}"
                 )
             yield term_size(e) <= 3 and not ltrans_rel(l2, e, translated) and (
                 f"function output not in the relation for {print_term(e)}"
             )
+
+    yield from _by_orbit(gen_trans_triples(bounds), decide)
 
 
 def translation_lemma_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:

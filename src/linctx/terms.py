@@ -12,6 +12,7 @@ identity.  The tables live for the whole process.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union as TyUnion
@@ -97,7 +98,7 @@ class Local(Interned):
 # `fresh` makes a Local, so the input of a reading holds none.  A reading
 # opens the binder at depth d with `Local(d)` and reads its body at depth
 # d + 1, and the Local does not outlive the body: the leftover checker
-# rejects a leftover that still holds it, and `translate` closes it back.
+# rejects a leftover that still holds it.
 # So every Local inside a (context, term) pair reached at depth d has a
 # depth below d.  Typing is equivariant, so a pair's result does not depend
 # on the depth it is reached at, and `_linear_types`' cache stays keyed on
@@ -479,9 +480,31 @@ def _variable(tok, declared: dict, binders: list) -> Tm:
 _BINDER_STEMS = ("x", "y", "z", "u", "v", "w")
 
 
+def _binder_names(t: Tm) -> Iterator[str]:
+    """The names `print_term(t)` gives the binders at depth 0, 1, 2, ...  A
+    binder's name depends on its depth alone: its stem is picked by the
+    depth, with the first suffix that avoids the free names and the
+    binders above it."""
+    taken = {str(n) for n in free_names(t)}
+    for depth in itertools.count():
+        stem = _BINDER_STEMS[depth % len(_BINDER_STEMS)]
+        suffix = depth // len(_BINDER_STEMS)
+        candidate = stem if suffix == 0 else f"{stem}{suffix}"
+        while candidate in taken:
+            suffix += 1
+            candidate = f"{stem}{suffix}"
+        taken.add(candidate)
+        yield candidate
+
+
+def binder_name(t: Tm, depth: int) -> str:
+    """The name `print_term(t)` gives t's binders at the depth."""
+    return next(itertools.islice(_binder_names(t), depth, None))
+
+
 def print_term(t: Tm) -> str:
     # The items are (term, depth) pairs, depth counting the binders above.
-    taken = {str(n) for n in free_names(t)}
+    names = _binder_names(t)
     binders: list = []  # the binder name at each depth, outermost first
 
     def atom(t: Tm, depth: int) -> tuple:
@@ -489,17 +512,8 @@ def print_term(t: Tm) -> str:
         return ((t, depth),) if isinstance(t, (Free, Bound)) else ("(", (t, depth), ")")
 
     def scope(body: Tm, depth: int) -> tuple:
-        # A binder's name depends on its depth alone, so each depth's is
-        # picked once, avoiding the free names and the binders above it.
         if depth == len(binders):
-            stem = _BINDER_STEMS[depth % len(_BINDER_STEMS)]
-            suffix = depth // len(_BINDER_STEMS)
-            candidate = stem if suffix == 0 else f"{stem}{suffix}"
-            while candidate in taken:
-                suffix += 1
-                candidate = f"{stem}{suffix}"
-            taken.add(candidate)
-            binders.append(candidate)
+            binders.append(next(names))
         return (f" ({binders[depth]}\\ ", (body, depth + 1), ")")
 
     def parts(item: tuple) -> tuple:

@@ -36,13 +36,13 @@ from .errors import (
 from .terms import (
     Abs,
     App,
+    Bound,
     Free,
     Let,
     Local,
     Tm,
-    close_term,
+    binder_name,
     closed_free_names,
-    free_counts,
     open_term,
     print_term,
 )
@@ -118,34 +118,62 @@ def translate(g: Ctx, e: Tm) -> Tm:
     for n in frees:
         if n not in srcs:
             raise UnmappedVariableError(f"free variable {n} has no association")
-    counts = free_counts(e)
+    # One walk from an explicit stack.  A bound variable keeps its index,
+    # since the binders keep their places.  An item is (t, depth, step):
+    # step None reads t, "enter" opens the binder of an abstraction or of a
+    # let (after its value), and "build" rebuilds t from the last results.
+    mapping = {a.src: a.dst for a in assocs}
+    counts = dict.fromkeys(srcs, 0)
+    uses: list = []  # each binder's variable's uses, in the order entered
+    depths: list = []  # and each binder's depth
+    path: list = []  # the binder open at each depth, by its place in `uses`
+    malformed = None  # the first node that is not a term, and how many binders came before it
+    done: list = []  # the translated subterms, left to right
+    pending: list = [(e, 0, None)]
+    while pending:
+        t, depth, step = pending.pop()
+        if step == "build":
+            if isinstance(t, App):
+                done[-2:] = [App(*done[-2:])]
+            elif isinstance(t, Abs):
+                done[-1] = Abs(t.ann, done[-1])
+            else:  # a let, from its value and its body
+                done[-2:] = [App(Abs(t.ann, done[-1]), done[-2])]
+        elif step == "enter":
+            path[depth:] = [len(uses)]
+            uses.append(0)
+            depths.append(depth)
+            pending.append((t.body, depth + 1, None))
+        elif isinstance(t, Free):
+            counts[t.name] += 1
+            done.append(Free(mapping[t.name]))
+        elif isinstance(t, Bound):
+            uses[path[depth - 1 - t.index]] += 1
+            done.append(t)
+        elif isinstance(t, App):
+            pending += ((t, depth, "build"), (t.arg, depth, None), (t.fn, depth, None))
+        elif isinstance(t, Abs):
+            pending += ((t, depth, "build"), (t, depth, "enter"))
+        elif isinstance(t, Let):
+            pending += ((t, depth, "build"), (t, depth, "enter"), (t.val, depth, None))
+        else:
+            malformed = malformed or (len(uses), t)
+            done.append(t)
+    # The errors in the order of a recursive translation, which checks each
+    # binder as it enters it.  The walk enters the binders in the order that
+    # `print_term(e)` prints them, so a binder is named by that place.
     for n in srcs:
-        count = counts[n]
+        if counts[n] != 1:
+            raise LinearityError(f"source name {n} is used {counts[n]} times, expected 1")
+    for i, (count, depth) in enumerate(zip(uses[: malformed[0]] if malformed else uses, depths)):
         if count != 1:
-            raise LinearityError(f"source name {n} is used {count} times, expected 1")
-
-    def go(t: Tm, mapping: dict, depth: int) -> Tm:
-        if isinstance(t, Free):
-            return Free(mapping[t.name])
-        if isinstance(t, App):
-            return App(go(t.fn, mapping, depth), go(t.arg, mapping, depth))
-        if isinstance(t, Abs):
-            return binder(t, mapping, depth)
-        if isinstance(t, Let):
-            val = go(t.val, mapping, depth)
-            return App(binder(t, mapping, depth), val)
-        raise MalformedTermError(f"cannot translate {t!r}")
-
-    def binder(t: Abs | Let, mapping: dict, depth: int) -> Abs:
-        # The abstraction over t's translated body, whose bound variable
-        # is named by its depth on both sides.
-        x = Local(depth)
-        body = open_term(t.body, x)
-        if free_counts(body)[x] != 1:
-            raise LinearityError(f"bound variable of {print_term(t)} is not used exactly once")
-        return Abs(t.ann, close_term(go(body, {**mapping, x: x}, depth + 1), x))
-
-    return go(e, {a.src: a.dst for a in assocs}, 0)
+            raise LinearityError(
+                f"bound variable {binder_name(e, depth)} of binder {i + 1} in "
+                f"{print_term(e)} is not used exactly once"
+            )
+    if malformed:
+        raise MalformedTermError(f"cannot translate {malformed[1]!r}")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

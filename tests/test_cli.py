@@ -121,13 +121,23 @@ class TestTranslate:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (0, "abs i (x\\ x)\n", "")
 
+    @pytest.mark.parametrize("depth", [3000, 5000])
+    def test_deeply_nested_applications(self, capsys, tmp_path, depth):
+        deep = tmp_path / "deep.tm"
+        inner = "app (abs i (y\\ y)) "
+        term = "abs i (x\\ " + f"{inner}(" * (depth - 1) + f"{inner}x" + ")" * depth
+        deep.write_text(term + "\n")
+        code = main(["translate", str(deep)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, term + "\n", "")
+
     def test_nonlinear_term_fails(self, capsys, tmp_path):
         f = tmp_path / "t.tm"
         f.write_text("abs i (x\\ app x x)\n")
         code, out = run(capsys, "translate", "--verify", f)
         assert code == 1
         assert out == (
-            f"{f}:1: LinearityError: bound variable of abs i (x\\ app x x) "
+            f"{f}:1: LinearityError: bound variable x of binder 1 in abs i (x\\ app x x) "
             "is not used exactly once\n"
         )
 
@@ -179,6 +189,16 @@ class TestVerify:
         )
         assert code == 0
         assert out == (GOLDEN / "verify_suite_typing.jsonl").read_text()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_translation_suite_golden(self, capsys, jobs):
+        # At the default bounds, recorded before the checks decided one
+        # triple per orbit.
+        code, out = run(
+            capsys, "verify", "--suite", "translation", "--format", "structured", "--jobs", jobs
+        )
+        assert code == 0
+        assert out == (GOLDEN / "verify_suite_translation.jsonl").read_text()
 
     def test_unknown_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "nonsense")

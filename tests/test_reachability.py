@@ -29,6 +29,10 @@ TEST_ONLY = {
     "render_lemma": "prints a lemma in the syntax that parse_lemma reads back",
     "DistrLemma.render": "prints a generated lemma in its Theorem form, which "
     "TestDistributivity pins",
+    "close_term": "the inverse of open_term, exported with it; the term strategies "
+    "build binders with it",
+    "free_counts": "the tests' reading of linear use, which filters generated terms "
+    "apart from the translation's own count",
 }
 
 

@@ -45,8 +45,6 @@ RECURSIVE = {
     "suites.gen_linear_terms.at": _SIZE,
     "suites.gen_terms.at": _SIZE,
     "translate._ltrans_rel": _TRANSLATE,
-    "translate.translate.binder": _TRANSLATE,
-    "translate.translate.go": _TRANSLATE,
     "typecheck._check_linear.binder": _TYPING,
     "typecheck._check_linear.go": _TYPING,
     "typecheck._enum": _TYPING,

@@ -165,6 +165,17 @@ class TestTripleGenerator:
         triples = gen_trans_triples_mset(SMALL)
         assert len(set(triples)) == len(triples)
 
+    @pytest.mark.parametrize("generate", [gen_trans_triples, gen_trans_triples_mset])
+    def test_each_universe_built_once(self, monkeypatch, generate):
+        # Every call returns a new list of one kept universe, keyed by the
+        # only bound the generators read.
+        assert generate(GenBounds(ctx_elems=5)) == generate(GenBounds(ctx_elems=3))
+        first = generate(SMALL)
+        first.pop()
+        monkeypatch.setattr(suites, "from_list", None)
+        again = generate(GenBounds(ctx_elems=2, union_depth=1, term_size=6))
+        assert again[:-1] == first and len(again) == len(first) + 1
+
 
 class TestTransRelChecks:
     def test_cases_golden(self):
@@ -284,8 +295,9 @@ class TestPresTyPinned:
     def test_ml_type_calls(self, monkeypatch):
         # 231,873 calls when every triple typed its terms, 43,827 with one
         # typing per exact source context, and 26,763 when each class
-        # filtered the generated terms; now one confirming call per
-        # enumerated (class, term) pair.
+        # filtered the generated terms; 100 with one confirming call per
+        # enumerated (class, term) pair; now only the classes of the
+        # triples that come first in their orbits are typed.
         calls = 0
         real = suites.ml_type
 
@@ -296,7 +308,7 @@ class TestPresTyPinned:
 
         monkeypatch.setattr(suites, "ml_type", counting)
         assert check_ltrans_pres_ty(GenBounds(ctx_elems=2)) == (598, None)
-        assert calls == 100
+        assert calls == 42
 
     def test_source_checker_mutant(self, monkeypatch):
         real = suites.ml_type
@@ -833,6 +845,37 @@ def _last_target_retyped(g1, g2, g3):
     return None
 
 
+def _lone_arrow_unrelated(monkeypatch):
+    """`trans_rel_mset` rejects a triple whose G1 is one entry of type i -> i."""
+    real = suites.trans_rel_mset
+    arrow = Arrow(I, I)
+
+    def mutant(g1, g2, g3):
+        lone = elems(g1)
+        return real(g1, g2, g3) and not (len(lone) == 1 and lone[0].ty == arrow)
+
+    monkeypatch.setattr(suites, "trans_rel_mset", mutant)
+
+
+def _lone_o_unrelated(monkeypatch):
+    """`trans_rel_list` rejects a triple whose G1 is one entry of type o."""
+    real = suites.trans_rel_list
+
+    def mutant(l1, l2, l3):
+        lone = elems(l1)
+        return real(l1, l2, l3) and not (len(lone) == 1 and lone[0].ty == Base("o"))
+
+    monkeypatch.setattr(suites, "trans_rel_list", mutant)
+
+
+def _two_entry_unions_lose_members(monkeypatch):
+    monkeypatch.setattr(
+        suites,
+        "member",
+        _sometimes(suites.member, False, lambda x, g: isinstance(g, Union) and len(elems(g)) == 2),
+    )
+
+
 class TestTranslationFailuresPinned:
     """The translation checks at ctx_elems=2 under a mutant relation,
     membership test or triple generator."""
@@ -866,14 +909,7 @@ class TestTranslationFailuresPinned:
         assert suites.check_trans_rel_mem(TWO) == (139, expected)
 
     def test_trans_rel_sel(self, monkeypatch):
-        real = suites.trans_rel_mset
-        arrow = Arrow(I, I)
-
-        def mutant(g1, g2, g3):
-            lone = elems(g1)
-            return real(g1, g2, g3) and not (len(lone) == 1 and lone[0].ty == arrow)
-
-        monkeypatch.setattr(suites, "trans_rel_mset", mutant)
+        _lone_arrow_unrelated(monkeypatch)
         assert suites.check_trans_rel_sel(TWO) == (
             115,
             "no coordinated selection for trans_to x1 y1: "
@@ -882,13 +918,7 @@ class TestTranslationFailuresPinned:
         )
 
     def test_trans_rel_list_distr(self, monkeypatch):
-        real = suites.trans_rel_list
-
-        def mutant(l1, l2, l3):
-            lone = elems(l1)
-            return real(l1, l2, l3) and not (len(lone) == 1 and lone[0].ty == Base("o"))
-
-        monkeypatch.setattr(suites, "trans_rel_list", mutant)
+        _lone_o_unrelated(monkeypatch)
         assert suites.check_trans_rel_list_distr(TWO) == (
             43,
             "partition failed: G1 = [ty_of x1 i, ty_of x2 o]; "
@@ -896,15 +926,153 @@ class TestTranslationFailuresPinned:
         )
 
     def test_sel_implies_mem(self, monkeypatch):
-        monkeypatch.setattr(
-            suites,
-            "member",
-            _sometimes(
-                suites.member, False, lambda x, g: isinstance(g, Union) and len(elems(g)) == 2
-            ),
-        )
+        _two_entry_unions_lose_members(monkeypatch)
         assert suites.check_trans_sel_implies_mem(TWO) == (
             418,
             "select without member in G1 = [ty_of x1 i] ++ [ty_of x2 i]; "
             "G2 = [trans_to x1 y1] ++ [trans_to x2 y2]; G3 = [ty_of y1 i] ++ [ty_of y2 i]",
         )
+
+
+TRANSLATION_CHECKS = [
+    suites.check_trans_rel_uniq,
+    suites.check_trans_rel_mem,
+    suites.check_trans_rel_sel,
+    suites.check_trans_rel_list_distr,
+    suites.check_trans_rel_distr,
+    suites.check_trans_sel_implies_mem,
+    suites.check_ltrans_pres_ty,
+]
+
+# Each mutant of TestTranslationFailuresPinned, with the check it breaks.
+TRANSLATION_MUTANTS = {
+    "one-source": ("check_trans_rel_uniq", lambda mp: _perturbed_triples(mp, _one_source)),
+    "non-association": (
+        "check_trans_rel_mem",
+        lambda mp: _perturbed_triples(mp, _typing_entry_in_middle),
+    ),
+    "no-coordinated-type": (
+        "check_trans_rel_mem",
+        lambda mp: _perturbed_triples(mp, _last_target_retyped),
+    ),
+    "lone-arrow": ("check_trans_rel_sel", _lone_arrow_unrelated),
+    "lone-o": ("check_trans_rel_list_distr", _lone_o_unrelated),
+    "unions-lose-members": ("check_trans_sel_implies_mem", _two_entry_unions_lose_members),
+}
+
+
+def _plain(monkeypatch, check, bounds):
+    """`check(bounds)` deciding every triple: each gets an orbit of its own."""
+    with monkeypatch.context() as m:
+        m.setattr(suites, "_orbit_key", lambda triple: object())
+        return check(bounds)
+
+
+def _renamed_ctx(g, renaming):
+    if isinstance(g, ctx.Cons):
+        head = g.head
+        if isinstance(head, TyAssoc):
+            head = TyAssoc(renaming[head.name], head.ty)
+        else:
+            head = VarAssoc(renaming[head.src], renaming[head.dst])
+        return ctx.Cons(head, _renamed_ctx(g.tail, renaming))
+    if isinstance(g, Union):
+        return Union(_renamed_ctx(g.left, renaming), _renamed_ctx(g.right, renaming))
+    return g
+
+
+YS = tuple(name_pool(3, "y"))
+# The 36 renamings of the triples' names: each order of x1..x3 with each of y1..y3.
+TRIPLE_RENAMINGS = [
+    dict(zip(XS + YS, xo + yo))
+    for xo in itertools.permutations(XS)
+    for yo in itertools.permutations(YS)
+]
+
+
+@functools.cache
+def _images(g):
+    return tuple(_renamed_ctx(g, renaming) for renaming in TRIPLE_RENAMINGS)
+
+
+def _explicit_orbit(triple):
+    """The images of a triple under the 36 renamings, each built directly."""
+    return frozenset(zip(*map(_images, triple)))
+
+
+class TestTranslationOrbits:
+    """The translation checks decide one triple per orbit under renamings
+    of x1..x3 and y1..y3 (the comment above `suites._orbit_key`), and agree
+    with a loop that decides every triple."""
+
+    @pytest.mark.parametrize("ctx_elems", [1, 2, 3])
+    def test_checks_agree_with_plain_loop(self, monkeypatch, ctx_elems):
+        bounds = GenBounds(ctx_elems=ctx_elems)
+        for check in TRANSLATION_CHECKS:
+            assert check(bounds) == _plain(monkeypatch, check, bounds), check.__name__
+
+    @pytest.mark.parametrize("mutant", TRANSLATION_MUTANTS)
+    def test_mutants_agree_with_plain_loop(self, monkeypatch, mutant):
+        name, install = TRANSLATION_MUTANTS[mutant]
+        install(monkeypatch)
+        check = getattr(suites, name)
+        got = check(TWO)
+        assert got[1] is not None
+        assert got == _plain(monkeypatch, check, TWO)
+
+    @pytest.mark.parametrize(
+        "ctx_elems, mset_orbits, list_orbits", [(2, 52, 13), (3, 187, 40)]
+    )
+    def test_orbit_keys_name_the_orbits(self, ctx_elems, mset_orbits, list_orbits):
+        # Equal keys exactly for triples in one explicit orbit.
+        bounds = GenBounds(ctx_elems=ctx_elems)
+        for universe, orbits in (
+            (gen_trans_triples_mset(bounds), mset_orbits),
+            (gen_trans_triples(bounds), list_orbits),
+        ):
+            pairs = {(suites._orbit_key(t), _explicit_orbit(t)) for t in universe}
+            assert len({key for key, _ in pairs}) == len({orbit for _, orbit in pairs}) == len(
+                pairs
+            ) == orbits
+
+    def test_orbit_key_reads_any_entry(self):
+        # A typing entry in the middle context, as the mutants put there.
+        x1, x2 = XS[:2]
+        g1 = from_list([TyAssoc(x1, I)])
+        assert suites._orbit_key((g1, from_list([TyAssoc(x1, I)]), ctx.EMPTY)) == (
+            suites._orbit_key((from_list([TyAssoc(x2, I)]), from_list([TyAssoc(x2, I)]), ctx.EMPTY))
+        )
+        assert suites._orbit_key((g1, from_list([TyAssoc(x1, I)]), ctx.EMPTY)) != (
+            suites._orbit_key((g1, from_list([TyAssoc(x2, I)]), ctx.EMPTY))
+        )
+        assert suites._orbit_key((g1, from_list(["junk"]), ctx.EMPTY)) != (
+            suites._orbit_key((g1, from_list(["junk", "junk"]), ctx.EMPTY))
+        )
+
+    def test_decides_one_triple_per_orbit(self, monkeypatch):
+        decided = []
+        real = suites._uniq_cases
+        monkeypatch.setattr(suites, "_uniq_cases", lambda t: decided.append(t) or real(t))
+        assert suites.check_trans_rel_uniq(TWO) == (2727, None)
+        universe = gen_trans_triples_mset(TWO)
+        assert set(map(_explicit_orbit, decided)) == set(map(_explicit_orbit, universe))
+        assert len(decided) == len(set(map(_explicit_orbit, decided))) == 52
+
+    def test_lone_x3_unrelated(self, monkeypatch):
+        # This mutant is not equivariant: it rejects only the one-entry
+        # triples over x3, and every triple whose selection reaches one
+        # comes after its image over x2 in the sweep, so the orbit rule
+        # never decides one: the trade of deciding once per orbit.
+        real = suites.trans_rel_mset
+
+        def mutant(g1, g2, g3):
+            lone = elems(g1)
+            return real(g1, g2, g3) and not (len(lone) == 1 and lone[0].name == XS[2])
+
+        monkeypatch.setattr(suites, "trans_rel_mset", mutant)
+        assert _plain(monkeypatch, suites.check_trans_rel_sel, TWO) == (
+            739,
+            "no coordinated selection for trans_to x1 y1: G1 = [ty_of x1 i, ty_of x3 i]; "
+            "G2 = [trans_to x1 y1, trans_to x3 y2]; G3 = [ty_of y1 i, ty_of y2 i]",
+        )
+        assert suites.check_trans_rel_sel(TWO) == (2727, None)

@@ -68,6 +68,13 @@ class TestLtransRel:
         assert not ltrans_rel(g, src, App(Free(M1), Free(M2)))
 
 
+def _nested_applications(depth):
+    """`abs i (x\\ app (abs i (y\\ y)) (... x))` with `depth` applications,
+    in `print_term`'s own syntax."""
+    inner = "app (abs i (y\\ y)) "
+    return "abs i (x\\ " + f"{inner}(" * (depth - 1) + f"{inner}x" + ")" * depth
+
+
 class TestTranslate:
     def test_identity(self):
         t = parse_term("abs i (x\\ x)")
@@ -85,6 +92,56 @@ class TestTranslate:
             translate(EMPTY, parse_term("abs t (x\\ app x x)"))
         with pytest.raises(LinearityError):
             translate(from_list([VarAssoc(N1, M1)]), parse_term("abs i (x\\ x)"))
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "abs i (y\\ abs i (x\\ app (app x x) y))",
+                "bound variable y of binder 2 in abs i (x\\ abs i (y\\ app (app y y) x)) "
+                "is not used exactly once",
+            ),
+            # The value's binder is entered before the let's own.
+            (
+                "let i (abs i (x\\ app x x)) (y\\ abs i (z\\ z))",
+                "bound variable x of binder 1 in let i (abs i (x\\ app x x)) (x\\ abs i (y\\ y)) "
+                "is not used exactly once",
+            ),
+            (
+                "let i (abs i (x\\ x)) (y\\ abs i (z\\ z))",
+                "bound variable x of binder 2 in let i (abs i (x\\ x)) (x\\ abs i (y\\ y)) "
+                "is not used exactly once",
+            ),
+        ],
+        ids=["inner", "value-first", "let-binder"],
+    )
+    def test_linearity_message_names_the_binder(self, source, message):
+        with pytest.raises(LinearityError) as raised:
+            translate(EMPTY, parse_term(source))
+        assert str(raised.value) == message
+
+    def test_source_names_are_checked_before_binders(self):
+        g = from_list([VarAssoc(N1, M1)])
+        with pytest.raises(LinearityError, match="source name n1 is used 0 times"):
+            translate(g, parse_term("abs i (x\\ app x x)"))
+
+    @pytest.mark.parametrize("depth", [3000, 5000])
+    def test_deep_terms(self, depth):
+        # A chain of applications inside one binder, and a chain of
+        # binders each of whose variables is used once, at the bottom.
+        apps = parse_term(_nested_applications(depth))
+        out = translate(EMPTY, apps)
+        assert out == apps
+        body = Bound(0)
+        for k in range(1, depth - 1):
+            body = App(body, Bound(k))
+        chain = Let(I, Abs(I, Bound(0)), body)
+        for _ in range(depth - 2):
+            chain = Abs(I, chain)
+        translated = translate(EMPTY, chain)
+        for _ in range(depth - 2):
+            translated = translated.body
+        assert translated == App(Abs(I, body), Abs(I, Bound(0)))
 
     def test_unmapped_variable(self):
         with pytest.raises(UnmappedVariableError):
