@@ -13,6 +13,7 @@ facts across a permutation.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import product
 from typing import Any, Callable, Iterable, Sequence
 
@@ -227,28 +228,22 @@ def perm(g1: Ctx, g2: Ctx) -> bool:
     return multiset_of(g1) == multiset_of(g2)
 
 
-# Each `perm_rel` verdict, by (g1, g2), kept for the life of the process
-# like the intern tables that hold the contexts.  The search reads the two
-# contexts alone, so a kept verdict is the one a fresh search would give.
-_PERM_REL: dict = {}
-
-
+# Kept for the life of the process, like the intern tables that hold the
+# contexts: the search reads the two contexts alone, so a kept verdict is
+# the one a fresh search would give.
+@cache
 def perm_rel(g1: Ctx, g2: Ctx) -> bool:
     """Permutation by direct search, used as a test oracle for `perm`.
 
     Base case: both contexts element-free.  Recursive case: some element
     can be selected from both sides leaving permutation-related
     residuals.  Terminates because the element count strictly decreases.
-    Each verdict is kept in `_PERM_REL`.
     """
-    result = _PERM_REL.get((g1, g2))
-    if result is None:
-        result = _PERM_REL[g1, g2] = no_elems(g1) and no_elems(g2) or any(
-            perm_rel(r1, r2)
-            for x in dict.fromkeys(elems(g1))
-            for r1, r2 in product(set(select(x, g1)), set(select(x, g2)))
-        )
-    return result
+    return no_elems(g1) and no_elems(g2) or any(
+        perm_rel(r1, r2)
+        for x in dict.fromkeys(elems(g1))
+        for r1, r2 in product(set(select(x, g1)), set(select(x, g2)))
+    )
 
 
 def partition_list(l: Ctx) -> tuple:
@@ -380,12 +375,6 @@ def part_to_perm(l: Ctx, l1: Ctx, l2: Ctx) -> bool:
     return perm(l, Union(l1, l2))
 
 
-# Each `gen_ctxs` universe, by (pool without repeats, max_elems, max_depth).
-# Its nodes are interned for the whole process anyway, so a kept universe
-# costs only its list.
-_UNIVERSES: dict = {}
-
-
 def gen_ctxs(pool: Sequence[Any], max_elems: int, max_depth: int) -> list:
     """Bounded-exhaustive enumeration of context trees.
 
@@ -396,19 +385,19 @@ def gen_ctxs(pool: Sequence[Any], max_elems: int, max_depth: int) -> list:
     ranks by its first occurrence in pool.  Each universe is built once;
     every call returns a new list of it.
     """
-    pool = tuple(dict.fromkeys(pool))
-    universe = _UNIVERSES.get((pool, max_elems, max_depth))
-    if universe is not None:
-        return list(universe)
-    rank = {e: i for i, e in enumerate(pool)}
-    memo: dict = {}
+    return list(_ctx_universe(tuple(dict.fromkeys(pool)), max_elems, max_depth))
 
+
+# Kept for the life of the process, like the intern tables that hold its
+# nodes: the universe reads its arguments alone.
+@cache
+def _ctx_universe(pool: tuple, max_elems: int, max_depth: int) -> tuple:
+    rank = {e: i for i, e in enumerate(pool)}
+
+    @cache
     def trees(k: int, d: int) -> list:
         if d <= 0:
             return []
-        key = (k, d)
-        if key in memo:
-            return memo[key]
         out = []
         if k == 0:
             out.append(EMPTY)
@@ -421,7 +410,6 @@ def gen_ctxs(pool: Sequence[Any], max_elems: int, max_depth: int) -> list:
                 for left in trees(k_left, d - 1):
                     for right in trees(k - k_left, d - 1):
                         out.append(Union(left, right))
-        memo[key] = out
         return out
 
     def struct_key(g: Ctx) -> tuple:
@@ -431,11 +419,11 @@ def gen_ctxs(pool: Sequence[Any], max_elems: int, max_depth: int) -> list:
             return (2,) + struct_key(g.left) + struct_key(g.right)
         return (0,)
 
-    result = []
-    for k in range(max_elems + 1):
-        result.extend(sorted(trees(k, max_depth), key=lambda g: (depth(g), struct_key(g))))
-    _UNIVERSES[pool, max_elems, max_depth] = result  # kept only once whole
-    return list(result)
+    return tuple(
+        g
+        for k in range(max_elems + 1)
+        for g in sorted(trees(k, max_depth), key=lambda g: (depth(g), struct_key(g)))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -88,19 +88,13 @@ def decompose(value: Any) -> Optional[tuple]:
     return (value.label, ()) if isinstance(value, Base) else None
 
 
-# Each value's names, kept for the life of the process like the intern
-# tables that hold the values themselves.
-_VALUE_NAMES: dict = {}
-
-
+# Kept for the life of the process, like the intern tables that hold the
+# values: the names are read from the value alone.
+@cache
 def value_names(value: Any) -> frozenset:
     """All names occurring anywhere inside a value."""
-    names = _VALUE_NAMES.get(value)
-    if names is None:
-        names = frozenset(v for v, _ in _subterms(value) if isinstance(v, Name))
-        # An empty frozenset is a new object; keep the shared one instead.
-        names = _VALUE_NAMES[value] = names or EMPTY_SET
-    return names
+    # An empty frozenset is a new object; keep the shared one instead.
+    return frozenset(v for v, _ in _subterms(value) if isinstance(v, Name)) or EMPTY_SET
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ docstring.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable
 
 from .ctx import (
@@ -177,19 +177,14 @@ def _perm_rel_fast_table(universe: list) -> tuple:
                 parents[x, b] = parents.get((x, b), 0) | 1 << j
         sel_ids.append(per_elem)
 
-    pre_memo: dict = {}
-
+    @cache
     def pre(x, s: int) -> int:
         # The contexts that have an x-residual in the bitset s.
-        key = (x, s)
-        out = pre_memo.get(key)
-        if out is None:
-            out = 0
-            while s:
-                low = s & -s
-                out |= parents.get((x, low.bit_length() - 1), 0)
-                s ^= low
-            pre_memo[key] = out
+        out = 0
+        while s:
+            low = s & -s
+            out |= parents.get((x, low.bit_length() - 1), 0)
+            s ^= low
         return out
 
     empties = 0
@@ -420,12 +415,9 @@ def gen_terms(
     """All locally closed terms up to the size, with the given free names
     and annotation types.  Deterministic order; bound variables appear
     only under their binders."""
-    memo: dict = {}
 
+    @cache
     def at(size: int, depth: int) -> list:
-        key = (size, depth)
-        if key in memo:
-            return memo[key]
         out: list = []
         if size == 1:
             out.extend(Free(n) for n in frees)
@@ -443,7 +435,6 @@ def gen_terms(
                         for val in at(left, depth):
                             for body in at(size - 1 - left, depth + 1):
                                 out.append(Let(ann, val, body))
-        memo[key] = out
         return out
 
     result: list = []
@@ -474,7 +465,7 @@ def gen_linear_terms(
     (`ml_type` with let, `linear_type` without): each association and
     each binder is used exactly once.  The checker is deterministic, so a
     kept term has one type, and the output is the in-order subsequence of
-    `gen_terms`.  The memo lives for one call.
+    `gen_terms`.  `at`'s answers live for one call.
     """
     k = len(assocs)
     leaves = [
@@ -483,8 +474,8 @@ def gen_linear_terms(
         for i, a in enumerate(assocs)
         if a.name == n
     ]
-    memo: dict = {}
 
+    @cache
     def at(size: int, avail: int, need: int, binders: tuple) -> list:
         # (term, type, leftover) for the terms of gen_terms' at(size,
         # len(binders)) that type from `avail` and consume all of `need`,
@@ -494,9 +485,6 @@ def gen_linear_terms(
         # size has at most (size + 1) // 2 variables.
         if need.bit_count() > (size + 1) // 2:
             return []
-        key = (size, avail, need, binders)
-        if key in memo:
-            return memo[key]
         out: list = []
         depth = len(binders)
         if size == 1:
@@ -528,7 +516,6 @@ def gen_linear_terms(
                                     size - 1 - left, rest | own, body_need, binders + (ann,)
                                 ):
                                     out.append((Let(ann, val, body), ty, rest2))
-        memo[key] = out
         return out
 
     everything = (1 << k) - 1
@@ -705,33 +692,31 @@ def equivalence_suite(bounds: GenBounds = GenBounds(), jobs: int = 1) -> list:
 
 _TRANS_TYPES = (Base("i"), Base("o"), Arrow(Base("i"), Base("i")))
 
-# Each triple universe, by min(ctx_elems, 3), the only bound its generator
-# reads.  Its nodes are interned for the whole process anyway, so a kept
-# universe costs only its list.
-_TRIPLES: dict = {}
-_TRIPLES_MSET: dict = {}
-
 
 def gen_trans_triples(bounds: GenBounds) -> list:
     """Coordinated list triples with up to ctx_elems associations.  Each
     universe is built once; every call returns a new list of it."""
-    k_max = min(bounds.ctx_elems, 3)
-    out = _TRIPLES.get(k_max)
-    if out is None:
-        xs = name_pool(3, "x")
-        ys = name_pool(3, "y")
-        out = _TRIPLES[k_max] = [
-            (
-                from_list([TyAssoc(x, t) for x, t in zip(srcs, tys)]),
-                from_list([VarAssoc(x, y) for x, y in zip(srcs, dsts)]),
-                from_list([TyAssoc(y, t) for y, t in zip(dsts, tys)]),
-            )
-            for k in range(k_max + 1)
-            for srcs in itertools.permutations(xs, k)
-            for dsts in itertools.permutations(ys, k)
-            for tys in itertools.product(_TRANS_TYPES, repeat=k)
-        ]
-    return list(out)
+    return list(_trans_triples(min(bounds.ctx_elems, 3)))
+
+
+# Both triple universes are kept for the life of the process, like the
+# intern tables that hold their nodes: each reads k_max alone, the only
+# bound its generator reads.
+@cache
+def _trans_triples(k_max: int) -> tuple:
+    xs = name_pool(3, "x")
+    ys = name_pool(3, "y")
+    return tuple(
+        (
+            from_list([TyAssoc(x, t) for x, t in zip(srcs, tys)]),
+            from_list([VarAssoc(x, y) for x, y in zip(srcs, dsts)]),
+            from_list([TyAssoc(y, t) for y, t in zip(dsts, tys)]),
+        )
+        for k in range(k_max + 1)
+        for srcs in itertools.permutations(xs, k)
+        for dsts in itertools.permutations(ys, k)
+        for tys in itertools.product(_TRANS_TYPES, repeat=k)
+    )
 
 
 def _restructure(row: tuple, variant: int) -> Ctx:
@@ -748,17 +733,18 @@ def gen_trans_triples_mset(bounds: GenBounds) -> list:
     """List triples plus bounded union/permutation restructurings; trans_rel
     relates every one.  Each universe is built once, like
     `gen_trans_triples`'."""
-    k_max = min(bounds.ctx_elems, 3)
-    out = _TRIPLES_MSET.get(k_max)
-    if out is None:
-        combos = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 2, 1), (3, 0, 2), (1, 3, 0)]
-        triples: dict = {}
-        for l1, l2, l3 in gen_trans_triples(bounds):
-            rows = (elems(l1), elems(l2), elems(l3))
-            for variants in combos:
-                triples[tuple(_restructure(r, v) for r, v in zip(rows, variants))] = None
-        out = _TRIPLES_MSET[k_max] = list(triples)
-    return list(out)
+    return list(_trans_triples_mset(min(bounds.ctx_elems, 3)))
+
+
+@cache
+def _trans_triples_mset(k_max: int) -> tuple:
+    combos = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 2, 1), (3, 0, 2), (1, 3, 0)]
+    triples: dict = {}
+    for l1, l2, l3 in _trans_triples(k_max):
+        rows = (elems(l1), elems(l2), elems(l3))
+        for variants in combos:
+            triples[tuple(_restructure(r, v) for r, v in zip(rows, variants))] = None
+    return tuple(triples)
 
 
 _render_triple = partial(render_contexts, ("G1", "G2", "G3"))
@@ -789,48 +775,40 @@ _render_triple = partial(render_contexts, ("G1", "G2", "G3"))
 # those of deciding every triple.
 # ---------------------------------------------------------------------------
 
-# `_orbit_key`'s answers, and each context's reading, for the life of the
-# process: both are pure, and their triples and contexts are interned.
-_ORBIT_KEYS: dict = {}
-_READINGS: dict = {}
-
-
+# `_reading` and `_orbit_key` keep their answers for the life of the
+# process: each reads its interned argument alone.
+@cache
 def _reading(g: Ctx) -> tuple:
     """The context's tree read in preorder, each node as its class and each
     `Name` as the class alone, and the names in the order read.  Every
     interned node has a fixed number of fields, so the two together are a
     faithful code of the context."""
-    found = _READINGS.get(g)
-    if found is None:
-        shape, names = [], []
-        pending = [g]
-        while pending:
-            node = pending.pop()
-            if isinstance(node, Name):
-                names.append(node)
-                shape.append(Name)
-            elif isinstance(node, Interned):
-                shape.append(type(node))
-                pending += reversed(node.__reduce__()[1])
-            else:
-                shape.append(node)
-        found = _READINGS[g] = (tuple(shape), tuple(names))
-    return found
+    shape, names = [], []
+    pending = [g]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Name):
+            names.append(node)
+            shape.append(Name)
+        elif isinstance(node, Interned):
+            shape.append(type(node))
+            pending += reversed(node.__reduce__()[1])
+        else:
+            shape.append(node)
+    return tuple(shape), tuple(names)
 
 
+@cache
 def _orbit_key(triple: tuple) -> tuple:
     """The readings of the triple's contexts, with every `Name` replaced by
     the rank of its first occurrence: two triples have equal keys exactly
     when a bijection of names maps one onto the other."""
-    key = _ORBIT_KEYS.get(triple)
-    if key is None:
-        ranks: dict = {}
-        key = []
-        for g in triple:
-            shape, names = _reading(g)
-            key += (shape, tuple(ranks.setdefault(n, len(ranks)) for n in names))
-        key = _ORBIT_KEYS[triple] = tuple(key)
-    return key
+    ranks: dict = {}
+    key = []
+    for g in triple:
+        shape, names = _reading(g)
+        key += (shape, tuple(ranks.setdefault(n, len(ranks)) for n in names))
+    return tuple(key)
 
 
 def _by_orbit(triples: Iterable, decide: Callable):
@@ -977,33 +955,24 @@ def check_ltrans_pres_ty(bounds: GenBounds):
     separate suite); the translation function's agreement with the
     translation relation is asserted on the smaller terms.
 
-    The source terms of each multiset class of the source context are
-    built once by `gen_linear_terms`, from the linear typing rules: they
-    are the in-order subsequence of `gen_terms` that types under the
-    class, since each association and each binder is used exactly once.
-    The first triple of a class confirms each term's type with one
-    `ml_type` call, so the shipped checker still decides the source
-    type, and a term it types otherwise is a counterexample.  Each triple
-    is decided once per orbit (see the comment above `_orbit_key`), in
-    (triple, term) order, so the case count and the first counterexample
-    are those of typing each triple afresh.
+    The source terms of each triple are built by `gen_linear_terms`, from
+    the linear typing rules: they are the in-order subsequence of
+    `gen_terms` that types under the source context, since each
+    association and each binder is used exactly once.  Each term's type
+    is confirmed with one `ml_type` call, so the shipped checker still
+    decides the source type, and a term it types otherwise is a
+    counterexample.  Each triple is decided once per orbit (see the
+    comment above `_orbit_key`), in (triple, term) order, so the case
+    count and the first counterexample are those of typing each triple
+    afresh.
     """
     term_bound = max(bounds.term_size, 5)
     xs = tuple(name_pool(3, "x"))
-    # Sound because gen_trans_triples builds every l1 from
-    # itertools.permutations of the names, so its names are distinct, and
-    # ML typing over distinct names does not depend on the context's order
-    # (exchange): every arrangement in a class types the same terms alike.
-    typed: dict = {}
 
     def decide(triple: tuple):
         l1, l2, l3 = triple
-        key = multiset_of(l1)
-        confirm = key not in typed
-        if confirm:
-            typed[key] = gen_linear_terms(elems(l1), xs, term_bound, _TRANS_TYPES, True)
-        for e, src_ty in typed[key]:
-            if confirm and (checked := ml_type(l1, e)) != src_ty:
+        for e, src_ty in gen_linear_terms(elems(l1), xs, term_bound, _TRANS_TYPES, True):
+            if (checked := ml_type(l1, e)) != src_ty:
                 yield (
                     f"source type not confirmed for {print_term(e)}: enumerated "
                     f"{src_ty}, checker {checked}; {_render_triple(triple)}"

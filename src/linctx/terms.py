@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Iterator, Union as TyUnion
 
 from .errors import MalformedTermError, SyntaxError_, UnboundIdentifierError
@@ -222,24 +223,16 @@ def _rebuild(t: Tm, leaf: Callable) -> Tm:
     return done[0]
 
 
-# open_term's results, keyed on (body, name); it lives as long as the
-# intern tables, whose nodes it holds anyway.
-_OPENED: dict = {}
-
-
+# Kept for the life of the process, like the intern tables whose nodes it
+# holds: the result reads body and n alone, so a kept one is the one a
+# fresh call would build.  A malformed body raises, and is not kept.
+@cache
 def open_term(body: Tm, n: Name) -> Tm:
     """Replace the binder's variable (index 0 at the outside) with a free name.
 
     The body must be locally closed at depth 1.
     """
-    key = (body, n)
-    opened = _OPENED.get(key)
-    if opened is None:
-        opened = _OPENED[key] = _open(body, n)
-    return opened
 
-
-def _open(body: Tm, n: Name) -> Tm:
     def leaf(t: Tm, depth: int) -> Tm:
         if not isinstance(t, Bound) or t.index < depth:
             return t

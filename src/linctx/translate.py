@@ -112,12 +112,8 @@ def translate(g: Ctx, e: Tm) -> Tm:
     srcs = [a.src for a in assocs]
     if len(set(srcs)) != len(srcs):
         raise PreconditionError("translate requires distinct source names")
-    frees = closed_free_names(e)
-    if frees is None:
+    if closed_free_names(e) is None:
         raise MalformedTermError("term is not locally closed")
-    for n in frees:
-        if n not in srcs:
-            raise UnmappedVariableError(f"free variable {n} has no association")
     # One walk from an explicit stack.  A bound variable keeps its index,
     # since the binders keep their places.  An item is (t, depth, step):
     # step None reads t, "enter" opens the binder of an abstraction or of a
@@ -145,6 +141,8 @@ def translate(g: Ctx, e: Tm) -> Tm:
             depths.append(depth)
             pending.append((t.body, depth + 1, None))
         elif isinstance(t, Free):
+            if t.name not in counts:
+                raise UnmappedVariableError(f"free variable {t.name} has no association")
             counts[t.name] += 1
             done.append(Free(mapping[t.name]))
         elif isinstance(t, Bound):

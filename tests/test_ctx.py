@@ -537,8 +537,8 @@ class TestGen:
     def test_deterministic(self):
         assert gen_ctxs(["a", "b"], 3, 2) == gen_ctxs(["a", "b"], 3, 2)
 
-    def test_repeated_pool_entry_adds_no_duplicates(self, monkeypatch):
-        monkeypatch.setattr(ctx, "_UNIVERSES", {})
+    def test_repeated_pool_entry_adds_no_duplicates(self):
+        ctx._ctx_universe.cache_clear()
         got = gen_ctxs(["a", "a"], 2, 2)
         assert len(got) == len(set(got)) == 13
         assert got == gen_ctxs(["a"], 2, 2)

@@ -540,7 +540,7 @@ class TestGeneration:
             lines.append(json.dumps(record) + "\n")
         assert "".join(lines) == (FIXTURES / "golden" / "instance_digests.jsonl").read_text()
 
-    def test_value_names_memo(self, monkeypatch):
+    def test_value_names_memo(self):
         values = set(suites._ASSOC_POOL)
         for spec, ctx_elems, enforce, _, generate in _fixture_universes():
             for contexts in generate(spec, GenBounds(ctx_elems=ctx_elems), enforce):
@@ -550,11 +550,13 @@ class TestGeneration:
             deep = Arrow(deep, O) if k % 2 else Arrow(O, deep)
             values.update((deep, TyAssoc(N1, deep)))
         assert "junk" in values and any(isinstance(v, VarAssoc) for v in values)
-        monkeypatch.setattr(ctxspec, "_VALUE_NAMES", {})
+        value_names.cache_clear()
         for value in values:
             assert value_names(value) == _names_of(value)  # computed
-            assert value in ctxspec._VALUE_NAMES
+            kept = value_names.cache_info()
             assert value_names(value) == _names_of(value)  # kept
+            info = value_names.cache_info()
+            assert (info.hits, info.currsize) == (kept.hits + 1, kept.currsize)
 
 
 class TestDeepElementTerms:
@@ -562,12 +564,12 @@ class TestDeepElementTerms:
 
     DEPTH = 5000
 
-    def test_values(self, monkeypatch):
+    def test_values(self):
         deep = I
         for _ in range(self.DEPTH):
             deep = Arrow(O, deep)
         entry = TyAssoc(N1, deep)
-        monkeypatch.setattr(ctxspec, "_VALUE_NAMES", {})
+        value_names.cache_clear()
         assert value_names(deep) is ctxspec.EMPTY_SET
         assert value_names(entry) == {N1}
         pools = ctxspec._collect_by_sort([from_list([entry])])

@@ -1,12 +1,16 @@
 """No public function of the package takes a memo or a cache, so that no
 caller has to keep one alive or promise what may share it.
 
-A function that keeps answers keeps them itself, in a module-level table
-beside it with the comment that argues the table is sound (`ctx._PARTS`,
-`ctxspec._ALIGNED`).  A public function is a top-level `def` in
+A function that keeps answers keeps them itself, under `functools.cache`
+with the comment that argues the kept answers are sound (`ctx.perm_rel`,
+`terms.open_term`).  A public function is a top-level `def` in
 `src/linctx`, or a method of a top-level class, whose name does not start
 with an underscore; its parameters are all of them, keyword-only and
 starred ones too, with any name.
+
+A module-level table that starts empty (`NAME = {}`, `NAME: dict = {}`,
+`NAME = dict()`) is a hand-made cache, and each one is named, with the
+reason `functools.cache` does not fit it, on `TABLES`.
 """
 
 import ast
@@ -16,6 +20,14 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "linctx").glob("*.py"))
 
 KNOBS = ("memo", "cache")
+
+TABLES = {
+    "ctx._PARTS": "keyed by the classes of g1 and g2, not by perm_to_part's arguments",
+    "ctxspec._ALIGNED": (
+        "read inside the recursive _align_rows, where a cached function "
+        "would halve the recursion depth reached (ROADMAP item 5)"
+    ),
+}
 
 
 def _public_functions(tree: ast.Module):
@@ -70,3 +82,51 @@ class _Hidden:
         return memo
 '''
     assert _knobs(source) == ["search(_memo)", "lookup(cache_opts)", "Box.get(memos)"]
+
+
+def _tables(source: str) -> list:
+    """The name of each module-level table that starts empty."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        empty = isinstance(value, ast.Dict) and not value.keys or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id == "dict"
+            and not value.args
+            and not value.keywords
+        )
+        if empty:
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_every_table_is_listed():
+    found = [f"{path.stem}.{name}" for path in MODULES for name in _tables(path.read_text())]
+    assert sorted(found) == sorted(TABLES)
+
+
+def test_table_finder():
+    source = '''
+_PLAIN = {}
+_ANNOTATED: dict = {}
+_CALLED = dict()
+FIRST = SECOND = {}
+_FILLED = {"a": 1}
+_FROM_PAIRS = dict(a=1)
+_DECLARED: dict
+
+def f():
+    local = {}
+    return local
+
+class K:
+    inner = {}
+'''
+    assert _tables(source) == ["_PLAIN", "_ANNOTATED", "_CALLED", "FIRST", "SECOND"]

@@ -26,9 +26,9 @@ _FORMULA = "descends once per connective of a side formula, written by hand and 
 _KERNEL = "its own walk, run once per clause binding, where a stack is slower"
 _SIZE = "descends once per size or depth step of a generator bound, which stays small"
 RECURSIVE = {
+    "ctx._ctx_universe.struct_key": _SIZE,
+    "ctx._ctx_universe.trees": _SIZE,
     "ctx._partitions": "descends once per list entry; partition_list's 2**n result bounds n",
-    "ctx.gen_ctxs.struct_key": _SIZE,
-    "ctx.gen_ctxs.trees": _SIZE,
     "ctx.perm_rel": "the direct-search oracle for perm; a second design on purpose",
     "ctxspec._align_rows": "alignment recurses once per step (ROADMAP item 5)",
     "ctxspec._align_rows.choose_elems": "one generator frame per argument of a clause",

@@ -358,17 +358,20 @@ class TestKeptTables:
         cold = []
         for check in checks:
             monkeypatch.setattr(ctxspec, "_ALIGNED", {})
-            monkeypatch.setattr(ctx, "_PERM_REL", {})
+            ctx.perm_rel.cache_clear()
             cold.append(check())
-        aligned, verdicts = {}, {}
+        aligned = {}
         monkeypatch.setattr(ctxspec, "_ALIGNED", aligned)
-        monkeypatch.setattr(ctx, "_PERM_REL", verdicts)
+        ctx.perm_rel.cache_clear()
         assert [check() for check in checks] == cold
-        filled = len(verdicts), {key: len(table) for key, table in aligned.items()}
+        filled = ctx.perm_rel.cache_info().currsize, {key: len(table) for key, table in aligned.items()}
         assert [check() for check in checks] == cold
         # Nothing new was kept: every answer came from the tables.
-        assert (len(verdicts), {key: len(table) for key, table in aligned.items()}) == filled
-        assert verdicts and {flag for _, flag in aligned} == {True, False}
+        assert (
+            ctx.perm_rel.cache_info().currsize,
+            {key: len(table) for key, table in aligned.items()},
+        ) == filled
+        assert filled[0] and {flag for _, flag in aligned} == {True, False}
 
 
 class TestBuckets:

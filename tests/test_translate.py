@@ -147,6 +147,20 @@ class TestTranslate:
         with pytest.raises(UnmappedVariableError):
             translate(EMPTY, Free(N1))
 
+    def test_unmapped_variable_named_from_the_left(self):
+        # Names hash by identity, so naming one from a set of free names
+        # would pick either of two by memory layout; the leftmost is named.
+        for k in range(1, 201):
+            q, p = Name("q", k), Name("p", k)
+            for e, named in (
+                (App(Free(q), Free(p)), q),
+                (App(Free(N1), App(Free(p), Free(q))), p),
+                (Let(I, Free(p), App(Bound(0), Free(q))), p),
+            ):
+                with pytest.raises(UnmappedVariableError) as raised:
+                    translate(from_list([VarAssoc(N1, M1)]), e)
+                assert str(raised.value) == f"free variable {named} has no association"
+
     def test_requires_list_and_distinct_srcs(self):
         with pytest.raises(PreconditionError):
             translate(Union(EMPTY, EMPTY), parse_term("abs i (x\\ x)"))
