@@ -226,22 +226,12 @@ def eval_formula(f: SideFormula, binding: dict) -> bool:
 def formula_vars(f: SideFormula) -> frozenset:
     if isinstance(f, FTrue):
         return frozenset()
-    if isinstance(f, FIsName):
+    if isinstance(f, (FIsName, FMember)):
         return pattern_vars(f.term)
     if isinstance(f, FEq):
         return pattern_vars(f.lhs) | pattern_vars(f.rhs)
     if isinstance(f, (FAnd, FOr)):
         return formula_vars(f.left) | formula_vars(f.right)
-    raise ShapeError(f"unknown formula {f!r}")
-
-
-def render_formula(f: SideFormula) -> str:
-    if isinstance(f, FTrue):
-        return "true"
-    if isinstance(f, FIsName):
-        return f"name {_render_pattern_atom(f.term)}"
-    if isinstance(f, FEq):
-        return f"{render_pattern(f.lhs)} = {render_pattern(f.rhs)}"
     raise ShapeError(f"unknown formula {f!r}")
 
 
@@ -612,9 +602,9 @@ def _align_rows(spec: ContextSpec, rows: tuple, enforce: bool, memo: dict) -> Op
 #       [exists VAR*,] ATOM [/\ ATOM]* .
 #
 # where ATOM is `member TERM Lj`, `name TERM`, `TERM = TERM`, or `true`.
-# The context variables are distinct and appear in no TERM, and an
-# undeclared identifier that starts with an uppercase letter is an error
-# rather than a constant.
+# Each variable is quantified once, context variables appear in no TERM,
+# and an undeclared identifier that starts with an uppercase letter is an
+# error rather than a constant.
 # ---------------------------------------------------------------------------
 
 
@@ -639,6 +629,14 @@ def _classify_lemma_ident(tok: Token, declared: Sequence[str], ctx_vars: Sequenc
     return Base(tok.text)
 
 
+def _eat_binder(ts: TokenStream, bound: list, kind: str) -> None:
+    """Append the next identifier to `bound`; a variable is bound once."""
+    tok = ts.eat_ident()
+    if tok.text in bound:
+        raise SyntaxError_(f"{kind} {tok.text!r} is repeated", tok.pos)
+    bound.append(tok.text)
+
+
 def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
     ts.eat_ident("Lemma")
     name = ts.eat_ident().text
@@ -646,15 +644,12 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
     ts.eat_ident("forall")
     forall_vars = []
     while not ts.at_sym(","):
-        forall_vars.append(ts.eat_ident().text)
+        _eat_binder(ts, forall_vars, "variable")
     ts.eat_sym(",")
     pred_name = ts.eat_ident().text
     ctx_vars = []
     while ts.at_ident():
-        tok = ts.eat_ident()
-        if tok.text in ctx_vars:
-            raise SyntaxError_(f"context variable {tok.text!r} is repeated", tok.pos)
-        ctx_vars.append(tok.text)
+        _eat_binder(ts, ctx_vars, "context variable")
     if not ctx_vars:
         raise SyntaxError_("predicate application needs context variables", ts.peek().pos)
     declared = list(forall_vars) + [v for v in ctx_vars if v not in forall_vars]
@@ -688,9 +683,9 @@ def parse_lemma_tokens(ts: TokenStream) -> LemmaStmt:
         if ts.at_ident("exists"):
             ts.next()
             while not ts.at_sym(","):
-                exist_vars.append(ts.eat_ident().text)
+                _eat_binder(ts, declared, "variable")
+                exist_vars.append(declared[-1])
             ts.eat_sym(",")
-            declared += exist_vars
         concl.append(atom())
     while ts.at_sym("/\\"):
         ts.next()
@@ -727,7 +722,13 @@ def render_lemma(stmt: LemmaStmt) -> str:
     def render_atom(f: SideFormula) -> str:
         if isinstance(f, FMember):
             return f"member {_render_pattern_atom(f.term)} {stmt.ctx_vars[f.index]}"
-        return render_formula(f)
+        if isinstance(f, FIsName):
+            return f"name {_render_pattern_atom(f.term)}"
+        if isinstance(f, FEq):
+            return f"{render_pattern(f.lhs)} = {render_pattern(f.rhs)}"
+        if isinstance(f, FTrue):
+            return "true"
+        raise ShapeError(f"unknown lemma atom {f!r}")
 
     quantified = " ".join(stmt.ctx_vars + stmt.forall_vars)
     hyps = [f"{stmt.pred_name} {' '.join(stmt.ctx_vars)}"]
@@ -856,58 +857,73 @@ def _render_binding(binding: dict) -> str:
     return ", ".join(f"{k} = {v}" for k, v in items)
 
 
-def _universal_bindings(
-    stmt: LemmaStmt, contexts: Sequence[Ctx], candidates: Callable
-) -> list:
-    """Every binding of the universal variables on one context tuple.
+# Kept for the life of the process: a plan reads its arguments alone.
+@cache
+def _plan(atoms: tuple, bound: frozenset, drawn: tuple, exist: bool) -> tuple:
+    """The steps (kind, pattern or atom, source, checked) of `_solutions`,
+    given the variables bound on entry.  Next is the first atom that can be
+    taken: a "test" when its variables are bound, else `member P Lj`, which
+    matches P against the distinct entries of context j, or `P = Q` with Q
+    bound, which matches P against Q's value ("eq").  When none can be, the
+    first unbound variable of `drawn` is drawn from its candidates.  For
+    existentials, `checked` holds the variables of `drawn` a match binds."""
+    bound, waiting, steps = {v.name for v in bound}, list(atoms), []
+    while waiting or not bound.issuperset(drawn):
+        for k, atom in enumerate(waiting):
+            names = formula_vars(atom)
+            if names <= bound:
+                step = ("test", atom, None)
+            elif isinstance(atom, FMember):
+                step = ("member", atom.term, atom.index)
+            elif isinstance(atom, FEq) and pattern_vars(atom.lhs) <= bound:
+                step = ("eq", atom.rhs, atom.lhs)
+            elif isinstance(atom, FEq) and pattern_vars(atom.rhs) <= bound:
+                step = ("eq", atom.lhs, atom.rhs)
+            else:
+                continue
+            del waiting[k]
+            steps.append((*step, tuple(MetaVar(v) for v in drawn if exist and v in names - bound)))
+            break
+        else:  # no atom can be taken
+            var = next(v for v in drawn if v not in bound)
+            names = {var}
+            steps.append(("draw", MetaVar(var), var, ()))
+        bound |= names
+    return tuple(steps)
 
-    The member hypotheses are matched in order against the distinct
-    elements of their contexts; universal variables that no hypothesis
-    binds then range over their candidates.  Empty when the hypotheses
-    are unsatisfiable on this tuple.
-    """
-    bindings = [{}]
-    for hyp in stmt.hyps:
-        values = tuple(dict.fromkeys(elems(contexts[hyp.index])))
-        bindings = [
-            extended
-            for b in bindings
-            for value in values
-            if (extended := match_pattern(hyp.term, value, b)) is not None
-        ]
-        if not bindings:
-            return []
-    unbound = [
-        MetaVar(v)
-        for v in stmt.forall_vars
-        if MetaVar(v) not in bindings[0] and v not in stmt.exist_vars
-    ]
-    if not unbound:
-        return bindings
-    options = [candidates(v.name) for v in unbound]
-    return [
-        {**b, **dict(zip(unbound, combo))}
-        for b in bindings
-        for combo in itertools.product(*options)
-    ]
 
-
-def _lemma_witness(
-    stmt: LemmaStmt, contexts: Sequence[Ctx], binding: dict, candidates: Callable
-) -> Optional[dict]:
-    """The binding extended by the first existential witness under which
-    the conclusion holds on this tuple, or None when there is none."""
-    exist_keys = [MetaVar(v) for v in stmt.exist_vars]
-    for combo in itertools.product(*(candidates(v) for v in stmt.exist_vars)):
-        candidate = {**binding, **dict(zip(exist_keys, combo))}
-        if all(
-            member(instantiate(f.term, candidate), contexts[f.index])
-            if isinstance(f, FMember)
-            else eval_formula(f, candidate)
-            for f in stmt.concl
-        ):
-            return candidate
-    return None
+def _solutions(
+    atoms: tuple, contexts: Sequence, binding: dict, candidates: Callable, drawn: tuple, exist: bool
+) -> Iterator:
+    """Each extension of `binding` under which the atoms hold on the
+    contexts, depth first from an explicit stack, in `_plan`'s order.
+    Existentials (`exist`) take only candidate values."""
+    plan = _plan(atoms, frozenset(binding), drawn, exist)
+    stack = [(0, binding)]
+    while stack:
+        i, binding = stack.pop()
+        if i == len(plan):
+            yield binding
+            continue
+        kind, pat, source, checked = plan[i]
+        if kind == "test":
+            if (
+                member(instantiate(pat.term, binding), contexts[pat.index])
+                if isinstance(pat, FMember)
+                else eval_formula(pat, binding)
+            ):
+                stack.append((i + 1, binding))
+            continue
+        if kind == "member":
+            values = dict.fromkeys(elems(contexts[source]))
+        else:
+            values = (instantiate(source, binding),) if kind == "eq" else candidates(source)
+        for value in reversed(values):
+            extended = match_pattern(pat, value, binding)
+            if extended is not None and (
+                not checked or all(extended[v] in candidates(v.name) for v in checked)
+            ):
+                stack.append((i + 1, extended))
 
 
 # ---------------------------------------------------------------------------
@@ -1062,8 +1078,9 @@ def _lemma_counterexample(
 ) -> Optional[str]:
     """Why the lemma fails on one context tuple, or None when it holds."""
     candidates = _lemma_candidates(sorts, contexts)
-    for binding in _universal_bindings(stmt, contexts, candidates):
-        if _lemma_witness(stmt, contexts, binding, candidates) is None:
+    for binding in _solutions(stmt.hyps, contexts, {}, candidates, stmt.forall_vars, False):
+        witnesses = _solutions(stmt.concl, contexts, binding, candidates, stmt.exist_vars, True)
+        if next(witnesses, None) is None:
             return f"{render_contexts(stmt.ctx_vars, contexts)}" + (
                 f" with {_render_binding(binding)}" if binding else ""
             )
@@ -1113,30 +1130,15 @@ class DistrLemma:
         return f"{self.spec_name}_distr{self.index}"
 
     def render(self) -> str:
-        i = self.index
-        n = self.arity
-        gvars = [f"G{j}" for j in range(1, n + 1)]
-        forall = []
-        for j in range(1, n + 1):
-            forall.append(f"G{j}")
-            if j == i:
-                forall += [f"G{i}'", f"G{i}''"]
-        exist = []
-        for j in range(1, n + 1):
-            if j != i:
-                exist += [f"G{j}'", f"G{j}''"]
-        primes = " ".join(f"G{j}'" for j in range(1, n + 1))
-        doubles = " ".join(f"G{j}''" for j in range(1, n + 1))
-        perms = " /\\ ".join(
-            f"G{j} ~ G{j}' ++ G{j}''" for j in range(1, n + 1) if j != i
-        )
-        concl = f"{self.spec_name} {primes} /\\ {self.spec_name} {doubles}"
-        if perms:
-            concl += f" /\\ {perms}"
+        i, pred, js = self.index, self.spec_name, range(1, self.arity + 1)
+        forall = " ".join(f"G{j} G{j}' G{j}''" if j == i else f"G{j}" for j in js)
+        exist = " ".join(f"G{j}' G{j}''" for j in js if j != i)
+        concl = [pred + "".join(f" G{j}{mark}" for j in js) for mark in ("'", "''")]
+        concl += [f"G{j} ~ G{j}' ++ G{j}''" for j in js if j != i]
         return (
-            f"Theorem {self.name} : forall {' '.join(forall)}, "
-            f"{self.spec_name} {' '.join(gvars)} -> G{i} ~ G{i}' ++ G{i}'' -> "
-            f"exists {' '.join(exist)}, {concl}."
+            f"Theorem {self.name} : forall {forall}, "
+            f"{pred} {' '.join(f'G{j}' for j in js)} -> G{i} ~ G{i}' ++ G{i}'' -> "
+            f"exists {exist}, " + " /\\ ".join(concl) + "."
         )
 
 
@@ -1286,13 +1288,8 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
         raise ShapeError(
             f"lift expects a lemma about {spec.list_name!r}, got {stmt.pred_name!r}"
         )
-    lifted = replace(
-        stmt,
-        name=f"{stmt.name}_mset",
-        pred_name=spec.name,
-        ctx_vars=tuple(f"G{j}" for j in range(1, spec.arity + 1)),
-    )
-
+    ctx_vars = tuple(f"G{j}" for j in range(1, spec.arity + 1))
+    lifted = replace(stmt, name=f"{stmt.name}_mset", pred_name=spec.name, ctx_vars=ctx_vars)
     sorts = _lemma_var_sorts(spec, stmt)
 
     @counted
@@ -1303,7 +1300,7 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
             return  # hypothesis fails; nothing to check
         lists = tuple(from_list(row) for row in aligned)
         candidates = _lemma_candidates(sorts, contexts)
-        for binding in _universal_bindings(stmt, contexts, candidates):
+        for binding in _solutions(stmt.hyps, contexts, {}, candidates, stmt.forall_vars, False):
             for hyp in stmt.hyps:
                 value = instantiate(hyp.term, binding)
                 if not mem_transport(value, contexts[hyp.index], lists[hyp.index]):
@@ -1311,7 +1308,8 @@ def lift_lemma(spec: ContextSpec, stmt: LemmaStmt) -> tuple:
                         f"hypothesis transport failed for {value}"
                         f" in {render_contexts(lifted.ctx_vars, contexts)}"
                     )
-            witness = _lemma_witness(stmt, lists, binding, candidates)
+            witnesses = _solutions(stmt.concl, lists, binding, candidates, stmt.exist_vars, True)
+            witness = next(witnesses, None)
             if witness is None:
                 yield f"list-level conclusion has no witness under {_render_binding(binding)}"
             for f in stmt.concl:

@@ -183,6 +183,24 @@ class TestVerify:
         assert code == 1
         assert out == (GOLDEN / "verify_broken_freshness_uniq.jsonl").read_text()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_witness_edge_cases_golden(self, capsys, jobs):
+        # Recorded with the product search over every existential's
+        # candidates, before matching bound the existentials.
+        code, out = run(
+            capsys,
+            "verify",
+            FIXTURES / "specs.ctx",
+            "--lemmas",
+            FIXTURES / "witness.lem",
+            "--format",
+            "structured",
+            "--jobs",
+            jobs,
+        )
+        assert code == 1
+        assert out == (GOLDEN / "verify_witness_lemmas.jsonl").read_text()
+
     def test_typing_suite_golden(self, capsys):
         code, out = run(
             capsys, "verify", "--suite", "typing", "--format", "structured", "--bound-ctx", "2"
@@ -271,6 +289,7 @@ BAD_INPUTS = {
     "few.lem": "Lemma few : forall L X, trans_rel_list L -> member X L -> true.",
     "few_mset.lem": "Lemma few_mset : forall G X, trans_rel G -> member X G -> true.",
     "dup.lem": "Lemma dup : forall L X, trans_rel_list L L L -> member X L -> true.",
+    "rebound.lem": "Lemma rebound : forall L X, ty_ctx'_list L -> member X L -> exists X, name X.",
     "undeclared.lem": (
         "Lemma undeclared : forall L X, ty_ctx'_list L -> member (ty_of X T) L -> X = Y."
     ),
@@ -354,6 +373,10 @@ class TestBadInput:
                 "dup.lem: parse error: context variable 'L' is repeated (at position 41)",
             ),
             (
+                ["verify", FIXTURES / "specs.ctx", "--lemmas", "rebound.lem"],
+                "rebound.lem: parse error: variable 'X' is repeated (at position 67)",
+            ),
+            (
                 ["verify", FIXTURES / "specs.ctx", "--lemmas", "undeclared.lem"],
                 "undeclared.lem: parse error: undeclared variable 'T' (at position 65)",
             ),
@@ -433,6 +456,7 @@ class TestBadInput:
             "too-few-contexts",
             "too-few-contexts-mset",
             "repeated-context",
+            "rebound-variable",
             "undeclared-variable",
             "context-variable-term",
             "context-variable-term-mset",

@@ -984,14 +984,22 @@ class TestVerifyLemma:
 
 
 @st.composite
-def lemma_texts(draw):
-    """Lemma text from the grammar: distinct context variables, member
-    hypotheses over the universal variables, and conclusion atoms over
-    the universal and existential ones, with optional redundant
-    parentheses around pattern arguments."""
-    ctx_vars = draw(st.lists(st.sampled_from(["L", "M", "K"]), min_size=1, max_size=3, unique=True))
+def lemma_texts(draw, pred="p", arity=None, min_exists=0):
+    """Lemma text from the grammar: distinct context variables (`arity`
+    of them, when given, for the list form of `pred`), member hypotheses
+    over the universal variables, and conclusion atoms over the universal
+    and existential ones (at least `min_exists` of those), with optional
+    redundant parentheses around pattern arguments."""
+    if arity is None:
+        ctx_vars = draw(
+            st.lists(st.sampled_from(["L", "M", "K"]), min_size=1, max_size=3, unique=True)
+        )
+    else:
+        ctx_vars = ["L", "M", "K"][:arity]
     forall_vars = draw(st.lists(st.sampled_from(["X", "Y", "T"]), max_size=3, unique=True))
-    exist_vars = draw(st.lists(st.sampled_from(["E", "n"]), max_size=2, unique=True))
+    exist_vars = draw(
+        st.lists(st.sampled_from(["E", "n"]), min_size=min_exists, max_size=2, unique=True)
+    )
 
     def pattern(names, depth, arg):
         if depth == 0 or draw(st.booleans()):
@@ -1016,7 +1024,7 @@ def lemma_texts(draw):
     concl = " /\\ ".join(atom(kind, names) for kind in kinds)
     if exist_vars:
         concl = f"exists {' '.join(exist_vars)}, {concl}"
-    body = " -> ".join([f"p_list {' '.join(ctx_vars)}"] + hyps + [concl])
+    body = " -> ".join([f"{pred}_list {' '.join(ctx_vars)}"] + hyps + [concl])
     return f"Lemma g : forall {' '.join(forall_vars + ctx_vars)}, {body}."
 
 
@@ -1110,6 +1118,18 @@ class TestLifting:
                 "context variable 'L' is repeated (at position 41)",
             ),
             (
+                "Lemma u : forall L X X, ty_ctx'_list L -> member X L -> true.",
+                "variable 'X' is repeated (at position 21)",
+            ),
+            (
+                "Lemma u : forall L X, ty_ctx'_list L -> member X L -> exists n n, name n.",
+                "variable 'n' is repeated (at position 63)",
+            ),
+            (
+                "Lemma u : forall L X, ty_ctx'_list L -> member X L -> exists X, name X.",
+                "variable 'X' is repeated (at position 61)",
+            ),
+            (
                 "Lemma u : forall L X, ty_ctx'_list L -> member X L -> X = L.",
                 "context variable 'L' is used as a term (at position 58)",
             ),
@@ -1127,6 +1147,98 @@ class TestLifting:
     def test_lemma_file(self):
         stmts = parse_lemma_file(MEM_LEMMA + "\n" + UNIQ_LEMMA)
         assert [s.name for s in stmts] == ["ty_ctx_mem", "ty_ctx_uniq"]
+
+
+def _product_universal_bindings(stmt, contexts, candidates) -> list:
+    """The universal bindings by the search that `ctxspec._solutions`
+    replaced: the member hypotheses matched in order against the distinct
+    entries of their contexts, then the product of the candidates of the
+    universals that no hypothesis binds."""
+    bindings = [{}]
+    for hyp in stmt.hyps:
+        values = tuple(dict.fromkeys(elems(contexts[hyp.index])))
+        bindings = [
+            extended
+            for b in bindings
+            for value in values
+            if (extended := ctxspec.match_pattern(hyp.term, value, b)) is not None
+        ]
+        if not bindings:
+            return []
+    unbound = [MetaVar(v) for v in stmt.forall_vars if MetaVar(v) not in bindings[0]]
+    options = [candidates(v.name) for v in unbound]
+    return [
+        {**b, **dict(zip(unbound, combo))}
+        for b in bindings
+        for combo in itertools.product(*options)
+    ]
+
+
+def _product_witness(stmt, contexts, binding, candidates):
+    """The first witness in the product of the existentials' candidates
+    under which the conclusion holds, or None."""
+    exist_keys = [MetaVar(v) for v in stmt.exist_vars]
+    for combo in itertools.product(*(candidates(v) for v in stmt.exist_vars)):
+        candidate = {**binding, **dict(zip(exist_keys, combo))}
+        if all(
+            ctxspec.member(ctxspec.instantiate(f.term, candidate), contexts[f.index])
+            if isinstance(f, FMember)
+            else ctxspec.eval_formula(f, candidate)
+            for f in stmt.concl
+        ):
+            return candidate
+    return None
+
+
+def _product_counterexample(stmt, sorts, contexts):
+    """`_lemma_counterexample` by the product search."""
+    candidates = ctxspec._lemma_candidates(sorts, contexts)
+    for binding in _product_universal_bindings(stmt, contexts, candidates):
+        if _product_witness(stmt, contexts, binding, candidates) is None:
+            return f"{render_contexts(stmt.ctx_vars, contexts)}" + (
+                f" with {ctxspec._render_binding(binding)}" if binding else ""
+            )
+    return None
+
+
+@st.composite
+def fixture_lemma_texts(draw):
+    """A `lemma_texts` lemma about `ty_ctx'_list` or `trans_rel_list`,
+    with an existential."""
+    pred, arity = draw(st.sampled_from([("ty_ctx'", 1), ("trans_rel", 3)]))
+    return draw(lemma_texts(pred, arity, min_exists=1))
+
+
+class TestBindingSearch:
+    """`ctxspec._solutions` binds each variable by the first atom that can
+    bind it and draws only the rest; the product search drew every
+    existential.  Verdicts, case counts and counterexamples agree."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fixture_lemma_texts())
+    def test_agrees_with_product_search(self, text):
+        specs = {spec.list_name: spec for spec in _fixture_specs()}
+        stmt = parse_lemma(text)
+        spec = specs[stmt.pred_name]
+        for lemma in (stmt, lift_lemma(spec, stmt)[0]):
+            for ctx_elems in (1, 2):
+                bounds = GenBounds(ctx_elems=ctx_elems)
+                got = verify_lemma_cases(spec, lemma, bounds)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(ctxspec, "_lemma_counterexample", _product_counterexample)
+                    assert got == verify_lemma_cases(spec, lemma, bounds), (text, ctx_elems)
+
+    def test_long_hypothesis_chain(self, ty_spec):
+        # Each hypothesis is one step of the plan, not one frame.
+        hyps = " -> ".join(["member X L"] * 2000)
+        stmt = parse_lemma(f"Lemma long : forall L X, ty_ctx'_list L -> {hyps} -> true.")
+        bounds = GenBounds(ctx_elems=1)
+        assert verify_lemma_cases(ty_spec, stmt, bounds) == (7, None)
+        lifted, checker = lift_lemma(ty_spec, stmt)
+        assert verify_lemma_cases(ty_spec, lifted, bounds) == (13, None)
+        # one universal binding on each instance but the empty one
+        outcomes = [checker(contexts) for contexts in generate_mset_instances(ty_spec, bounds)]
+        assert outcomes == [(0, None)] + [(1, None)] * 12
 
 
 class TestTransportFailures:
