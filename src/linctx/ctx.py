@@ -132,6 +132,12 @@ def member(x: Any, g: Ctx) -> bool:
             return False
 
 
+# Kept for the life of the process, like the intern tables that hold the
+# contexts: the walk reads only x, compared by `==`, and the immutable
+# interned nodes of g; every residual it builds is interned, so a fresh
+# call returns the same node objects; and the answer is a tuple, which no
+# caller can change.
+@cache
 def select(x: Any, g: Ctx) -> tuple:
     """All ways of removing one occurrence of x from g.
 
@@ -139,7 +145,9 @@ def select(x: Any, g: Ctx) -> tuple:
     residual is g with exactly that occurrence's cons node spliced out:
     removing a head leaves its tail, removing inside a tail or a union
     branch rebuilds the surrounding node.  Absent elements yield the
-    empty sequence.
+    empty sequence.  A probe that cannot be hashed raises `TypeError`;
+    it is never a member, since every context element is hashed when
+    its node is interned.
     """
     out = []
     # Each node travels with the chain of its ancestors, innermost first:

@@ -1138,7 +1138,9 @@ class DistrLemma:
         return (
             f"Theorem {self.name} : forall {forall}, "
             f"{pred} {' '.join(f'G{j}' for j in js)} -> G{i} ~ G{i}' ++ G{i}'' -> "
-            f"exists {exist}, " + " /\\ ".join(concl) + "."
+            + (f"exists {exist}, " if exist else "")
+            + " /\\ ".join(concl)
+            + "."
         )
 
 

@@ -101,6 +101,13 @@ class TestSelect:
     def test_absent(self):
         assert select("a", Cons("b", EMPTY)) == ()
 
+    def test_unhashable_probe_raises(self):
+        # No unhashable value can be an element: interning hashes each one.
+        with pytest.raises(TypeError):
+            select(["a"], Cons("a", EMPTY))
+        with pytest.raises(TypeError):
+            Cons(["a"], EMPTY)
+
     def test_residual_loses_exactly_one_occurrence(self):
         for g in gen_ctxs(["a", "b"], 3, 2):
             for x in ("a", "b"):
@@ -109,6 +116,14 @@ class TestSelect:
                     before = list(elems(g))
                     before.remove(x)
                     assert sorted(before) == sorted(elems(r))
+
+    def test_kept_answer_is_the_fresh_walk(self):
+        # A kept answer is the tuple a fresh walk builds, node for node.
+        for g in gen_ctxs(("a", "b"), 3, 3):
+            for x in ("a", "b", "z"):
+                kept, fresh = select(x, g), select.__wrapped__(x, g)
+                assert type(kept) is tuple and len(kept) == len(fresh)
+                assert all(k is f for k, f in zip(kept, fresh))
 
 
 class TestNoElemsIsList:

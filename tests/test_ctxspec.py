@@ -683,7 +683,10 @@ class TestDistributivity:
 
     def test_unary_statement(self, ty_spec):
         stmt = gen_distr_lemma(ty_spec, 1)
-        assert "ty_ctx' G1' /\\ ty_ctx' G1''" in stmt.render()
+        assert stmt.render() == (
+            "Theorem ty_ctx'_distr1 : forall G1 G1' G1'', "
+            "ty_ctx' G1 -> G1 ~ G1' ++ G1'' -> ty_ctx' G1' /\\ ty_ctx' G1''."
+        )
 
     def test_index_out_of_range(self, ty_spec):
         with pytest.raises(PreconditionError):

@@ -11,6 +11,10 @@ starred ones too, with any name.
 A module-level table that starts empty (`NAME = {}`, `NAME: dict = {}`,
 `NAME = dict()`) is a hand-made cache, and each one is named, with the
 reason `functools.cache` does not fit it, on `TABLES`.
+
+Every top-level function that keeps its answers under `functools.cache`
+is named, as `module.name`, in README's list of the functions that keep
+their own answers, so that the list cannot fall behind the code.
 """
 
 import ast
@@ -18,6 +22,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "linctx").glob("*.py"))
+README = ROOT / "README.md"
+
+# README's list of the functions that keep their own answers runs from
+# the first of these lines up to the second.
+KEPT_LIST = ("A pure function that is called again", "Inside one call,")
 
 KNOBS = ("memo", "cache")
 
@@ -130,3 +139,63 @@ class K:
     inner = {}
 '''
     assert _tables(source) == ["_PLAIN", "_ANNOTATED", "_CALLED", "FIRST", "SECOND"]
+
+
+def _cached(source: str) -> list:
+    """The name of each top-level function decorated with `cache` or
+    `functools.cache`."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(d, ast.Name) and d.id == "cache"
+            or isinstance(d, ast.Attribute)
+            and d.attr == "cache"
+            and isinstance(d.value, ast.Name)
+            and d.value.id == "functools"
+            for d in node.decorator_list
+        ):
+            found.append(node.name)
+    return found
+
+
+def test_every_cached_function_is_in_readme():
+    text = README.read_text()
+    start = text.index(KEPT_LIST[0])
+    kept = text[start : text.index(KEPT_LIST[1], start)]
+    found = [f"{path.stem}.{name}" for path in MODULES for name in _cached(path.read_text())]
+    assert "ctx.select" in found
+    assert [name for name in found if f"`{name}`" not in kept] == []
+
+
+def test_cached_finder():
+    source = '''
+import functools
+
+@cache
+def plain(x):
+    return x
+
+@functools.cache
+def qualified(x):
+    return x
+
+@functools.lru_cache(maxsize=None)
+def bounded(x):
+    return x
+
+@other.cache
+def elsewhere(x):
+    return x
+
+def outer(x):
+    @cache
+    def inner(y):
+        return y
+    return inner(x)
+
+class K:
+    @cache
+    def method(self):
+        return self
+'''
+    assert _cached(source) == ["plain", "qualified"]

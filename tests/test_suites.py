@@ -340,10 +340,10 @@ class TestPermRelRows:
 
 class TestKeptTables:
     def test_warm_tables_change_no_result(self, monkeypatch):
-        # The checks that read the answers `align_mset` and `perm_rel` keep:
-        # each from empty tables, as when each check kept its own memo;
-        # then all of them into one pair of tables; then all again,
-        # answered from those tables alone.
+        # The checks that read the answers `align_mset`, `perm_rel` and
+        # `select` keep: each from empty tables, as when each check kept its
+        # own memo; then all of them into one set of tables; then all
+        # again, answered from those tables alone.
         checks = [
             functools.partial(check_distr_cases, spec, index, GenBounds(ctx_elems=n), enforce)
             for name in ("specs.ctx", "broken_freshness.ctx")
@@ -354,24 +354,38 @@ class TestKeptTables:
         ] + [
             functools.partial(suites.check_perm_equiv, 3, 3),
             functools.partial(suites.check_trans_rel_sel, TWO),
+        ] + [
+            functools.partial(check, 3, 3)
+            for check in (
+                suites.check_sel_replace,
+                suites.check_sel_implies_mem,
+                suites.check_mem_replace,
+            )
         ]
-        cold = []
-        for check in checks:
+
+        def empty_tables():
             monkeypatch.setattr(ctxspec, "_ALIGNED", {})
             ctx.perm_rel.cache_clear()
+            ctx.select.cache_clear()
+
+        def kept():
+            return (
+                ctx.perm_rel.cache_info().currsize,
+                ctx.select.cache_info().currsize,
+                {key: len(table) for key, table in ctxspec._ALIGNED.items()},
+            )
+
+        cold = []
+        for check in checks:
+            empty_tables()
             cold.append(check())
-        aligned = {}
-        monkeypatch.setattr(ctxspec, "_ALIGNED", aligned)
-        ctx.perm_rel.cache_clear()
+        empty_tables()
         assert [check() for check in checks] == cold
-        filled = ctx.perm_rel.cache_info().currsize, {key: len(table) for key, table in aligned.items()}
+        filled = kept()
         assert [check() for check in checks] == cold
         # Nothing new was kept: every answer came from the tables.
-        assert (
-            ctx.perm_rel.cache_info().currsize,
-            {key: len(table) for key, table in aligned.items()},
-        ) == filled
-        assert filled[0] and {flag for _, flag in aligned} == {True, False}
+        assert kept() == filled
+        assert filled[0] and filled[1] and {flag for _, flag in filled[2]} == {True, False}
 
 
 class TestBuckets:
