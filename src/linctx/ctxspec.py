@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from operator import attrgetter
-from typing import Any, Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .ctx import (
     Cons,
@@ -240,8 +240,9 @@ def formula_vars(f: SideFormula) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Clause:
+# Interned, so that a tuple of clauses, a key at every list position, hashes by identity.
+@node_dataclass
+class Clause(Interned):
     nabla_vars: tuple
     patterns: tuple
     formula: SideFormula
@@ -449,40 +450,48 @@ def parse_spec_file(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _clause_instance_ok(
-    clause: Clause, binding: dict, later_names: Container, enforce_freshness: bool
-) -> bool:
-    """Nabla side conditions plus the clause formula under a head match.
-
-    The nabla values must be pairwise-distinct names that occur neither
-    in the metavariable substitution nor among the given tail names.
-    """
-    nabla_vals = [binding[NablaVar(v)] for v in clause.nabla_vars]
-    if enforce_freshness:
-        if len(set(nabla_vals)) != len(nabla_vals):
-            return False
-        for key, val in binding.items():
-            if isinstance(key, MetaVar):
-                names_in_val = value_names(val)
-                if any(nv in names_in_val for nv in nabla_vals):
-                    return False
-        if any(nv in later_names for nv in nabla_vals):
-            return False
-    return eval_formula(clause.formula, binding)
+def _clause_instance_ok(clause: Clause, binding: dict, enforce_freshness: bool) -> Optional[tuple]:
+    """The nabla values of a head match, or None when the formula fails or,
+    with freshness, they are not distinct names outside the metavariable
+    substitution.  The caller tests that no nabla value names a later entry."""
+    nabla_vals = tuple(binding[NablaVar(v)] for v in clause.nabla_vars)
+    if enforce_freshness and (
+        len(set(nabla_vals)) != len(nabla_vals)
+        or any(
+            isinstance(key, MetaVar) and not value_names(val).isdisjoint(nabla_vals)
+            for key, val in binding.items()
+        )
+    ):
+        return None
+    return nabla_vals if eval_formula(clause.formula, binding) else None
 
 
-def _heads_ok(spec: ContextSpec, heads: Sequence, tail_names: Container, enforce: bool) -> bool:
-    """Whether some clause accepts the entries at one list position,
-    given the names occurring in every later entry."""
-    for clause in spec.clauses:
+# Kept for the life of the process: the answer reads only the clauses,
+# the heads and the flag.  Matching compares the interned heads by `==`.
+# `_validate_spec` binds every formula variable in the patterns, so the
+# formula, evaluated before the later-names test, cannot raise, and both
+# are pure tests of one conjunction, so their order changes no outcome.
+@cache
+def _head_accepts(clauses: tuple, heads: tuple, enforce: bool) -> tuple:
+    """The nabla values of each clause that accepts the heads, in clause
+    order, before the later-names test."""
+    accepts = []
+    for clause in clauses:
         binding: Optional[dict] = {}
         for pat, entry in zip(clause.patterns, heads):
             binding = match_pattern(pat, entry, binding)
             if binding is None:
                 break
-        if binding is not None and _clause_instance_ok(clause, binding, tail_names, enforce):
-            return True
-    return False
+        if binding is not None:
+            accepts.append(_clause_instance_ok(clause, binding, enforce))
+    return tuple(v for v in accepts if v is not None)
+
+
+def _heads_ok(spec: ContextSpec, heads: tuple, tail_names: AbstractSet, enforce: bool) -> bool:
+    """Whether some clause accepts the entries at one list position,
+    given the names occurring in every later entry."""
+    accepts = _head_accepts(spec.clauses, heads, enforce)
+    return any(tail_names.isdisjoint(v) for v in accepts) if enforce else bool(accepts)
 
 
 def check_list_pred(spec: ContextSpec, contexts: Sequence[Ctx], enforce_freshness: bool = True) -> bool:
@@ -577,8 +586,10 @@ def _align_rows(spec: ContextSpec, rows: tuple, enforce: bool, memo: dict) -> Op
             for i, row in enumerate(rows):
                 k = row.index(chosen[i])
                 rest.append(row[:k] + row[k + 1 :])
-            tail_names = set().union(*(value_names(e) for row in rest for e in row))
-            if not _clause_instance_ok(clause, binding, tail_names, enforce):
+            nabla_vals = _clause_instance_ok(clause, binding, enforce)
+            if nabla_vals is None or enforce and any(
+                not value_names(e).isdisjoint(nabla_vals) for row in rest for e in row
+            ):
                 continue
             sub = _align_rows(spec, tuple(rest), enforce, memo)
             # With one context a step that holds decides the rows.  It
@@ -806,13 +817,21 @@ def _value_sort(value: Any) -> str:
     return "elem" if view is None else view[3]
 
 
+# Kept for the life of the process, like `value_names`: the pairs are read
+# from the immutable entry alone.
+@cache
+def _entry_values(entry: Any) -> tuple:
+    """(sort, value) for each node of an entry, in `_subterms` order."""
+    return tuple((_value_sort(value), value) for value, _ in _subterms(entry))
+
+
 def _collect_by_sort(contexts: Sequence[Ctx]) -> dict:
     """Candidate witness values occurring in the given contexts, by sort."""
     found: dict = {}
     for g in contexts:
         for entry in elems(g):
-            for value, _ in _subterms(entry):
-                found.setdefault(_value_sort(value), {}).setdefault(value, None)
+            for sort, value in _entry_values(entry):
+                found.setdefault(sort, {}).setdefault(value, None)
     return {sort: list(bucket) for sort, bucket in found.items()}
 
 
@@ -1070,6 +1089,10 @@ def _restructured(instances: Iterator, bounds: GenBounds):
 # A case whose key is already decided is counted but not recomputed.  Only
 # passing keys are kept: a failure ends the check, so the case count and
 # counterexample are those of deciding every case.
+# The first halves of `splits(g)` are the 2^n position subsets of g's
+# flattening, so their classes, with multiplicity, and their count depend
+# only on g's class: once every split of an instance class has passed, a
+# later presentation that aligns passes its 2^n cases unenumerated.
 # ---------------------------------------------------------------------------
 
 
@@ -1246,11 +1269,16 @@ def _distr_instance(
     passed: set,
 ):
     """The cases of `check_distr_instances` for one context tuple.  `passed`
-    holds the (instance class, first-side class) keys already decided, and
-    is shared by every tuple of one check."""
+    holds the (instance class, first-side class) keys already decided and
+    the instance classes all of whose splits passed, and is shared by
+    every tuple of one check."""
     index0 = index - 1
     aligned = _align_instance(spec, contexts, enforce_freshness)
     instance_key = tuple(multiset_of(g) for g in contexts)
+    # (instance class,), a 1-tuple apart from the pairs: all its splits passed
+    if aligned is not None and (instance_key,) in passed:
+        yield from itertools.repeat(None, 2 ** len(elems(contexts[index0])))
+        return
     for first, second in splits(contexts[index0]):
         key = (instance_key, multiset_of(first))
         # An instance that does not align fails whatever its class; one
@@ -1263,6 +1291,7 @@ def _distr_instance(
             yield f"{render_contexts(gvars, contexts)}; {split_desc}"
         passed.add(key)
         yield None
+    passed.add((instance_key,))
 
 
 # ---------------------------------------------------------------------------

@@ -946,6 +946,133 @@ class TestClassVerdicts:
                             assert asked == _decided_cases(verdicts[:count])
 
 
+def _clause_walk(spec, heads, tail_names, enforce) -> bool:
+    """Whether some clause accepts the heads: the reference walk, which
+    matches every clause again at every list position, with no table."""
+    for clause in spec.clauses:
+        binding = {}
+        for pat, entry in zip(clause.patterns, heads):
+            binding = ctxspec.match_pattern(pat, entry, binding)
+            if binding is None:
+                break
+        if binding is None:
+            continue
+        nabla_vals = [binding[NablaVar(v)] for v in clause.nabla_vars]
+        if enforce:
+            if len(set(nabla_vals)) != len(nabla_vals):
+                continue
+            if any(
+                isinstance(key, MetaVar) and nv in value_names(val)
+                for key, val in binding.items()
+                for nv in nabla_vals
+            ):
+                continue
+            if any(nv in tail_names for nv in nabla_vals):
+                continue
+        if ctxspec.eval_formula(clause.formula, binding):
+            return True
+    return False
+
+
+class TestHeadTable:
+    """`_heads_ok` answers from the kept `_head_accepts` table as the clause
+    walk does, at every (heads, later names) that instance generation and
+    `check_list_pred` (inside the distributivity checks) reach."""
+
+    SPECS = _fixture_specs() + [
+        parse_spec(TestSideFormulaSyntax.SMALL_CMD),
+        parse_spec(TWO_CMD),
+    ]
+    # Distributivity at ctx_elems=3 has 730,345 cases per index for
+    # trans_rel without freshness, and over a million for two.
+    SLOW_AT_3 = {("trans_rel", False), ("two", True), ("two", False)}
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_against_clause_walk(self, spec, enforce, monkeypatch):
+        real = ctxspec._heads_ok
+        reached = []
+
+        def heads_ok(spec_, heads, tail_names, enforce_):
+            got = real(spec_, heads, tail_names, enforce_)
+            assert got == _clause_walk(spec_, heads, tail_names, enforce_)
+            reached.append((spec_.clauses, heads, enforce_))
+            return got
+
+        ctxspec._head_accepts.cache_clear()
+        monkeypatch.setattr(ctxspec, "_heads_ok", heads_ok)
+        for ctx_elems in (1, 2, 3):
+            bounds = GenBounds(ctx_elems=ctx_elems)
+            list(generate_list_instances(spec, bounds, enforce))
+            if ctx_elems < 3 or (spec.name, enforce) not in self.SLOW_AT_3:
+                for index in range(1, spec.arity + 1):
+                    assert check_distr_cases(spec, index, bounds, enforce)[1] is None
+        keys = set(reached)
+        assert ctxspec._head_accepts.cache_info().currsize == len(keys)
+        for key in keys:
+            assert ctxspec._head_accepts(*key) == ctxspec._head_accepts.__wrapped__(*key)
+
+
+class TestSplitSkip:
+    """Every presentation of an instance is aligned, and the splits of each
+    instance class are enumerated once: a later presentation of a class
+    all of whose splits passed counts them without `splits`."""
+
+    # perfbench's schematic bounds; loose_ctx at its expected-FAIL bound
+    PERFBENCH_BOUNDS = {
+        "ty_ctx'": GenBounds(),
+        "trans_rel": GenBounds(ctx_elems=2),
+        "loose_ctx": GenBounds(ctx_elems=3),
+    }
+
+    @pytest.mark.parametrize("spec", _fixture_specs(), ids=lambda spec: spec.name)
+    def test_splits_once_per_class(self, spec, monkeypatch):
+        instances = list(generate_mset_instances(spec, self.PERFBENCH_BOUNDS[spec.name]))
+        classes = {tuple(multiset(elems(g)) for g in contexts) for contexts in instances}
+        assert len(classes) < len(instances)
+        outside = (from_list([I]),) * spec.arity  # no clause matches a bare type
+        # The plain loop of `TestClassVerdicts`: every split of every
+        # instance decided on its own.  Identical calls are decided once.
+        decided: dict = {}
+        holds: dict = {index0: [] for index0 in range(spec.arity)}
+        for contexts in instances:
+            rows = ctxspec._align_instance(spec, contexts, True)
+            for index0 in range(spec.arity):
+                for first, second in splits(contexts[index0]):
+                    call = (rows, index0, first, second)
+                    if rows is not None and call not in decided:
+                        found = ctxspec._distr_witnesses(spec, rows, index0, first, second, True)
+                        decided[call] = found is not None
+                    holds[index0].append(rows is not None and decided[call])
+        indices = range(1, spec.arity + 1)
+        failure = {index: check_distr_instances(spec, index, [outside]) for index in indices}
+
+        counts = Counter()
+
+        def count(name):
+            real = getattr(ctxspec, name)
+
+            def counted_call(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(ctxspec, name, counted_call)
+
+        count("splits")
+        count("_align_instance")
+        for index in indices:
+            assert all(holds[index - 1]) and failure[index][0] == 1
+            for tail, cases, counterexample in (
+                ([], len(holds[index - 1]), None),
+                ([outside], len(holds[index - 1]) + 1, failure[index][1]),
+            ):
+                counts.clear()
+                got = check_distr_instances(spec, index, instances + tail)
+                assert got == (cases, counterexample)
+                assert counts["_align_instance"] == len(instances) + len(tail)
+                assert counts["splits"] == len(classes) + len(tail)
+
+
 class TestVerifyLemma:
     def test_membership_and_uniqueness(self, ty_spec):
         for text in (MEM_LEMMA, UNIQ_LEMMA):

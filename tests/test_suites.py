@@ -22,7 +22,13 @@ from linctx.ctx import (
     print_ctx,
     splits,
 )
-from linctx.ctxspec import check_distr_cases, parse_spec_file
+from linctx.ctxspec import (
+    check_distr_cases,
+    lift_lemma,
+    parse_lemma_file,
+    parse_spec_file,
+    verify_lemma_cases,
+)
 from linctx.report import GenBounds, all_passed
 from linctx.suites import (
     check_linear_equivalence,
@@ -340,16 +346,26 @@ class TestPermRelRows:
 
 class TestKeptTables:
     def test_warm_tables_change_no_result(self, monkeypatch):
-        # The checks that read the answers `align_mset`, `perm_rel` and
-        # `select` keep: each from empty tables, as when each check kept its
-        # own memo; then all of them into one set of tables; then all
-        # again, answered from those tables alone.
+        # The checks that read the answers `align_mset`, `perm_rel`,
+        # `select`, `_head_accepts` and `_entry_values` keep: each from empty
+        # tables, as when each check kept its own memo; then all of them
+        # into one set of tables; then all again, answered from those
+        # tables alone.
+        specs = {}
+        for name in ("specs.ctx", "broken_freshness.ctx"):
+            for spec in parse_spec_file((FIXTURES / name).read_text()):
+                specs[spec.name] = specs[spec.list_name] = spec
         checks = [
             functools.partial(check_distr_cases, spec, index, GenBounds(ctx_elems=n), enforce)
-            for name in ("specs.ctx", "broken_freshness.ctx")
-            for spec in parse_spec_file((FIXTURES / name).read_text())
+            for spec in dict.fromkeys(specs.values())
             for index in range(1, spec.arity + 1)
             for n in (1, 2)
+            for enforce in (True, False)
+        ] + [
+            functools.partial(verify_lemma_cases, specs[stmt.pred_name], lemma, TWO, enforce)
+            for name in ("lemmas.lem", "broken_uniq.lem")
+            for stmt in parse_lemma_file((FIXTURES / name).read_text())
+            for lemma in (stmt, lift_lemma(specs[stmt.pred_name], stmt)[0])
             for enforce in (True, False)
         ] + [
             functools.partial(suites.check_perm_equiv, 3, 3),
@@ -365,14 +381,16 @@ class TestKeptTables:
 
         def empty_tables():
             monkeypatch.setattr(ctxspec, "_ALIGNED", {})
-            ctx.perm_rel.cache_clear()
-            ctx.select.cache_clear()
+            for cached in (ctx.perm_rel, ctx.select, ctxspec._head_accepts, ctxspec._entry_values):
+                cached.cache_clear()
 
         def kept():
             return (
                 ctx.perm_rel.cache_info().currsize,
                 ctx.select.cache_info().currsize,
                 {key: len(table) for key, table in ctxspec._ALIGNED.items()},
+                ctxspec._head_accepts.cache_info().currsize,
+                ctxspec._entry_values.cache_info().currsize,
             )
 
         cold = []
@@ -386,6 +404,7 @@ class TestKeptTables:
         # Nothing new was kept: every answer came from the tables.
         assert kept() == filled
         assert filled[0] and filled[1] and {flag for _, flag in filled[2]} == {True, False}
+        assert filled[3] and filled[4]
 
 
 class TestBuckets:
